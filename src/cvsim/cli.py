@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import sys
 import warnings
@@ -106,39 +107,50 @@ _KIND_SUMMARY = {
 }
 
 
-def _check_param(kind_label, name, spec_kind, value):
+def _is_number(v):
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
+def _finite(name, value):
+    """A number (or list of numbers) as float(s), rejecting NaN, +-Infinity and
+    integers too large for a float -- json.loads yields all three."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        floats = [math.inf]
+    if not all(math.isfinite(v) for v in floats):
+        raise ScenarioError(f"parameters.{name}: expected finite numbers, got {value!r}")
+    return floats if values is value else floats[0]
+
+
+def _check_param(name, spec_kind, value):
+    if spec_kind.startswith("optional_"):
+        return None if value is None else _check_param(
+            name, spec_kind.removeprefix("optional_"), value)
     if spec_kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"parameters.{name}: expected an integer")
         return value
-    if spec_kind == "optional_int":
-        if value is None:
-            return None
-        return _check_param(kind_label, name, "int", value)
     if spec_kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ScenarioError(f"parameters.{name}: expected a number")
-        return float(value)
-    if spec_kind == "optional_float":
-        if value is None:
-            return None
-        return _check_param(kind_label, name, "float", value)
+        return _finite(name, value)
     if spec_kind == "str":
         if not isinstance(value, str):
             raise ScenarioError(f"parameters.{name}: expected a string")
         return value
     if spec_kind == "pair":
         if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+                or not all(_is_number(v) for v in value)):
             raise ScenarioError(f"parameters.{name}: expected [re, im]")
-        return [float(value[0]), float(value[1])]
+        return _finite(name, value)
     if spec_kind == "pmf":
         if value is None:
             return None
-        if (not isinstance(value, list) or not value
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+        if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
             raise ScenarioError(f"parameters.{name}: expected a list of probabilities")
-        return [float(v) for v in value]
+        return _finite(name, value)
     raise AssertionError(spec_kind)
 
 
@@ -170,7 +182,7 @@ def parse_scenario(data):
             f"valid: {', '.join(schema)}")
     params = {}
     for name, (spec_kind, default, _) in schema.items():
-        params[name] = (_check_param(kind, name, spec_kind, raw[name])
+        params[name] = (_check_param(name, spec_kind, raw[name])
                         if name in raw else default)
     return kind, seed, out, params
 

@@ -129,10 +129,6 @@ def couple(target, ancilla, config):
     return u.apply(joint)
 
 
-def apply_correction_and_couple(ancilla, target, config):
-    return couple(target, apply_correction(ancilla, config), config)
-
-
 def homodyne_grid(config):
     return fock.default_grid(config.dim, n_points=config.grid_points)
 

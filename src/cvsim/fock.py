@@ -1,12 +1,19 @@
 """Truncated Fock-space simulator.
 
 Same quadrature conventions as the Gaussian layer (x = (a + a^dag)/sqrt(2),
-vacuum variance 1/2).  States live in a photon-number cutoff `dim`; operators
-that do not conserve photon number are built on an enlarged workspace
-(dim + pad) and truncated back, so that the retained block is an accurate
-restriction of the infinite-dimensional operator rather than the exponential
-of a truncated generator.  Each such operator records the unitarity defect of
-its workspace build on the retained block in `diagnostics`.
+vacuum variance 1/2).  States live in a photon-number cutoff `dim`.
+
+Operators are built in one of two ways.  The displacement D(alpha) and the
+squeeze S(s) are exponentials of their generators truncated to `dim`: exactly
+unitary at the cutoff, and accurate wherever the state stays clear of it.
+Functions of one quadrature -- the cubic phase exp(i gamma x^3) and the QND
+coupling exp(-i g x1 p2) -- come from the eigendecompositions x = V diag(xi) V^H
+and p = W diag(pi) W^H on an enlarged workspace (dim + pad), restricted back to
+`dim`, so that the retained block is an accurate restriction of the
+infinite-dimensional operator rather than the exponential of a truncated
+generator.  Each records the unitarity defect of its workspace build on the
+retained block in `diagnostics`.  The QND coupling is kept in factored form
+and applied without forming its (dim^2) x (dim^2) matrix.
 
 Truncation trouble is reported through TruncationWarning, never silently.
 """
@@ -25,8 +32,10 @@ class TruncationWarning(UserWarning):
     """Raised (as a warning) when a cutoff is too small for the requested op/state."""
 
 
-# workspace per mode above which qnd_coupling_op refuses to run (the two-mode
-# matrix scales as workspace^4 in memory during reconstruction)
+# workspace per mode above which qnd_coupling_op and qnd_heisenberg_residual
+# refuse to run.  A run only applies the coupling in factored form (memory
+# workspace^2); the limit bounds the dense (dim^2) x (dim^2) `.matrix` built on
+# demand and the residual's workspace^3 array of conjugated blocks.
 QND_WORKSPACE_LIMIT = 128
 
 # phase-aliasing guard for the cubic gate: the phase slope at the edge of the
@@ -114,50 +123,76 @@ class FockState:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Matrix operator on the truncated space, one or two modes.
+    """Matrix operator on one truncated mode.
 
     `diagnostics` carries build-quality numbers (e.g. the workspace unitarity
     defect on the retained block for workspace-built operators).
     """
 
     matrix: np.ndarray
-    num_modes: int = 1
     diagnostics: dict = field(default_factory=dict)
+    num_modes = 1
 
     def __post_init__(self):
         m = _readonly_complex(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        if self.num_modes == 2:
-            d = round(m.shape[0] ** 0.5)
-            if d * d != m.shape[0]:
-                raise ValueError("two-mode operator size must be a perfect square")
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self):
-        """Per-mode cutoff."""
-        if self.num_modes == 1:
-            return self.matrix.shape[0]
-        return round(self.matrix.shape[0] ** 0.5)
+        return self.matrix.shape[0]
 
     def apply(self, state, mode=0):
-        if self.num_modes == 1 and state.num_modes == 1:
-            if self.dim != state.dim:
-                raise ValueError("operator/state cutoff mismatch")
+        """Act on a one-mode state, or on mode `mode` of a two-mode state."""
+        if self.dim != state.dim:
+            raise ValueError("operator/state cutoff mismatch")
+        if state.num_modes == 1 or mode == 0:
             return FockState(self.matrix @ state.amps)
-        if self.num_modes == 1 and state.num_modes == 2:
-            if self.dim != state.dim:
-                raise ValueError("operator/state cutoff mismatch")
-            if mode == 0:
-                return FockState(self.matrix @ state.amps)
-            return FockState(state.amps @ self.matrix.T)
-        if self.num_modes == 2 and state.num_modes == 2:
-            if self.dim != state.dim:
-                raise ValueError("operator/state cutoff mismatch")
-            flat = self.matrix @ state.amps.reshape(-1)
-            return FockState(flat.reshape(state.dim, state.dim))
-        raise ValueError("cannot apply a two-mode operator to a one-mode state")
+        return FockState(state.amps @ self.matrix.T)
+
+
+@dataclass(frozen=True)
+class QNDCoupling:
+    """The coupling exp(-i g x1 p2) on `dim` levels per mode, in factored form.
+
+    With x = V diag(xi) V^H and p = W diag(pi) W^H on the workspace, the
+    workspace operator is sum_k |v_k><v_k| (x) W diag(e^{-i g xi_k pi}) W^H, and
+    its retained block maps joint amplitudes C[n1, n2] to
+        V_d ((V_d^H C W_d^*) * e^{-i g xi pi^T}) W_d^T,
+    V_d and W_d being the first `dim` rows of V and W.  One apply costs
+    O(workspace^2 dim); the (dim^2) x (dim^2) matrix exists only when
+    `matrix` is read.
+    """
+
+    x_rows: np.ndarray  # V_d, (dim, workspace)
+    p_rows: np.ndarray  # W_d, (dim, workspace)
+    phase: np.ndarray   # e^{-i g xi_k pi_j}, (workspace, workspace)
+    diagnostics: dict = field(default_factory=dict)
+    num_modes = 2
+
+    @property
+    def dim(self):
+        """Per-mode cutoff."""
+        return self.x_rows.shape[0]
+
+    def apply(self, state):
+        if state.num_modes != 2:
+            raise ValueError("cannot apply a two-mode operator to a one-mode state")
+        if self.dim != state.dim:
+            raise ValueError("operator/state cutoff mismatch")
+        inner = (self.x_rows.conj().T @ state.amps @ self.p_rows.conj()) * self.phase
+        return FockState(self.x_rows @ inner @ self.p_rows.T)
+
+    @property
+    def matrix(self):
+        """Dense form, row = n1*dim + n2: the factored map applied to every
+        basis state.  Built on each read; runs never need it."""
+        d = self.dim
+        blocks = np.einsum("aj,kj,bj->kab", self.p_rows, self.phase, self.p_rows.conj())
+        mat = np.einsum("mk,nk,kab->manb", self.x_rows, self.x_rows.conj(), blocks,
+                        optimize=True)
+        return mat.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -187,15 +222,12 @@ def number_state(n, dim):
 
 def coherent_state(alpha, dim):
     """Truncated coherent state, renormalized."""
-    n = np.arange(dim)
+    if alpha == 0:
+        return vacuum_state(dim)
     from scipy.special import gammaln
-    log_amp = n * np.log(complex(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    if alpha != 0:
-        amps = np.exp(log_amp - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
-    else:
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-    return FockState(amps).normalized()
+    n = np.arange(dim)
+    log_amp = n * np.log(complex(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
+    return FockState(np.exp(log_amp)).normalized()
 
 
 def tmsv(r, dim):
@@ -279,18 +311,45 @@ def squeeze_op(s, dim):
     return FockOperator(expm(0.5 * s * (a @ a - a.conj().T @ a.conj().T)))
 
 
+def _quadrature_eigh(workspace):
+    """x = V diag(xi) V^H and p = W diag(pi) W^H on a `workspace`-level space;
+    returns (xi, V, pi, W).  Every workspace-built operator here is a
+    function of these factors."""
+    xi, v = np.linalg.eigh(position_op(workspace))
+    pi, w = np.linalg.eigh(momentum_op(workspace))
+    return xi, v, pi, w
+
+
 def _block_interior_defect(w_full, dim):
     """Unitarity defect of a workspace-built unitary, restricted to the kept block."""
     prod = w_full.conj().T @ w_full
     return float(np.linalg.norm(prod[:dim, :dim] - np.eye(dim)))
 
 
+def _product_gram_defect(a, b):
+    """||(a a^H) (x) (b b^H) - I||_F without forming the Kronecker product.
+
+    With E = a a^H - I, B = b b^H and F = B - I the difference is
+    E (x) B + I (x) F, whose squared norm is
+        ||E||^2 ||B||^2 + n ||F||^2 + 2 Re(tr E^H tr B^H F),   n = rows of a;
+    no term is a difference of near-equal large numbers.
+    """
+    n = a.shape[0]
+    e = a @ a.conj().T - np.eye(n)
+    bb = b @ b.conj().T
+    f = bb - np.eye(b.shape[0])
+    sq = (np.linalg.norm(e) ** 2 * np.linalg.norm(bb) ** 2 + n * np.linalg.norm(f) ** 2
+          + 2.0 * (np.trace(e).conjugate() * np.vdot(bb, f)).real)
+    return math.sqrt(max(sq, 0.0))
+
+
 def cubic_phase_op(gamma, dim, pad=None):
-    """exp(i gamma x^3), built at workspace dim+pad and truncated to dim.
+    """exp(i gamma x^3) = V diag(e^{i gamma xi^3}) V^H at workspace dim+pad,
+    truncated to dim.
 
     The truncated block of a unitary is not itself unitary; what is checked
     (and stored in diagnostics['interior_unitarity']) is the defect of the
-    workspace exponential on the retained block, which measures how well the
+    workspace operator on the retained block, which measures how well the
     returned matrix represents the infinite-dimensional operator there.
     """
     gamma = float(gamma)
@@ -304,33 +363,20 @@ def cubic_phase_op(gamma, dim, pad=None):
             "the truncated position range",
             TruncationWarning,
         )
-    w = dim + pad
-    x = position_op(w)
-    full = expm(1j * gamma * (x @ x @ x))
+    xi, v, _, _ = _quadrature_eigh(dim + pad)
+    full = (v * np.exp(1j * gamma * xi ** 3)) @ v.conj().T
     defect = _block_interior_defect(full, dim)
     return FockOperator(full[:dim, :dim], diagnostics={"interior_unitarity": defect})
-
-
-def _qnd_blocks(g, workspace):
-    """Eigen-decompose x of mode 1 and exponentiate per-eigenvalue translations
-    of mode 2.  exp(-i g x1 p2) is block-diagonal in the x1 eigenbasis, so the
-    exact workspace exponential factors into `workspace` small exponentials."""
-    x = position_op(workspace)
-    xi, v = np.linalg.eigh(x)
-    p = momentum_op(workspace)
-    blocks = np.empty((workspace, workspace, workspace), dtype=complex)
-    for k in range(workspace):
-        blocks[k] = expm(-1j * g * xi[k] * p)
-    return xi, v, blocks
 
 
 def qnd_coupling_op(g, dim, pad=None):
     """Two-mode coupling exp(-i g x1 p2): in the Heisenberg picture
     x2 -> x2 + g*x1 while x1 (and p2) are untouched.
 
-    Built exactly on a (dim+pad)-per-mode workspace via the x1 eigenbasis and
-    truncated to dim per mode, flattened with mode-0-major indexing
-    (row = n1*dim + n2).
+    Built exactly on a (dim+pad)-per-mode workspace from the eigenbases of x1
+    and p2 and restricted to dim per mode; see QNDCoupling.
+    diagnostics['interior_unitarity'] is the Gram defect of that restriction,
+    ||(V_d V_d^H) (x) (W_d W_d^H) - I||_F.
     """
     g = float(g)
     if dim < 2:
@@ -344,30 +390,26 @@ def qnd_coupling_op(g, dim, pad=None):
             f"(dim={dim}, pad={pad})"
         )
     if g == 0.0:
-        return FockOperator(np.eye(dim * dim, dtype=complex), num_modes=2,
-                            diagnostics={"interior_unitarity": 0.0})
-    xi, v, blocks = _qnd_blocks(g, w)
-    vk = v[:dim, :]
-    mat = np.einsum("mk,nk,kab->manb", vk, vk.conj(), blocks[:, :dim, :dim], optimize=True)
-    mat = mat.reshape(dim * dim, dim * dim)
-    # unitarity defect of the workspace build on the retained block, computed
-    # blockwise: (U^dag U)[(ma),(nb)] = sum_k V V* (T_k^dag T_k)[a,b]
-    gram = np.einsum("mk,nk,kab->manb", vk, vk.conj(),
-                     np.einsum("kca,kcb->kab", blocks.conj(), blocks)[:, :dim, :dim],
-                     optimize=True).reshape(dim * dim, dim * dim)
-    defect = float(np.linalg.norm(gram - np.eye(dim * dim)))
-    return FockOperator(mat, num_modes=2, diagnostics={"interior_unitarity": defect})
+        eye = np.eye(dim)
+        return QNDCoupling(eye, eye, np.ones((dim, dim)), {"interior_unitarity": 0.0})
+    xi, v, pi, wv = _quadrature_eigh(w)
+    v, wv = v[:dim], wv[:dim]
+    defect = _product_gram_defect(v, wv)
+    return QNDCoupling(v, wv, np.exp(-1j * g * np.outer(xi, pi)),
+                       {"interior_unitarity": defect})
 
 
 def qnd_heisenberg_residual(g, dim, pad=None):
     """Residual of U^dag x2 U = x2 + g*x1 for the dim-cutoff coupling,
     measured on the interior block (margin min(pad, dim//2) per mode).
 
-    The conjugation is evaluated at the (dim+pad) workspace through the same
-    block structure used to build the operator (truncating first and then
-    conjugating would measure truncation noise, not the coupling).  Edge
-    rows of any truncated operator cannot satisfy the relation, hence the
-    margin.  Returns the Frobenius norm of the interior residual.
+    The conjugation is evaluated at the (dim+pad) workspace from the same
+    factors used to build the operator: with T_k = W diag(e^{-i g xi_k pi}) W^H
+    and X = W^H x W, T_k^H x T_k = W (X * e^{i g xi_k (pi_i - pi_j)}) W^H
+    (truncating first and then conjugating would measure truncation noise,
+    not the coupling).  Edge rows of any truncated operator cannot satisfy
+    the relation, hence the margin.  Returns the Frobenius norm of the
+    interior residual.
     """
     if pad is None:
         pad = 3 * dim
@@ -375,14 +417,14 @@ def qnd_heisenberg_residual(g, dim, pad=None):
     if w > QND_WORKSPACE_LIMIT:
         raise ValueError(f"workspace {w} exceeds the limit {QND_WORKSPACE_LIMIT}")
     keep = dim - min(pad, dim // 2)
-    xi, v, blocks = _qnd_blocks(g, w)
+    xi, v, pi, wv = _quadrature_eigh(w)
     x = position_op(w)
-    resid = np.empty_like(blocks)
-    for k in range(w):
-        resid[k] = blocks[k].conj().T @ x @ blocks[k] - x - g * xi[k] * np.eye(w)
+    shift = np.exp(1j * g * xi[:, None, None] * (pi[:, None] - pi[None, :]))
+    rows = wv[:keep]
+    resid = rows @ ((wv.conj().T @ x @ wv) * shift) @ rows.conj().T
+    resid -= x[:keep, :keep] + g * xi[:, None, None] * np.eye(keep)
     vk = v[:keep, :]
-    interior = np.einsum("mk,nk,kab->manb", vk, vk.conj(), resid[:, :keep, :keep],
-                         optimize=True)
+    interior = np.einsum("mk,nk,kab->manb", vk, vk.conj(), resid, optimize=True)
     return float(np.linalg.norm(interior.reshape(keep * keep, keep * keep)))
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,25 @@ def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     assert not out.exists(), "partial artifacts after config error"
 
 
+@pytest.mark.parametrize("kind, params, needle", [
+    ("dense-coding-spectrum", {"amplitude": float("nan")}, "parameters.amplitude"),
+    ("dense-coding-spectrum", {"squeezing_r": float("inf")}, "parameters.squeezing_r"),
+    ("cubic-phase-run", {"displacement_alpha": [0.5, float("-inf")]},
+     "parameters.displacement_alpha"),
+    ("cipd-histogram", {"integration_window": float("nan")}, "parameters.integration_window"),
+    ("cipd-histogram", {"source_pmf": [0.5, float("nan"), 0.5]}, "parameters.source_pmf"),
+    ("cipd-histogram", {"gain": 10 ** 400}, "parameters.gain"),
+])
+def test_non_finite_parameters_rejected(tmp_path, capsys, kind, params, needle):
+    # json.dumps writes NaN / Infinity literals, which json.loads accepts
+    path = scenario_file(tmp_path, kind=kind, parameters=params)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert needle in err and "finite" in err
+    assert not out.exists(), "artifacts written for a non-finite parameter"
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
@@ -174,7 +194,11 @@ def test_strict_escalates_truncation(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same cvsim as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "cvsim.cli", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "cubic-phase-run" in proc.stdout

@@ -281,6 +281,59 @@ def test_qnd_workspace_cap():
         fock.qnd_coupling_op(1.0, 100, pad=100)
 
 
+def _qnd_reference(g, dim, pad, amps):
+    """exp(-i g x1 p2) on the joint amplitudes by explicit exponentials: one
+    expm(-i g xi_k p) per x1 eigenvalue on the workspace, or at pad 0 the
+    expm of the Kronecker generator."""
+    from scipy.linalg import expm
+    if pad == 0:
+        gen = np.kron(fock.position_op(dim), fock.momentum_op(dim))
+        return (expm(-1j * g * gen) @ amps.reshape(-1)).reshape(dim, dim)
+    w = dim + pad
+    xi, v = np.linalg.eigh(fock.position_op(w))
+    p = fock.momentum_op(w)
+    blocks = np.array([expm(-1j * g * k * p)[:dim, :dim] for k in xi])
+    vd = v[:dim]
+    return np.einsum("mk,nk,kab,nb->ma", vd, vd.conj(), blocks, amps)
+
+
+@pytest.mark.parametrize("pad", [12, 0])
+def test_qnd_factored_apply_matches_expm_reference(pad):
+    dim, g = 24, 0.9
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    amps /= np.linalg.norm(amps)
+    out = fock.qnd_coupling_op(g, dim, pad=pad).apply(fock.FockState(amps)).amps
+    assert np.abs(out - _qnd_reference(g, dim, pad, amps)).max() < 1e-12
+
+
+def test_qnd_interior_unitarity_closed_form():
+    dim, pad = 8, 4
+    eye = np.eye(dim)
+    # on factors far from orthonormal the closed form is the explicit norm
+    rng = np.random.default_rng(3)
+    a, b = (rng.normal(size=(dim, dim + pad)) + 1j * rng.normal(size=(dim, dim + pad))
+            for _ in range(2))
+    explicit = np.linalg.norm(np.kron(a @ a.conj().T, b @ b.conj().T) - np.eye(dim * dim))
+    assert fock._product_gram_defect(a, b) == pytest.approx(explicit, rel=1e-12)
+    # on the operator's own factors (a rounding-level defect) the explicit
+    # Gram defect is formed as E (x) B + I (x) F so that it is not lost to
+    # cancellation against the identity
+    op = fock.qnd_coupling_op(1.0, dim, pad=pad)
+    e = op.x_rows @ op.x_rows.conj().T - eye
+    bb = op.p_rows @ op.p_rows.conj().T
+    explicit = np.linalg.norm(np.kron(e, bb) + np.kron(eye, bb - eye))
+    unit = op.diagnostics["interior_unitarity"]
+    assert unit == pytest.approx(explicit, rel=1e-9)
+    assert unit < 1e-13
+
+
+def test_gate_dim_64_keeps_target_normalized():
+    from cvsim import cubicphase
+    record = cubicphase.run_gate(cubicphase.CubicGateConfig(dim=64), seed=7)
+    assert record.diagnostics["target_norm_defect"] <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # wavefunctions / homodyne
 
