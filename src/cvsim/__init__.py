@@ -12,15 +12,17 @@ x = (a + a*)/sqrt(2), vacuum quadrature variance 1/2):
 On top of those, `densecoding` models sideband dense coding with EPR beams
 and Bell measurement, `cubicphase` the measurement-induced cubic gate
 circuit, and `cipd` the charge-integration photon detector signal chain.
-`cli` runs scenario files into reproducible data artifacts.
+`cli` runs scenario files into reproducible data artifacts, all written
+through `artifacts`, which owns the CSV and JSON format.
 """
 
-from . import cipd, cli, cubicphase, densecoding, fock, gaussian
+from . import artifacts, cipd, cli, cubicphase, densecoding, fock, gaussian
 from .fock import TruncationWarning
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "artifacts",
     "cipd",
     "cli",
     "cubicphase",

@@ -14,8 +14,6 @@ dark rate 1 e/s at 77 K, readout noise 7 e RMS at 20 Hz sampling.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 from scipy.signal import find_peaks
+
+from . import artifacts
 
 # Peak detection operating constants, tuned once against simulated histograms
 # at the default operating point (2000 pulses): the smoothing kernel suppresses
@@ -48,6 +48,11 @@ class CipdConfig:
     gain_dispersion: float = 0.0
 
     def __post_init__(self):
+        for name in ("eta", "gain", "dark_rate", "readout_noise", "sample_rate",
+                     "integration_window", "gain_dispersion"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0, 1]")
         if self.gain < 1.0:
@@ -70,16 +75,8 @@ class CipdConfig:
         return self.dark_rate * self.integration_window
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    true_photons: int
-    photoelectrons: int
-    dark_electrons: int
-    output_charge: float
-
-
 class PulseRecords:
-    """Column store of simulated pulses; indexes like a list of PulseRecord."""
+    """Column store of simulated pulses: one equal-length array per field."""
 
     def __init__(self, true_photons, photoelectrons, dark_electrons, output_charge):
         self.true_photons = np.asarray(true_photons, dtype=int)
@@ -96,17 +93,6 @@ class PulseRecords:
 
     def __len__(self):
         return len(self.output_charge)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PulseRecords(self.true_photons[i], self.photoelectrons[i],
-                                self.dark_electrons[i], self.output_charge[i])
-        return PulseRecord(int(self.true_photons[i]), int(self.photoelectrons[i]),
-                           int(self.dark_electrons[i]), float(self.output_charge[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)
@@ -252,33 +238,20 @@ def dark_drift(config, duration, budget=None):
 
 
 def write_records_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["true_photons", "photoelectrons", "dark_electrons", "output_charge"])
-        for i in range(len(records)):
-            w.writerow([int(records.true_photons[i]), int(records.photoelectrons[i]),
-                        int(records.dark_electrons[i]), repr(float(records.output_charge[i]))])
+    fields = ["true_photons", "photoelectrons", "dark_electrons", "output_charge"]
+    artifacts.write_csv(path, fields, [getattr(records, f) for f in fields])
 
 
 def write_histogram_csv(hist, path):
-    prob = hist.probability
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_left", "bin_right", "count", "probability"])
-        for i in range(len(hist.counts)):
-            w.writerow([repr(float(hist.bin_edges[i])), repr(float(hist.bin_edges[i + 1])),
-                        int(hist.counts[i]), repr(float(prob[i]))])
+    artifacts.write_csv(path, ["bin_left", "bin_right", "count", "probability"],
+                        [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.probability])
 
 
 def write_histogram_json(hist, path, label=""):
-    prob = hist.probability
-    payload = {
+    artifacts.write_json(path, {
         "label": label,
         "n_events": int(hist.n_events),
-        "bin_edges": [float(v) for v in hist.bin_edges],
-        "counts": [int(v) for v in hist.counts],
-        "probability": [float(v) for v in prob],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "bin_edges": hist.bin_edges.tolist(),
+        "counts": hist.counts.tolist(),
+        "probability": hist.probability.tolist(),
+    })

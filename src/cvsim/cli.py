@@ -29,17 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cipd, cubicphase, densecoding
+from .artifacts import write_json
 from .fock import TruncationWarning
 
 
 class ScenarioError(Exception):
     """Configuration problem; message carries the offending field."""
-
-
-def _dump_json(payload, path):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # parameter schema: name -> (kind, default, help); kind in
@@ -225,8 +220,7 @@ def _run_cubic_phase(params, seed, out):
         grid_points=params["grid_points"],
     )
     record = cubicphase.run_gate(config, seed=seed)
-    with open(out / "gate_run.json", "w") as fh:
-        fh.write(record.to_json())
+    write_json(out / "gate_run.json", record.as_dict())
     return ["gate_run.json"]
 
 
@@ -263,7 +257,7 @@ def _run_cipd_histogram(params, seed, out):
         "analytic_mean_e": mean,
         "analytic_var_e2": var,
     }
-    _dump_json(report, out / "report.json")
+    write_json(out / "report.json", report)
     return ["histogram_charge.csv", "histogram_charge.json", "histogram_pe.csv",
             "histogram_pe.json", "records.csv", "report.json"]
 
@@ -286,7 +280,7 @@ def _run_cipd_resolution(params, seed, out):
             "exceeded": drift.exceeded,
         },
     }
-    _dump_json(payload, out / "resolution.json")
+    write_json(out / "resolution.json", payload)
     return ["resolution.json"]
 
 
@@ -357,7 +351,7 @@ def _cmd_run(args):
                        "bytes": (out / name).stat().st_size}
                       for name in sorted(artifacts)],
     }
-    _dump_json(manifest, out / "manifest.json")
+    write_json(out / "manifest.json", manifest)
     print(f"{kind}: {len(artifacts)} artifacts in {out}")
     return 0
 

@@ -18,15 +18,15 @@ against this implementation's own frozen reference run.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import simpson
 
-from . import fock
+from . import artifacts, fock
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,11 @@ class CubicGateConfig:
     grid_points: int = 2048
 
     def __post_init__(self):
+        for name in ("squeezing_r", "displacement_alpha", "correction_s", "coupling_g",
+                     "gamma_target"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dim < 8:
             raise ValueError("dim >= 8 is required for a meaningful gate run")
         if self.homodyne_which not in ("ancilla", "target"):
@@ -69,7 +74,7 @@ class CubicGateConfig:
 
     def digest(self):
         """Stable hash of the configuration, for pinning reference runs."""
-        blob = json.dumps(self.as_dict(), sort_keys=True).encode()
+        blob = artifacts.encode_json(self.as_dict(), indent=None).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -97,7 +102,8 @@ class GateRunRecord:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        """The gate_run.json text."""
+        return artifacts.encode_json(self.as_dict()) + "\n"
 
 
 def prepare_ancilla(config):
@@ -154,10 +160,8 @@ def readout_and_condition(joint, config, rng=None, fixed_x=None):
     """
     grid, dens = homodyne_density(joint, config)
     if fixed_x is None:
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-        total = cdf[-1]
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        x_m = float(np.interp(gen.uniform() * total, cdf, grid))
+        x_m = float(fock._sample_grid_density(grid, dens, gen.uniform()))
     else:
         x_m = float(fixed_x)
     basis_at_x = fock.hermite_functions(config.dim, np.array([x_m]))[:, 0]

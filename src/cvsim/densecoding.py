@@ -9,19 +9,19 @@ decoded quadratures sit at the single-OPO squeezed variance (the -2 dB floor
 at the default r) while each tone appears only in its own quadrature.
 
 Spectrum-analyzer style powers are reported as 10*log10((Var + mean^2)/0.5),
-i.e. noise floor plus coherent tone power relative to shot noise.
+i.e. noise floor plus coherent tone power relative to shot noise.  The
+write_* functions only map spectra and sweeps to columns or a dict;
+cvsim.artifacts owns the file format.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
+from . import artifacts, gaussian
 from .gaussian import r_for_noise_db
 
 DEFAULT_R = r_for_noise_db(2.0)
@@ -44,6 +44,10 @@ class SidebandBin:
     loss_eta: float
 
     def __post_init__(self):
+        for name in ("frequency_hz", "squeezing_r", "am_amplitude", "pm_amplitude", "loss_eta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.loss_eta <= 1.0:
             raise ValueError(f"loss_eta must be in [0, 1], got {self.loss_eta}")
         if self.frequency_hz <= 0:
@@ -123,9 +127,13 @@ def bell_measure(state, n_samples=0, rng=None):
         raise ValueError("bell_measure expects a two-mode state")
     mixed = gaussian.beamsplitter(state, 0, 1, 0.5)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    x_minus = gaussian.homodyne(mixed, 1, 0.0, n_samples=n_samples, rng=gen)
-    p_plus = gaussian.homodyne(mixed, 0, math.pi / 2, n_samples=n_samples, rng=gen)
-    return x_minus, p_plus
+    return _homodyne_xp(mixed, n_samples, gen, x_mode=1)
+
+
+def _homodyne_xp(state, n_samples, rng, x_mode=0):
+    """Homodyne x on `x_mode`, then p on mode 0, drawing from `rng` in that order."""
+    return (gaussian.homodyne(state, x_mode, 0.0, n_samples=n_samples, rng=rng),
+            gaussian.homodyne(state, 0, math.pi / 2, n_samples=n_samples, rng=rng))
 
 
 def _power_db(mean, variance):
@@ -154,45 +162,21 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """
     bins = plan.bins
     mc = n_samples > 0
-    seeds = np.random.SeedSequence(seed).spawn(3 * len(bins)) if mc else [None] * (3 * len(bins))
-
-    freq = np.array([b.frequency_hz for b in bins])
-    out = {}
-    shot_x, shot_p, epr_x, epr_p, bell_x, bell_p = (np.empty(len(bins)) for _ in range(6))
+    seeds = np.random.SeedSequence(seed).spawn(3 * len(bins)) if mc else None
+    vac = gaussian.vacuum(1)
+    power = np.empty((3, 2, len(bins)))  # (shot, epr, bell) x (x, p) x bin
     for i, b in enumerate(bins):
-        vac = gaussian.vacuum(1)
-        if mc:
-            gen = np.random.default_rng(seeds[3 * i])
-            rx = gaussian.homodyne(vac, 0, 0.0, n_samples=n_samples, rng=gen)
-            rp = gaussian.homodyne(vac, 0, math.pi / 2, n_samples=n_samples, rng=gen)
-        else:
-            rx = gaussian.homodyne(vac, 0, 0.0)
-            rp = gaussian.homodyne(vac, 0, math.pi / 2)
-        shot_x[i] = _result_power_db(rx, mc)
-        shot_p[i] = _result_power_db(rp, mc)
-
         epr = build_epr(b.squeezing_r)
-        if mc:
-            gen = np.random.default_rng(seeds[3 * i + 1])
-            rx = gaussian.homodyne(epr, 0, 0.0, n_samples=n_samples, rng=gen)
-            rp = gaussian.homodyne(epr, 0, math.pi / 2, n_samples=n_samples, rng=gen)
-        else:
-            rx = gaussian.homodyne(epr, 0, 0.0)
-            rp = gaussian.homodyne(epr, 0, math.pi / 2)
-        epr_x[i] = _result_power_db(rx, mc)
-        epr_p[i] = _result_power_db(rp, mc)
-
         sent = encode(epr, b.am_amplitude, b.pm_amplitude, mirror_transmittance)
         sent = gaussian.loss(sent, 0, b.loss_eta)
-        gen = np.random.default_rng(seeds[3 * i + 2]) if mc else None
-        x_minus, p_plus = bell_measure(sent, n_samples=n_samples if mc else 0, rng=gen)
-        bell_x[i] = _result_power_db(x_minus, mc)
-        bell_p[i] = _result_power_db(p_plus, mc)
-
-    out["shot"] = NoiseSpectrum("shot", freq, shot_x, shot_p)
-    out["epr"] = NoiseSpectrum("epr", freq, epr_x, epr_p)
-    out["bell"] = NoiseSpectrum("bell", freq, bell_x, bell_p)
-    return out
+        receivers = ((_homodyne_xp, vac), (_homodyne_xp, epr), (bell_measure, sent))
+        for t, (measure, state) in enumerate(receivers):
+            gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
+            for q, res in enumerate(measure(state, n_samples if mc else 0, gen)):
+                power[t, q, i] = _result_power_db(res, mc)
+    freq = np.array([b.frequency_hz for b in bins])
+    return {label: NoiseSpectrum(label, freq, *power[t])
+            for t, label in enumerate(("shot", "epr", "bell"))}
 
 
 def two_tone_plan(
@@ -258,59 +242,30 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
 # file output
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def write_spectra_csv(spectra, path):
     """One row per bin: frequency, then x/p power columns per trace."""
-    labels = list(spectra)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["frequency_hz"]
-        for lab in labels:
-            header += [f"{lab}_x_db", f"{lab}_p_db"]
-        w.writerow(header)
-        n = spectra[labels[0]].frequency_hz.size
-        for i in range(n):
-            row = [_fmt(spectra[labels[0]].frequency_hz[i])]
-            for lab in labels:
-                row += [_fmt(spectra[lab].x_power_db[i]), _fmt(spectra[lab].p_power_db[i])]
-            w.writerow(row)
+    header, columns = ["frequency_hz"], [next(iter(spectra.values())).frequency_hz]
+    for lab, s in spectra.items():
+        header += [f"{lab}_x_db", f"{lab}_p_db"]
+        columns += [s.x_power_db, s.p_power_db]
+    artifacts.write_csv(path, header, columns)
 
 
 def write_spectra_json(spectra, path):
-    doc = {"traces": [
-        {
-            "label": s.label,
-            "frequency_hz": [float(v) for v in s.frequency_hz],
-            "x_power_db": [float(v) for v in s.x_power_db],
-            "p_power_db": [float(v) for v in s.p_power_db],
-        }
+    artifacts.write_json(path, {"traces": [
+        {"label": s.label, "frequency_hz": s.frequency_hz.tolist(),
+         "x_power_db": s.x_power_db.tolist(), "p_power_db": s.p_power_db.tolist()}
         for s in spectra.values()
-    ]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ]})
 
 
 def write_phase_sweep_csv(traces, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phase_rad"] + [f"{t.label}_db" for t in traces])
-        for i in range(traces[0].lo_phase_rad.size):
-            w.writerow([_fmt(traces[0].lo_phase_rad[i])] + [_fmt(t.power_db[i]) for t in traces])
+    artifacts.write_csv(path, ["phase_rad"] + [f"{t.label}_db" for t in traces],
+                        [traces[0].lo_phase_rad] + [t.power_db for t in traces])
 
 
 def write_phase_sweep_json(traces, path):
-    doc = {"traces": [
-        {
-            "label": t.label,
-            "lo_phase_rad": [float(v) for v in t.lo_phase_rad],
-            "power_db": [float(v) for v in t.power_db],
-        }
+    artifacts.write_json(path, {"traces": [
+        {"label": t.label, "lo_phase_rad": t.lo_phase_rad.tolist(), "power_db": t.power_db.tolist()}
         for t in traces
-    ]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ]})

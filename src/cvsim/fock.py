@@ -15,6 +15,10 @@ generator.  Each records the unitarity defect of its workspace build on the
 retained block in `diagnostics`.  The QND coupling is kept in factored form
 and applied without forming its (dim^2) x (dim^2) matrix.
 
+Homodyne outcomes are drawn from a density tabulated on a position grid by
+one inverse-CDF sampler (trapezoid CDF, linear interpolation), which the cubic
+gate's readout shares.
+
 Truncation trouble is reported through TruncationWarning, never silently.
 """
 
@@ -478,11 +482,15 @@ def homodyne_fock(state, n_samples, rng=None, grid=None):
         grid = default_grid(state.dim)
     psi = quadrature_wavefunction(state.normalized(), grid)
     dens = np.abs(psi) ** 2
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    u = gen.uniform(size=int(n_samples))
-    return np.interp(u, cdf, grid)
+    return _sample_grid_density(grid, dens, gen.uniform(size=int(n_samples)))
+
+
+def _sample_grid_density(grid, dens, u):
+    """Inverse-CDF draws of a density tabulated on a grid, at uniforms u in [0, 1):
+    trapezoid CDF, linear interpolation between grid points."""
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    return np.interp(u * cdf[-1], cdf, grid)
 
 
 def quadrature_moments(state, mode=0):

@@ -20,7 +20,8 @@ def test_config_defaults_and_validation():
     assert cipd.CipdConfig(integration_window=0.2).integration_window == 0.2
     for bad in (dict(eta=1.2), dict(eta=-0.1), dict(gain=0.5), dict(dark_rate=-1),
                 dict(readout_noise=-1), dict(sample_rate=0), dict(gain_dispersion=-0.1),
-                dict(integration_window=0.0)):
+                dict(integration_window=0.0), dict(gain=math.nan), dict(readout_noise=math.inf),
+                dict(integration_window=math.nan)):
         with pytest.raises(ValueError):
             cipd.CipdConfig(**bad)
 
@@ -181,16 +182,16 @@ def test_records_container():
     cfg = cipd.CipdConfig()
     rec = cipd.simulate_pulses(cfg, 1.0, 100, rng=4)
     assert len(rec) == 100
-    one = rec[3]
-    assert isinstance(one, cipd.PulseRecord)
-    assert one.photoelectrons <= one.true_photons
-    assert isinstance(one.output_charge, float)
-    sl = rec[10:20]
-    assert len(sl) == 10
-    assert sum(1 for _ in sl) == 10
-    np.testing.assert_array_equal(sl.output_charge, rec.output_charge[10:20])
+    for column in (rec.true_photons, rec.photoelectrons, rec.dark_electrons):
+        assert column.shape == (100,) and column.dtype.kind == "i"
+    assert rec.output_charge.shape == (100,) and rec.output_charge.dtype == float
+    assert np.all(rec.photoelectrons <= rec.true_photons)
     with pytest.raises(ValueError):
         cipd.PulseRecords([1], [2], [0], [5.0])  # pe > photons
+    with pytest.raises(ValueError):
+        cipd.PulseRecords([1, 2], [1, 1], [0, 0], [5.0])  # column lengths differ
+    with pytest.raises(ValueError):
+        cipd.PulseRecords([1], [1], [0], [math.nan])
 
 
 def test_source_validation():
@@ -226,12 +227,17 @@ def test_writers_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "bin_left,bin_right,count,probability"
 
+    many = cipd.simulate_pulses(cfg, 2.0, 20_000, rng=9)  # spans several write chunks
     r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    cipd.write_records_csv(rec, r1)
-    cipd.write_records_csv(rec, r2)
+    cipd.write_records_csv(many, r1)
+    cipd.write_records_csv(many, r2)
     assert r1.read_bytes() == r2.read_bytes()
-    header = r1.read_text().splitlines()[0]
+    header, *rows = r1.read_text().splitlines()
     assert header == "true_photons,photoelectrons,dark_electrons,output_charge"
+    back = list(zip(*(row.split(",") for row in rows)))
+    for name, text in zip(header.split(","), back):
+        column = getattr(many, name)
+        np.testing.assert_array_equal(np.array(text, dtype=column.dtype), column)
 
     j1 = tmp_path / "h.json"
     cipd.write_histogram_json(hist, j1, label="charge")

@@ -135,6 +135,16 @@ def test_non_finite_parameters_rejected(tmp_path, capsys, kind, params, needle):
     assert not out.exists(), "artifacts written for a non-finite parameter"
 
 
+def test_non_finite_result_exits_one(tmp_path, capsys):
+    # a finite amplitude whose tone power overflows to inf
+    path = scenario_file(tmp_path, kind="dense-coding-spectrum",
+                         parameters={"n_bins": 5, "amplitude": 1e200})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists(), "artifacts written for a non-finite result"
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -35,6 +35,10 @@ def test_config_validation():
         cp.CubicGateConfig(homodyne_which="both")
     with pytest.raises(ValueError):
         cp.CubicGateConfig(post_select_n=99)
+    with pytest.raises(ValueError, match="coupling_g"):
+        cp.run_gate(cp.CubicGateConfig(coupling_g=float("nan")))
+    with pytest.raises(ValueError, match="displacement_alpha"):
+        cp.CubicGateConfig(displacement_alpha=complex(0.5, float("inf")))
 
 
 def test_config_digest_pins_configuration():

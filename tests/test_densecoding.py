@@ -80,6 +80,8 @@ def test_plan_validation():
         dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.4)
     with pytest.raises(ValueError):
         dc.SidebandPlan((b,), 0.0)
+    with pytest.raises(ValueError, match="am_amplitude"):
+        dc.SidebandBin(1e6, dc.DEFAULT_R, math.nan, 0.0, 1.0)
 
 
 def test_spectrum_analytic():
@@ -194,6 +196,16 @@ def test_csv_and_json_outputs(tmp_path):
     again = tmp_path / "spectra2.csv"
     dc.write_spectra_csv(spectra, again)
     assert again.read_bytes() == csv_path.read_bytes()
+
+    # a non-finite power is refused before the file is opened
+    bell = spectra["bell"]
+    spectra["bell"] = dc.NoiseSpectrum("bell", bell.frequency_hz,
+                                       np.where(np.arange(5) == 2, np.nan, bell.x_power_db),
+                                       bell.p_power_db)
+    for write, name in ((dc.write_spectra_csv, "nan.csv"), (dc.write_spectra_json, "nan.json")):
+        with pytest.raises(ValueError):
+            write(spectra, tmp_path / name)
+        assert not (tmp_path / name).exists()
 
 
 def test_phase_sweep_outputs(tmp_path):
