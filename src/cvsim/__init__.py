@@ -16,7 +16,8 @@ circuit, and `cipd` the charge-integration photon detector signal chain.
 through `artifacts`, which owns the CSV and JSON format.
 """
 
-from . import artifacts, cipd, cli, cubicphase, densecoding, fock, gaussian
+# not `cli`: imported here, it makes `python -m cvsim.cli` print a runpy warning
+from . import artifacts, cipd, cubicphase, densecoding, fock, gaussian
 from .fock import TruncationWarning
 
 __version__ = "0.1.0"

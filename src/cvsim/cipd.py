@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
-from scipy.signal import find_peaks
 
 from . import artifacts
 
@@ -31,6 +29,13 @@ from . import artifacts
 PEAK_SMOOTHING_GAIN_FRACTION = 0.225
 PEAK_THRESHOLD_FRACTION = 0.05
 DEFAULT_BIN_WIDTH_E = 1.0
+
+# Most bins a histogram may have: the count is the data range over bin_width,
+# so a large gain or a tiny width could ask for any amount of memory.  A useful
+# histogram has at most hundreds of photon-number peaks at tens of bins each;
+# a million bins is far past that and still desk-scale (a scenario's four
+# histogram artifacts at that size: about 120 MB, 0.4 GB peak memory).
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,7 @@ def simulate_pulses(config, source, n_pulses, rng=None):
     one-photon source)."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     if np.isscalar(source):
         if source < 0:
             raise ValueError("source mean must be nonnegative")
@@ -187,9 +192,12 @@ def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
         raise ValueError("no records to histogram")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    lo = math.floor(charges.min() / bin_width + 0.5)
-    hi = math.floor(charges.max() / bin_width + 0.5)
-    edges = (np.arange(lo, hi + 2) - 0.5) * bin_width
+    lo, hi = np.floor(np.array([charges.min(), charges.max()]) / bin_width + 0.5)
+    # hi - lo + 1 bins; `not <` also refuses an overflow to inf and a NaN width
+    if not hi - lo < MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width {bin_width!r} splits the charge range into more "
+                         f"than MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS} bins")
+    edges = (np.arange(int(lo), int(hi) + 2) - 0.5) * bin_width
     counts, _ = np.histogram(charges, bins=edges)
     return Histogram(edges, counts, int(charges.size))
 
@@ -202,6 +210,8 @@ def detect_peaks(hist, gain):
     and a prominence floor of PEAK_THRESHOLD_FRACTION of the smoothed mode
     and sit at least half a gain apart.
     """
+    from scipy.ndimage import gaussian_filter1d
+    from scipy.signal import find_peaks
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
     smooth = gaussian_filter1d(hist.probability, PEAK_SMOOTHING_GAIN_FRACTION * gain / width)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()

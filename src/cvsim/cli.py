@@ -9,8 +9,9 @@ A scenario is a JSON file:
       "parameters": { ... }         optional, kind-specific, all have defaults
     }
 
-Every run writes its artifacts plus a manifest.json with a sha256 per file;
-identical scenario files produce byte-identical artifacts.  Exit codes:
+Every run writes its artifacts plus a manifest.json giving the sha256 and
+size of every other file in the output directory; identical scenario files
+produce byte-identical artifacts.  Exit codes:
 0 success, 1 usage or config error, 2 numerical failure under --strict
 (truncation warnings escalated).
 """
@@ -18,6 +19,7 @@ identical scenario files produce byte-identical artifacts.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,6 +27,7 @@ import shutil
 import sys
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,71 +38,6 @@ from .fock import TruncationWarning
 
 class ScenarioError(Exception):
     """Configuration problem; message carries the offending field."""
-
-
-# parameter schema: name -> (kind, default, help); kind in
-# {int, float, str, pair, pmf, optional_int, optional_float}
-_SCHEMAS = {
-    "dense-coding-spectrum": {
-        "n_bins": ("int", 33, "sideband bins across the analysis band"),
-        "f_lo_hz": ("float", 0.8e6, "low edge of the band"),
-        "f_hi_hz": ("float", 1.6e6, "high edge of the band"),
-        "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter of the EPR source"),
-        "am_frequency_hz": ("float", densecoding.AM_FREQUENCY_HZ, "AM tone frequency"),
-        "pm_frequency_hz": ("float", densecoding.PM_FREQUENCY_HZ, "PM tone frequency"),
-        "amplitude": ("float", densecoding.DEFAULT_TONE_AMPLITUDE, "tone displacement amplitude"),
-        "loss_eta": ("float", 1.0, "transmission of the encoded beam"),
-        "n_samples": ("int", 0, "homodyne samples per bin; 0 = analytic"),
-        "mirror_transmittance": ("float", 0.0, "encoding mirror transmittance; 0 = ideal displacement"),
-    },
-    "dense-coding-phase-sweep": {
-        "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter"),
-        "n_phases": ("int", 64, "LO angles spread over [0, pi)"),
-    },
-    "cubic-phase-run": {
-        "squeezing_r": ("float", 0.25, "resource squeezing"),
-        "displacement_alpha": ("pair", [0.5, 1.0], "[re, im] displacement of the counted arm"),
-        "correction_s": ("float", 0.15, "ancilla squeeze correction"),
-        "coupling_g": ("float", 1.0, "QND coupling strength"),
-        "gamma_target": ("float", 0.05, "cubic strength aimed for (diagnostic)"),
-        "dim": ("int", 16, "per-mode Fock cutoff"),
-        "qnd_pad": ("optional_int", None, "coupling workspace padding; default dim/2"),
-        "post_select_n": ("optional_int", None, "forced photon count; default sampled"),
-        "homodyne_which": ("str", "ancilla", "which coupled mode is homodyned"),
-        "grid_points": ("int", 2048, "quadrature grid resolution"),
-    },
-    "cipd-histogram": {
-        "eta": ("float", 0.6, "quantum efficiency"),
-        "gain": ("float", 10.0, "mean avalanche gain (e/pe)"),
-        "dark_rate": ("float", 1.0, "dark electrons per second"),
-        "readout_noise": ("float", 7.0, "readout noise, electrons RMS"),
-        "sample_rate": ("float", 20.0, "sampling rate, Hz"),
-        "integration_window": ("optional_float", None, "integration window, s; default 1/sample_rate"),
-        "gain_dispersion": ("float", 0.0, "fractional RMS gain noise; 0 = deterministic gain"),
-        "source_mean": ("float", 2.0, "Poisson mean photons per pulse"),
-        "source_pmf": ("pmf", None, "explicit photon-number pmf; overrides source_mean"),
-        "n_pulses": ("int", 2000, "number of light pulses"),
-        "bin_width": ("float", 1.0, "histogram bin width, electrons"),
-    },
-    "cipd-resolution": {
-        "eta": ("float", 0.6, "quantum efficiency"),
-        "gain": ("float", 10.0, "mean avalanche gain (e/pe)"),
-        "dark_rate": ("float", 1.0, "dark electrons per second"),
-        "readout_noise": ("float", 7.0, "readout noise, electrons RMS"),
-        "sample_rate": ("float", 20.0, "sampling rate, Hz"),
-        "target_snr": ("float", 4.0, "resolution target for required_noise"),
-        "drift_duration_s": ("float", 1.0, "duration for the dark-drift estimate"),
-        "drift_budget_e": ("optional_float", None, "dark-drift budget, electrons"),
-    },
-}
-
-_KIND_SUMMARY = {
-    "dense-coding-spectrum": "sideband noise spectra of the two-tone dense-coding experiment",
-    "dense-coding-phase-sweep": "noise power vs LO phase for shot, EPR, and squeezed inputs",
-    "cubic-phase-run": "one measurement-induced cubic-gate execution with diagnostics",
-    "cipd-histogram": "pulse Monte Carlo, charge histograms, and peak report",
-    "cipd-resolution": "detector resolution arithmetic and dark-drift report",
-}
 
 
 def _is_number(v):
@@ -139,7 +77,7 @@ def _check_param(name, spec_kind, value):
         if (not isinstance(value, (list, tuple)) or len(value) != 2
                 or not all(_is_number(v) for v in value)):
             raise ScenarioError(f"parameters.{name}: expected [re, im]")
-        return _finite(name, value)
+        return complex(*_finite(name, value))
     if spec_kind == "pmf":
         if value is None:
             return None
@@ -157,9 +95,9 @@ def parse_scenario(data):
     if unknown:
         raise ScenarioError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
     kind = data.get("kind")
-    if kind not in _SCHEMAS:
+    if kind not in _KINDS:
         raise ScenarioError(
-            f"kind: expected one of {', '.join(sorted(_SCHEMAS))}; got {kind!r}")
+            f"kind: expected one of {', '.join(sorted(_KINDS))}; got {kind!r}")
     seed = data.get("seed")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("seed: a literal integer is required")
@@ -169,17 +107,26 @@ def parse_scenario(data):
     raw = data.get("parameters", {})
     if not isinstance(raw, dict):
         raise ScenarioError("parameters: expected an object")
-    schema = _SCHEMAS[kind]
+    schema = _KINDS[kind].schema
     bad = set(raw) - set(schema)
     if bad:
         raise ScenarioError(
             f"parameters: unknown for {kind}: {', '.join(sorted(bad))}; "
             f"valid: {', '.join(schema)}")
-    params = {}
-    for name, (spec_kind, default, _) in schema.items():
-        params[name] = (_check_param(name, spec_kind, raw[name])
-                        if name in raw else default)
+    params = {name: _check_param(name, spec_kind, raw[name]) if name in raw else default
+              for name, (spec_kind, default, _) in schema.items()}
     return kind, seed, out, params
+
+
+def _config(config_cls, params):
+    """config_cls from the parameters named like its fields; the rest keep their defaults."""
+    return config_cls(**{f.name: params[f.name] for f in dataclasses.fields(config_cls)
+                         if f.name in params})
+
+
+def _resolution(config):
+    """cipd.resolution_metric, None where zero readout noise makes it infinite."""
+    return None if config.readout_noise == 0.0 else cipd.resolution_metric(config)
 
 
 def _run_dense_coding_spectrum(params, seed, out):
@@ -193,7 +140,6 @@ def _run_dense_coding_spectrum(params, seed, out):
         mirror_transmittance=params["mirror_transmittance"])
     densecoding.write_spectra_csv(traces, out / "spectra.csv")
     densecoding.write_spectra_json(traces, out / "spectra.json")
-    return ["spectra.csv", "spectra.json"]
 
 
 def _run_dense_coding_phase_sweep(params, seed, out):
@@ -202,38 +148,15 @@ def _run_dense_coding_phase_sweep(params, seed, out):
               for kind in ("shot", "epr", "squeezed")]
     densecoding.write_phase_sweep_csv(traces, out / "phase_sweep.csv")
     densecoding.write_phase_sweep_json(traces, out / "phase_sweep.json")
-    return ["phase_sweep.csv", "phase_sweep.json"]
 
 
 def _run_cubic_phase(params, seed, out):
-    re, im = params["displacement_alpha"]
-    config = cubicphase.CubicGateConfig(
-        squeezing_r=params["squeezing_r"],
-        displacement_alpha=complex(re, im),
-        correction_s=params["correction_s"],
-        coupling_g=params["coupling_g"],
-        gamma_target=params["gamma_target"],
-        dim=params["dim"],
-        qnd_pad=params["qnd_pad"],
-        post_select_n=params["post_select_n"],
-        homodyne_which=params["homodyne_which"],
-        grid_points=params["grid_points"],
-    )
-    record = cubicphase.run_gate(config, seed=seed)
+    record = cubicphase.run_gate(_config(cubicphase.CubicGateConfig, params), seed=seed)
     write_json(out / "gate_run.json", record.as_dict())
-    return ["gate_run.json"]
-
-
-def _cipd_config(params):
-    return cipd.CipdConfig(
-        eta=params["eta"], gain=params["gain"], dark_rate=params["dark_rate"],
-        readout_noise=params["readout_noise"], sample_rate=params["sample_rate"],
-        integration_window=params.get("integration_window"),
-        gain_dispersion=params.get("gain_dispersion", 0.0))
 
 
 def _run_cipd_histogram(params, seed, out):
-    config = _cipd_config(params)
+    config = _config(cipd.CipdConfig, params)
     source = params["source_pmf"] if params["source_pmf"] is not None else params["source_mean"]
     records = cipd.simulate_pulses(config, source, params["n_pulses"], rng=seed)
     hist = cipd.histogram(records, bin_width=params["bin_width"])
@@ -247,30 +170,25 @@ def _run_cipd_histogram(params, seed, out):
                               label="input-referred photoelectrons")
     mean, var = (cipd.analytic_moments(config, params["source_mean"])
                  if params["source_pmf"] is None else (None, None))
-    report = {
+    write_json(out / "report.json", {
         "n_pulses": params["n_pulses"],
-        "resolution": (None if config.readout_noise == 0.0
-                       else config.gain / config.readout_noise),
+        "resolution": _resolution(config),
         "detected_peaks_e": [float(p) for p in peaks],
         "mean_charge_e": float(records.output_charge.mean()),
         "var_charge_e2": float(records.output_charge.var()),
         "analytic_mean_e": mean,
         "analytic_var_e2": var,
-    }
-    write_json(out / "report.json", report)
-    return ["histogram_charge.csv", "histogram_charge.json", "histogram_pe.csv",
-            "histogram_pe.json", "records.csv", "report.json"]
+    })
 
 
 def _run_cipd_resolution(params, seed, out):
-    config = _cipd_config(dict(params, integration_window=None, gain_dispersion=0.0))
-    infinite = config.readout_noise == 0.0
-    resolution = None if infinite else cipd.resolution_metric(config)
+    config = _config(cipd.CipdConfig, params)
+    resolution = _resolution(config)
     drift = cipd.dark_drift(config, params["drift_duration_s"], params["drift_budget_e"])
-    payload = {
+    write_json(out / "resolution.json", {
         "resolution": resolution,
-        "resolution_infinite": infinite,
-        "meets_target": (True if infinite else resolution >= params["target_snr"]),
+        "resolution_infinite": resolution is None,
+        "meets_target": resolution is None or resolution >= params["target_snr"],
         "target_snr": params["target_snr"],
         "required_noise_e": cipd.required_noise(config, params["target_snr"]),
         "dark_drift": {
@@ -279,17 +197,94 @@ def _run_cipd_resolution(params, seed, out):
             "budget_electrons": drift.budget,
             "exceeded": drift.exceeded,
         },
-    }
-    write_json(out / "resolution.json", payload)
-    return ["resolution.json"]
+    })
 
 
-_RUNNERS = {
-    "dense-coding-spectrum": _run_dense_coding_spectrum,
-    "dense-coding-phase-sweep": _run_dense_coding_phase_sweep,
-    "cubic-phase-run": _run_cubic_phase,
-    "cipd-histogram": _run_cipd_histogram,
-    "cipd-resolution": _run_cipd_resolution,
+class _Kind(NamedTuple):
+    summary: str
+    run: Callable  # (params, seed, output_dir); writes the artifacts
+    # parameter name -> (type, default, help); type in {int, float, str, pair,
+    # pmf, optional_int, optional_float}; defaults as the runner takes them
+    schema: dict
+
+
+def _config_fields(config_cls, **specs):
+    """Schema entries name=(type, help) for config_cls fields, with its defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    return {name: (spec_kind, defaults[name], help_text)
+            for name, (spec_kind, help_text) in specs.items()}
+
+
+_DETECTOR = _config_fields(
+    cipd.CipdConfig,
+    eta=("float", "quantum efficiency"),
+    gain=("float", "mean avalanche gain (e/pe)"),
+    dark_rate=("float", "dark electrons per second"),
+    readout_noise=("float", "readout noise, electrons RMS"),
+    sample_rate=("float", "sampling rate, Hz"),
+)
+
+_KINDS = {
+    "dense-coding-spectrum": _Kind(
+        "sideband noise spectra of the two-tone dense-coding experiment",
+        _run_dense_coding_spectrum, {
+            "n_bins": ("int", 33, "sideband bins across the analysis band"),
+            "f_lo_hz": ("float", 0.8e6, "low edge of the band"),
+            "f_hi_hz": ("float", 1.6e6, "high edge of the band"),
+            "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter of the EPR source"),
+            "am_frequency_hz": ("float", densecoding.AM_FREQUENCY_HZ, "AM tone frequency"),
+            "pm_frequency_hz": ("float", densecoding.PM_FREQUENCY_HZ, "PM tone frequency"),
+            "amplitude": ("float", densecoding.DEFAULT_TONE_AMPLITUDE,
+                          "tone displacement amplitude"),
+            "loss_eta": ("float", 1.0, "transmission of the encoded beam"),
+            "n_samples": ("int", 0, "homodyne samples per bin; 0 = analytic"),
+            "mirror_transmittance": ("float", 0.0,
+                                     "encoding mirror transmittance; 0 = ideal displacement"),
+        }),
+    "dense-coding-phase-sweep": _Kind(
+        "noise power vs LO phase for shot, EPR, and squeezed inputs",
+        _run_dense_coding_phase_sweep, {
+            "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter"),
+            "n_phases": ("int", 64, "LO angles spread over [0, pi)"),
+        }),
+    "cubic-phase-run": _Kind(
+        "one measurement-induced cubic-gate execution with diagnostics",
+        _run_cubic_phase, _config_fields(
+            cubicphase.CubicGateConfig,
+            squeezing_r=("float", "resource squeezing"),
+            displacement_alpha=("pair", "[re, im] displacement of the counted arm"),
+            correction_s=("float", "ancilla squeeze correction"),
+            coupling_g=("float", "QND coupling strength"),
+            gamma_target=("float", "cubic strength aimed for (diagnostic)"),
+            dim=("int", "per-mode Fock cutoff"),
+            qnd_pad=("optional_int", "coupling workspace padding; default dim/2"),
+            post_select_n=("optional_int", "forced photon count; default sampled"),
+            homodyne_which=("str", "which coupled mode is homodyned"),
+            grid_points=("int", "quadrature grid resolution"),
+        )),
+    "cipd-histogram": _Kind(
+        "pulse Monte Carlo, charge histograms, and peak report",
+        _run_cipd_histogram, {
+            **_DETECTOR,
+            **_config_fields(
+                cipd.CipdConfig,
+                integration_window=("optional_float",
+                                    "integration window, s; default 1/sample_rate"),
+                gain_dispersion=("float", "fractional RMS gain noise; 0 = deterministic gain"),
+            ),
+            "source_mean": ("float", 2.0, "Poisson mean photons per pulse"),
+            "source_pmf": ("pmf", None, "explicit photon-number pmf; overrides source_mean"),
+            "n_pulses": ("int", 2000, "number of light pulses"),
+            "bin_width": ("float", cipd.DEFAULT_BIN_WIDTH_E, "histogram bin width, electrons"),
+        }),
+    "cipd-resolution": _Kind(
+        "detector resolution arithmetic and dark-drift report",
+        _run_cipd_resolution, {
+            **_DETECTOR,
+            "target_snr": ("float", 4.0, "resolution target for required_noise"),
+            "drift_duration_s": ("float", 1.0, "duration for the dark-drift estimate"),
+            "drift_budget_e": ("optional_float", None, "dark-drift budget, electrons"),
+        }),
 }
 
 
@@ -301,76 +296,70 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _error(message, code=1):
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _cmd_run(args):
     path = Path(args.scenario)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        data = json.loads(text)
+        kind, seed, out_field, params = parse_scenario(json.loads(path.read_text()))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _error(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: {path}: line {exc.lineno} column {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return 1
-    try:
-        kind, seed, out_field, params = parse_scenario(data)
+        return _error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
     except ScenarioError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 1
+        return _error(f"{path}: {exc}")
     out_name = args.output_dir or out_field
     if out_name is None:
-        print("error: output_dir missing (set it in the scenario or pass --output-dir)",
-              file=sys.stderr)
-        return 1
+        return _error("output_dir missing (set it in the scenario or pass --output-dir)")
     out = Path(out_name)
-    if out.exists():
-        print(f"error: output directory {out} already exists", file=sys.stderr)
-        return 1
-    out.mkdir(parents=True)
+    try:
+        out.mkdir(parents=True)
+    except FileExistsError:
+        return _error(f"output directory {out} already exists")
+    except OSError as exc:
+        return _error(f"cannot create output directory {out}: {exc}")
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            artifacts = _RUNNERS[kind](params, seed, out)
+            _KINDS[kind].run(params, seed, out)
         truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
         for w in truncations:
             print(f"warning: {w.message}", file=sys.stderr)
         if truncations and args.strict:
-            print("error: truncation warnings escalated by --strict", file=sys.stderr)
             shutil.rmtree(out)
-            return 2
+            return _error("truncation warnings escalated by --strict", code=2)
     except Exception as exc:
         shutil.rmtree(out, ignore_errors=True)
-        print(f"error: scenario failed: {exc}", file=sys.stderr)
-        return 1
-    manifest = {
+        return _error(f"scenario failed: {exc}")
+    names = sorted(p.name for p in out.iterdir())
+    write_json(out / "manifest.json", {
         "kind": kind,
         "seed": seed,
         "artifacts": [{"name": name, "sha256": _sha256(out / name),
-                       "bytes": (out / name).stat().st_size}
-                      for name in sorted(artifacts)],
-    }
-    write_json(out / "manifest.json", manifest)
-    print(f"{kind}: {len(artifacts)} artifacts in {out}")
+                       "bytes": (out / name).stat().st_size} for name in names],
+    })
+    print(f"{kind}: {len(names)} artifacts in {out}")
     return 0
 
 
 def _cmd_list(_args):
-    for kind in sorted(_SCHEMAS):
-        print(f"{kind}: {_KIND_SUMMARY[kind]}")
+    for kind in sorted(_KINDS):
+        print(f"{kind}: {_KINDS[kind].summary}")
     return 0
 
 
 def _cmd_describe(args):
     kind = args.kind
-    if kind not in _SCHEMAS:
-        print(f"error: unknown kind {kind!r}; valid kinds: "
-              f"{', '.join(sorted(_SCHEMAS))}", file=sys.stderr)
-        return 1
-    print(f"{kind}: {_KIND_SUMMARY[kind]}")
+    if kind not in _KINDS:
+        return _error(f"unknown kind {kind!r}; valid kinds: {', '.join(sorted(_KINDS))}")
+    print(f"{kind}: {_KINDS[kind].summary}")
     print("parameters:")
-    for name, (spec_kind, default, help_text) in _SCHEMAS[kind].items():
+    for name, (spec_kind, default, help_text) in _KINDS[kind].schema.items():
+        if isinstance(default, complex):  # a pair, shown as a scenario writes it
+            default = [default.real, default.imag]
         print(f"  {name} ({spec_kind}, default {default!r}): {help_text}")
     return 0
 
@@ -386,8 +375,7 @@ def main(argv=None):
     p_run.add_argument("--output-dir", default=None,
                        help="override the scenario's output_dir")
     p_run.set_defaults(func=_cmd_run)
-    p_list = sub.add_parser("list", help="list scenario kinds")
-    p_list.set_defaults(func=_cmd_list)
+    sub.add_parser("list", help="list scenario kinds").set_defaults(func=_cmd_list)
     p_desc = sub.add_parser("describe", help="show a kind's parameter schema")
     p_desc.add_argument("kind")
     p_desc.set_defaults(func=_cmd_describe)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import artifacts, fock
 
@@ -135,17 +134,13 @@ def couple(target, ancilla, config):
     return u.apply(joint)
 
 
-def homodyne_grid(config):
-    return fock.default_grid(config.dim, n_points=config.grid_points)
-
-
 def homodyne_density(joint, config):
     """Position density of the homodyned mode: p(x) = sum_k |proj_k(x)|^2.
 
     Projecting mode `which` onto <x| leaves sum_b C[:, b] phi_b(x) (or the
     transpose); the density is its squared norm over the other mode.
     """
-    grid = homodyne_grid(config)
+    grid = fock.default_grid(config.dim, n_points=config.grid_points)
     basis = fock.hermite_functions(config.dim, grid)
     c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
     proj = c @ basis  # (dim_other, n_grid); rows indexed by the kept mode
@@ -160,7 +155,7 @@ def readout_and_condition(joint, config, rng=None, fixed_x=None):
     """
     grid, dens = homodyne_density(joint, config)
     if fixed_x is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        gen = np.random.default_rng(rng)
         x_m = float(fock._sample_grid_density(grid, dens, gen.uniform()))
     else:
         x_m = float(fixed_x)
@@ -173,7 +168,7 @@ def readout_and_condition(joint, config, rng=None, fixed_x=None):
     return x_m, fock.FockState(cond / n), (grid, dens)
 
 
-def fit_cubic_phase(target_in, target_out, gamma_reference=0.0, window=2.0):
+def fit_cubic_phase(target_in, target_out, window=2.0):
     """Weighted LS fit of arg(psi_out/psi_in) to c0 + c1 x + gamma x^3.
 
     Weights |psi_in * psi_out| suppress points near wavefunction nodes where
@@ -198,6 +193,7 @@ def fit_cubic_phase(target_in, target_out, gamma_reference=0.0, window=2.0):
 
 def cubic_reference_overlap(target_in, target_out, gamma):
     """|<psi_out | e^{i gamma x^3} psi_in>|^2 on the default grid."""
+    from scipy.integrate import simpson
     dim = max(target_in.dim, target_out.dim)
     grid = fock.default_grid(dim)
     psi_in = fock.quadrature_wavefunction(target_in.normalized(), grid)
@@ -210,6 +206,7 @@ def cubic_reference_overlap(target_in, target_out, gamma):
 
 def excess_kurtosis_x(state, grid=None):
     """Excess kurtosis of the position distribution (0 for any Gaussian)."""
+    from scipy.integrate import simpson
     if grid is None:
         grid = fock.default_grid(state.dim)
     dens = np.abs(fock.quadrature_wavefunction(state.normalized(), grid)) ** 2
@@ -222,7 +219,7 @@ def excess_kurtosis_x(state, grid=None):
 
 def run_gate(config, target=None, seed=None):
     """Full pipeline on a target state (default vacuum); deterministic per seed."""
-    gen = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    gen = np.random.default_rng(seed)
     if target is None:
         target = fock.vacuum_state(config.dim)
     resource = prepare_ancilla(config)

@@ -66,8 +66,9 @@ class SidebandPlan:
         freqs = [b.frequency_hz for b in bins]
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError("bin frequencies must be strictly increasing")
-        if self.resolution_bandwidth_hz <= 0:
-            raise ValueError("resolution bandwidth must be positive")
+        if not 0 < self.resolution_bandwidth_hz < math.inf:
+            raise ValueError("resolution bandwidth must be positive and finite, "
+                             f"got {self.resolution_bandwidth_hz!r}")
         object.__setattr__(self, "bins", bins)
 
 
@@ -126,7 +127,7 @@ def bell_measure(state, n_samples=0, rng=None):
     if state.num_modes != 2:
         raise ValueError("bell_measure expects a two-mode state")
     mixed = gaussian.beamsplitter(state, 0, 1, 0.5)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng) if n_samples else None  # shared by both homodynes
     return _homodyne_xp(mixed, n_samples, gen, x_mode=1)
 
 
@@ -142,9 +143,7 @@ def _power_db(mean, variance):
 
 def _result_power_db(res, use_samples):
     if use_samples:
-        m = float(res.samples.mean())
-        v = float(res.samples.var(ddof=1))
-        return _power_db(m, v)
+        return _power_db(float(res.samples.mean()), float(res.samples.var(ddof=1)))
     return _power_db(res.mean, res.variance)
 
 

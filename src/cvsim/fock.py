@@ -273,7 +273,7 @@ def photon_count(state, mode=1, rng=None, outcome=None):
     if not math.isclose(total, 1.0, abs_tol=1e-8):
         raise ValueError(f"state is not normalized (total probability {total:.6f})")
     if outcome is None:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        gen = np.random.default_rng(rng)
         outcome = int(gen.choice(state.dim, p=pmf / total))
     else:
         outcome = int(outcome)
@@ -482,7 +482,7 @@ def homodyne_fock(state, n_samples, rng=None, grid=None):
         grid = default_grid(state.dim)
     psi = quadrature_wavefunction(state.normalized(), grid)
     dens = np.abs(psi) ** 2
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     return _sample_grid_density(grid, dens, gen.uniform(size=int(n_samples)))
 
 

@@ -334,7 +334,7 @@ def homodyne(state, mode, angle=0.0, n_samples=0, rng=None):
     var = float(u @ state.mode_cov(mode) @ u)
     samples = None
     if n_samples:
-        gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        gen = np.random.default_rng(rng)
         samples = gen.normal(mu, math.sqrt(var), size=int(n_samples))
     return HomodyneResult(angle=float(angle), mean=mu, variance=var, samples=samples)
 

@@ -119,6 +119,17 @@ def test_histogram_invariants():
         cipd.histogram(charges, bin_width=0.0)
 
 
+def test_histogram_bin_cap():
+    cap = cipd.MAX_HISTOGRAM_BINS
+    assert cipd.histogram(np.array([0.0, cap - 1.0])).counts.size == cap
+    # one bin more, and ranges numpy could not allocate at all (1e12 and 1e13
+    # bins, an overflow to inf, a NaN width): refused before any allocation
+    for charges, width in [([0.0, float(cap)], 1.0), ([0.0, 1e12], 1.0),
+                           ([0.0, 1e4], 1e-9), ([0.0, 1.0], 1e-320), ([0.0, 1.0], math.nan)]:
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="bin_width"):
+            cipd.histogram(np.array(charges), bin_width=width)
+
+
 def test_peaks_merge_at_current_noise():
     cfg = cipd.CipdConfig()
     rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=0)

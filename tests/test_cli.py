@@ -62,6 +62,9 @@ def test_bundled_scenarios_run(path, tmp_path):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"], "no artifacts listed"
+    # the manifest lists every other file in the output directory
+    assert ([entry["name"] for entry in manifest["artifacts"]]
+            == sorted(p.name for p in out.iterdir() if p.name != "manifest.json"))
     for entry in manifest["artifacts"]:
         blob = (out / entry["name"]).read_bytes()
         assert len(blob) == entry["bytes"]
@@ -135,6 +138,16 @@ def test_non_finite_parameters_rejected(tmp_path, capsys, kind, params, needle):
     assert not out.exists(), "artifacts written for a non-finite parameter"
 
 
+@pytest.mark.parametrize("params", [{"gain": 1e12}, {"bin_width": 1e-9}])
+def test_histogram_bin_cap_names_bin_width(tmp_path, capsys, params):
+    # about 1e13 and 1e11 bins: refused by the cap, not left to the allocator
+    path = scenario_file(tmp_path, parameters=dict(params, n_pulses=200))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert "bin_width" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_result_exits_one(tmp_path, capsys):
     # a finite amplitude whose tone power overflows to inf
     path = scenario_file(tmp_path, kind="dense-coding-spectrum",
@@ -150,6 +163,13 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_scenario_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "cipd-histogram", "seed": 5, "output_dir": "\xe9"}')
+    assert cli.main(["run", str(path)]) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_output_dir_collision_rejected(tmp_path, capsys):
     path = scenario_file(tmp_path)
     out = tmp_path / "out"
@@ -158,6 +178,12 @@ def test_output_dir_collision_rejected(tmp_path, capsys):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert "already exists" in capsys.readouterr().err
     assert (out / "keep.txt").read_text() == "precious"
+
+
+def test_output_dir_not_creatable(tmp_path, capsys):
+    path = scenario_file(tmp_path)
+    assert cli.main(["run", str(path), "--output-dir", str(path / "out")]) == 1
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_output_dir_required_somewhere(tmp_path, capsys):
@@ -203,12 +229,25 @@ def test_strict_escalates_truncation(tmp_path, capsys):
     assert not out.exists(), "strict failure must not leave artifacts"
 
 
-def test_console_entry_point():
-    # the child imports the same cvsim as this process, installed or not
+def _python(*args):
+    """Run a child Python that imports the same cvsim as this process,
+    installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "cvsim.cli", "list"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point():
+    proc = _python("-m", "cvsim.cli", "list")
     assert proc.returncode == 0
     assert "cubic-phase-run" in proc.stdout
+    assert proc.stderr == ""  # no runpy warning about cvsim.cli already imported
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # only the functions that need them import these, on first call
+    proc = _python("-c", "import sys, cvsim.cli; print(sorted(set(sys.modules) & "
+                   "{'scipy.signal', 'scipy.ndimage', 'scipy.integrate'}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -80,6 +80,9 @@ def test_plan_validation():
         dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.4)
     with pytest.raises(ValueError):
         dc.SidebandPlan((b,), 0.0)
+    for rbw in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="resolution bandwidth"):
+            dc.SidebandPlan((b,), rbw)
     with pytest.raises(ValueError, match="am_amplitude"):
         dc.SidebandBin(1e6, dc.DEFAULT_R, math.nan, 0.0, 1.0)
 

@@ -1,0 +1,126 @@
+"""Property test of the scenario boundary.
+
+Any parameters a scenario file can hold -- well-typed, ill-typed, NaN or
++-Infinity, any subset of a kind's fields -- must end in exit 0 with finite
+artifacts that match the manifest, or in exit 1/2 with no output directory;
+`cli.main` must never raise.  Size- and scale-like fields are drawn small so
+one example costs a few ms and a few MB; for the detector these include every
+field that sets the charge range, and with it the histogram's bin count.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvsim import cli
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def positive(lo, hi):
+    """In [lo, hi], or one of the invalid 0 and -1 (no tiny positive values:
+    they are scale-like and would blow up a run)."""
+    return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0]))
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400])
+ILL_TYPED = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.just({"x": 1}),
+    st.lists(st.one_of(floats(-1, 1), NON_FINITE, st.text(max_size=1)), max_size=3))
+
+WELL_TYPED = {
+    # dense-coding-spectrum / dense-coding-phase-sweep
+    "n_bins": st.integers(-1, 9),
+    "f_lo_hz": floats(-1e6, 2e6),
+    "f_hi_hz": floats(-1e6, 3e6),
+    "squeezing_r": floats(-1.0, 1.5),
+    "am_frequency_hz": floats(0.0, 3e6),
+    "pm_frequency_hz": floats(0.0, 3e6),
+    "amplitude": floats(-10.0, 10.0),
+    "loss_eta": floats(-0.2, 1.2),
+    "n_samples": st.integers(-2, 40),
+    "mirror_transmittance": floats(-0.1, 1.1),
+    "n_phases": st.integers(-1, 16),
+    # cubic-phase-run
+    "displacement_alpha": st.lists(floats(-2.0, 2.0), min_size=2, max_size=2),
+    "correction_s": floats(-1.0, 1.0),
+    "coupling_g": floats(-3.0, 3.0),
+    "gamma_target": floats(-1.0, 1.0),
+    "dim": st.integers(4, 12),
+    "qnd_pad": st.one_of(st.none(), st.integers(-2, 8)),
+    "post_select_n": st.one_of(st.none(), st.integers(-1, 13)),
+    "homodyne_which": st.sampled_from(["ancilla", "target", "both"]),
+    "grid_points": st.integers(-1, 256),
+    # cipd-histogram / cipd-resolution
+    "eta": floats(-0.2, 1.2),
+    "gain": positive(0.5, 20.0),
+    "dark_rate": positive(0.0, 5.0),
+    "readout_noise": positive(0.0, 30.0),
+    "sample_rate": positive(0.5, 50.0),
+    "integration_window": st.one_of(st.none(), positive(0.01, 1.0)),
+    "gain_dispersion": positive(0.0, 3.0),
+    "source_mean": positive(0.0, 10.0),
+    "source_pmf": st.one_of(st.none(), st.just([0.0, 1.0]),
+                            st.lists(floats(0.0, 1.0), min_size=1, max_size=6)),
+    "n_pulses": st.integers(-1, 300),
+    "bin_width": positive(0.2, 5.0),
+    "target_snr": floats(-1.0, 10.0),
+    "drift_duration_s": floats(-1.0, 10.0),
+    "drift_budget_e": st.one_of(st.none(), floats(-1.0, 10.0)),
+}
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(sorted(cli._KINDS)))
+    chosen = draw(st.lists(st.sampled_from(list(cli._KINDS[kind].schema)), unique=True))
+    params = {name: draw(WELL_TYPED[name]) for name in chosen}
+    if chosen and draw(st.booleans()):
+        params[draw(st.sampled_from(chosen))] = draw(st.one_of(ILL_TYPED, NON_FINITE))
+    return kind, draw(st.integers(0, 2 ** 32)), params, draw(st.booleans())
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
+def assert_finite(name, text):
+    if name.endswith(".json"):
+        json.loads(text, parse_constant=_reject_constant)
+    else:
+        for row in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")), (name, row)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scenarios())
+def test_any_scenario_ends_cleanly(scenario):
+    kind, seed, params, strict = scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        # json.dumps writes NaN / Infinity literals, which json.loads accepts
+        path.write_text(json.dumps({"kind": kind, "seed": seed, "parameters": params}))
+        argv = ["run", str(path), "--output-dir", str(out)] + ["--strict"] * strict
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert not out.exists(), "artifacts left by a failed run"
+            return
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = [entry["name"] for entry in manifest["artifacts"]]
+        assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        for entry in manifest["artifacts"]:
+            blob = (out / entry["name"]).read_bytes()
+            assert len(blob) == entry["bytes"]
+            assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+            assert_finite(entry["name"], blob.decode())
