@@ -41,8 +41,9 @@ MAX_HISTOGRAM_BINS = 1_000_000
 @dataclass(frozen=True)
 class CipdConfig:
     """Detector operating point.  integration_window defaults to one sample
-    period (1 / sample_rate).  gain_dispersion is an optional multiplicative
-    gain-noise hook (fractional RMS per pulse), off by default."""
+    period (1 / sample_rate).  gain_dispersion d is an optional gain-noise
+    hook, off by default: each pulse's gain is drawn as g * Gamma(shape 1/d^2,
+    scale d^2), which has mean g and fractional RMS d and is never negative."""
 
     eta: float = 0.6
     gain: float = 10.0
@@ -163,7 +164,9 @@ def simulate_pulses(config, source, n_pulses, rng=None):
     dark = gen.poisson(config.dark_per_window, size=n_pulses)
     gain = config.gain
     if config.gain_dispersion > 0.0:
-        gain = config.gain * (1.0 + config.gain_dispersion * gen.standard_normal(n_pulses))
+        # below 1e-150 the spread is invisible in doubles but 1/d^2 would overflow
+        d2 = max(config.gain_dispersion, 1e-150) ** 2
+        gain = config.gain * gen.gamma(1.0 / d2, d2, size=n_pulses)
     charge = gain * (pe + dark)
     if config.readout_noise > 0.0:
         charge = charge + config.readout_noise * gen.standard_normal(n_pulses)

@@ -11,7 +11,9 @@ A scenario is a JSON file:
 
 Every run writes its artifacts plus a manifest.json giving the sha256 and
 size of every other file in the output directory; identical scenario files
-produce byte-identical artifacts.  Exit codes:
+produce byte-identical artifacts.  The run writes into a hidden sibling
+directory that is renamed to output_dir only once the manifest is in it, so
+a failed or interrupted run leaves no output directory.  Exit codes:
 0 success, 1 usage or config error, 2 numerical failure under --strict
 (truncation warnings escalated).
 """
@@ -23,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import warnings
@@ -315,32 +318,40 @@ def _cmd_run(args):
     if out_name is None:
         return _error("output_dir missing (set it in the scenario or pass --output-dir)")
     out = Path(out_name)
-    try:
-        out.mkdir(parents=True)
-    except FileExistsError:
+    if os.path.lexists(out):  # a dangling symlink counts too
         return _error(f"output directory {out} already exists")
+    staging = out.parent / f".{out.name}.partial-{os.getpid()}"
+    try:
+        staging.mkdir(parents=True)
     except OSError as exc:
         return _error(f"cannot create output directory {out}: {exc}")
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _KINDS[kind].run(params, seed, out)
-        truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
-        for w in truncations:
-            print(f"warning: {w.message}", file=sys.stderr)
-        if truncations and args.strict:
-            shutil.rmtree(out)
-            return _error("truncation warnings escalated by --strict", code=2)
+        return _run_into(staging, out, kind, seed, params, args.strict)
     except Exception as exc:
-        shutil.rmtree(out, ignore_errors=True)
         return _error(f"scenario failed: {exc}")
-    names = sorted(p.name for p in out.iterdir())
-    write_json(out / "manifest.json", {
+    finally:  # also on KeyboardInterrupt, which propagates
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _run_into(staging, out, kind, seed, params, strict):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _KINDS[kind].run(params, seed, staging)
+    truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
+    for w in truncations:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if truncations and strict:
+        return _error("truncation warnings escalated by --strict", code=2)
+    names = sorted(p.name for p in staging.iterdir())
+    write_json(staging / "manifest.json", {
         "kind": kind,
         "seed": seed,
-        "artifacts": [{"name": name, "sha256": _sha256(out / name),
-                       "bytes": (out / name).stat().st_size} for name in names],
+        "artifacts": [{"name": name, "sha256": _sha256(staging / name),
+                       "bytes": (staging / name).stat().st_size} for name in names],
     })
+    if os.path.lexists(out):  # appeared during the run; never replaced
+        return _error(f"output directory {out} already exists")
+    staging.rename(out)
     print(f"{kind}: {len(names)} artifacts in {out}")
     return 0
 

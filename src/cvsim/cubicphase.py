@@ -27,10 +27,18 @@ import numpy as np
 
 from . import artifacts, fock
 
+# Most homodyne grid points a gate run may ask for: eight times the default
+# 2048, which already oversamples phi_{dim-1} at every cutoff the QND workspace
+# allows (dim 85 needs about 135 points).  The readout peaks at about 40 bytes
+# per basis state and grid point, so the cap keeps it under 90 MB at dim 128.
+MAX_GRID_POINTS = 16384
+
 
 @dataclass(frozen=True)
 class CubicGateConfig:
-    """Knobs of the gate run.  dim is the per-mode Fock cutoff (>= 8)."""
+    """Knobs of the gate run.  dim is the per-mode Fock cutoff (>= 8); dim +
+    qnd_pad may not exceed fock.QND_WORKSPACE_LIMIT, and grid_points lies in
+    [2, MAX_GRID_POINTS]."""
 
     squeezing_r: float = 0.25
     displacement_alpha: complex = 0.5 + 1.0j
@@ -55,6 +63,10 @@ class CubicGateConfig:
             raise ValueError("homodyne_which must be 'ancilla' or 'target'")
         if self.post_select_n is not None and not 0 <= self.post_select_n < self.dim:
             raise ValueError("post_select_n outside the cutoff")
+        fock._qnd_workspace(self.dim, self.qnd_pad)  # before any dim^3 work
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be in [2, {MAX_GRID_POINTS}], "
+                             f"got {self.grid_points}")
 
     def as_dict(self):
         a = complex(self.displacement_alpha)

@@ -32,6 +32,9 @@ DEFAULT_TONE_AMPLITUDE = 2.5
 AM_FREQUENCY_HZ = 1.3e6
 PM_FREQUENCY_HZ = 1.1e6
 
+# the 50:50 splitter that makes the EPR pair and recombines it in the receiver
+_BALANCED = gaussian.beamsplitter_op(2, 0, 1, 0.5)
+
 
 @dataclass(frozen=True)
 class SidebandBin:
@@ -95,11 +98,10 @@ def build_epr(r=DEFAULT_R):
     Var(x1 - x2) = Var(p1 + p2) = e^{-2r}; each beam alone is thermal with
     variance cosh(2r)/2 in every quadrature.
     """
-    src = gaussian.tensor(
+    return _BALANCED.apply(gaussian.tensor(
         gaussian.squeezed_vacuum(r, 0.0),
         gaussian.squeezed_vacuum(r, math.pi / 2),
-    )
-    return gaussian.beamsplitter(src, 0, 1, 0.5)
+    ))
 
 
 def encode(state, am, pm, transmittance=0.01, mode=0):
@@ -126,9 +128,8 @@ def bell_measure(state, n_samples=0, rng=None):
     """
     if state.num_modes != 2:
         raise ValueError("bell_measure expects a two-mode state")
-    mixed = gaussian.beamsplitter(state, 0, 1, 0.5)
     gen = np.random.default_rng(rng) if n_samples else None  # shared by both homodynes
-    return _homodyne_xp(mixed, n_samples, gen, x_mode=1)
+    return _homodyne_xp(_BALANCED.apply(state), n_samples, gen, x_mode=1)
 
 
 def _homodyne_xp(state, n_samples, rng, x_mode=0):
@@ -150,10 +151,11 @@ def _result_power_db(res, use_samples):
 def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """Shot / single-EPR-beam / Bell-output spectra over the plan's bins.
 
-    Each bin is an independent mode pair at that sideband frequency: build the
-    EPR pair, encode the bin's tone amplitudes, apply the channel loss to the
-    encoded beam, Bell-measure.  The shot trace is the vacuum reference (0 dB
-    by construction) and the EPR trace monitors one beam of the lossless pair.
+    Each bin is an independent mode pair at that sideband frequency: take the
+    EPR pair (built once per distinct squeezing_r), encode the bin's tone
+    amplitudes, apply the channel loss to the encoded beam, Bell-measure.  The
+    shot trace is the vacuum reference (0 dB by construction) and the EPR trace
+    monitors one beam of the lossless pair.
 
     With n_samples > 0 every reported power comes from that many homodyne
     samples per bin (per-bin child seeds derived from `seed`), otherwise the
@@ -163,9 +165,10 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     mc = n_samples > 0
     seeds = np.random.SeedSequence(seed).spawn(3 * len(bins)) if mc else None
     vac = gaussian.vacuum(1)
+    eprs = {r: build_epr(r) for r in dict.fromkeys(b.squeezing_r for b in bins)}
     power = np.empty((3, 2, len(bins)))  # (shot, epr, bell) x (x, p) x bin
     for i, b in enumerate(bins):
-        epr = build_epr(b.squeezing_r)
+        epr = eprs[b.squeezing_r]
         sent = encode(epr, b.am_amplitude, b.pm_amplitude, mirror_transmittance)
         sent = gaussian.loss(sent, 0, b.loss_eta)
         receivers = ((_homodyne_xp, vac), (_homodyne_xp, epr), (bell_measure, sent))

@@ -373,6 +373,20 @@ def cubic_phase_op(gamma, dim, pad=None):
     return FockOperator(full[:dim, :dim], diagnostics={"interior_unitarity": defect})
 
 
+def _qnd_workspace(dim, pad=None):
+    """Per-mode workspace dim + pad of the QND coupling (pad defaults to
+    dim // 2), refused when pad < 0 or when it exceeds QND_WORKSPACE_LIMIT.
+    The errors name dim and qnd_pad, the gate configuration's fields."""
+    if pad is None:
+        pad = dim // 2
+    if pad < 0:
+        raise ValueError(f"qnd_pad must be >= 0, got {pad}")
+    if dim + pad > QND_WORKSPACE_LIMIT:
+        raise ValueError(f"QND workspace dim + qnd_pad = {dim} + {pad} per mode exceeds "
+                         f"the limit QND_WORKSPACE_LIMIT = {QND_WORKSPACE_LIMIT}")
+    return dim + pad
+
+
 def qnd_coupling_op(g, dim, pad=None):
     """Two-mode coupling exp(-i g x1 p2): in the Heisenberg picture
     x2 -> x2 + g*x1 while x1 (and p2) are untouched.
@@ -385,14 +399,7 @@ def qnd_coupling_op(g, dim, pad=None):
     g = float(g)
     if dim < 2:
         raise ValueError("need dim >= 2")
-    if pad is None:
-        pad = dim // 2
-    w = dim + pad
-    if w > QND_WORKSPACE_LIMIT:
-        raise ValueError(
-            f"workspace {w} per mode exceeds the limit {QND_WORKSPACE_LIMIT} "
-            f"(dim={dim}, pad={pad})"
-        )
+    w = _qnd_workspace(dim, pad)
     if g == 0.0:
         eye = np.eye(dim)
         return QNDCoupling(eye, eye, np.ones((dim, dim)), {"interior_unitarity": 0.0})
@@ -417,9 +424,7 @@ def qnd_heisenberg_residual(g, dim, pad=None):
     """
     if pad is None:
         pad = 3 * dim
-    w = dim + pad
-    if w > QND_WORKSPACE_LIMIT:
-        raise ValueError(f"workspace {w} exceeds the limit {QND_WORKSPACE_LIMIT}")
+    w = _qnd_workspace(dim, pad)
     keep = dim - min(pad, dim // 2)
     xi, v, pi, wv = _quadrature_eigh(w)
     x = position_op(w)
@@ -455,8 +460,20 @@ def hermite_functions(nmax, x):
 
 def default_grid(dim, n_points=2048, margin=3.0):
     """Position grid wide enough for every basis state below the cutoff
-    (classical turning point sqrt(2*dim) plus a Gaussian tail margin)."""
+    (classical turning point sqrt(2*dim) plus a Gaussian tail margin).
+
+    phi_{dim-1} oscillates with wavenumber up to about sqrt(2*dim), so a
+    spacing above pi/sqrt(2*dim) cannot resolve it: such a grid raises a
+    TruncationWarning."""
     half = math.sqrt(2.0 * dim) + margin
+    spacing = 2.0 * half / (n_points - 1) if n_points > 1 else math.inf
+    if spacing > math.pi / math.sqrt(2.0 * dim):
+        warnings.warn(
+            f"a grid of {n_points} points has spacing {spacing:.3g} > "
+            f"pi/sqrt(2*dim) = {math.pi / math.sqrt(2.0 * dim):.3g} and cannot "
+            f"resolve phi_{dim - 1}",
+            TruncationWarning,
+        )
     return np.linspace(-half, half, n_points)
 
 

@@ -8,6 +8,11 @@ so the vacuum has Var(x) = Var(p) = 1/2.  Quadratures are ordered
 (x1, p1, x2, p2, ...) and the symplectic form is Omega = diag of [[0, 1], [-1, 0]]
 blocks.  Noise powers in dB are relative to this shot-noise unit:
 10*log10(V / 0.5).
+
+Every operation (symplectic unitaries, rotations, displacements, and the loss
+and mirror channels that mix in vacuum) is one Gaussian map r -> X r + d with
+added noise Y: mean -> X mean + d, V -> X V X^T + Y (Weedbrook et al., Rev.
+Mod. Phys. 84, 621 (2012)), computed by `_gaussian_map`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 VACUUM_VAR = 0.5
 
@@ -41,6 +47,11 @@ def rotation2(theta):
     """2x2 phase-space rotation: a -> e^{i theta} a."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _quadratures(modes):
+    """Indices (x_m, p_m, ...) of the given modes' quadratures, in order."""
+    return np.array([[2 * m, 2 * m + 1] for m in modes], dtype=int).reshape(-1)
 
 
 def _readonly(a):
@@ -95,10 +106,7 @@ class GaussianState:
 
     def reduced(self, modes):
         """Partial trace down to the given modes (in the given order)."""
-        idx = []
-        for m in modes:
-            idx += [2 * m, 2 * m + 1]
-        idx = np.array(idx)
+        idx = _quadratures(modes)
         return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
     def purity(self):
@@ -136,10 +144,9 @@ class SymplecticOp:
         return self.matrix.shape[0] // 2
 
     def apply(self, state):
-        s = self.matrix
-        if state.mean.size != s.shape[0]:
+        if state.mean.size != self.matrix.shape[0]:
             raise ValueError("operator and state mode counts differ")
-        return GaussianState(s @ state.mean + self.displacement, s @ state.cov @ s.T)
+        return _gaussian_map(state, None, self.matrix, self.displacement)
 
     def compose(self, other):
         """self after other: (S1, d1) * (S2, d2) = (S1 S2, S1 d2 + d1)."""
@@ -198,15 +205,8 @@ def squeezed_vacuum(r, theta=0.0):
 
 def tensor(*states):
     """Tensor product of Gaussian states (block-diagonal covariance)."""
-    mean = np.concatenate([s.mean for s in states])
-    n = mean.size
-    cov = np.zeros((n, n))
-    at = 0
-    for s in states:
-        k = s.mean.size
-        cov[at : at + k, at : at + k] = s.cov
-        at += k
-    return GaussianState(mean, cov)
+    return GaussianState(np.concatenate([s.mean for s in states]),
+                         block_diag(*[s.cov for s in states]))
 
 
 def r_for_noise_db(db):
@@ -215,17 +215,23 @@ def r_for_noise_db(db):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian unitaries
+# Gaussian maps
 
 
-def _embed(num_modes, modes, block):
-    """Embed a 2k x 2k single/two-mode symplectic block into 2M x 2M identity."""
-    s = np.eye(2 * num_modes)
-    idx = []
-    for m in modes:
-        idx += [2 * m, 2 * m + 1]
-    s[np.ix_(idx, idx)] = block
-    return s
+def _gaussian_map(state, mode, x=None, d=0.0, y=0.0):
+    """The state after r -> X r + d with added noise Y: mean -> X mean + d,
+    V -> X V X^T + Y.  X, d and Y act on one mode's (x, p) slice and the
+    other modes are untouched (the cross blocks pick up X on one side), or
+    on all quadratures when mode is None.  X = None is the identity."""
+    i = slice(None) if mode is None else slice(2 * mode, 2 * mode + 2)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    if x is not None:
+        mean[i] = x @ mean[i]
+        cov[i, :] = x @ cov[i, :]
+        cov[:, i] = cov[:, i] @ x.T
+    mean[i] += d
+    cov[i, i] += y
+    return GaussianState(mean, cov)
 
 
 def beamsplitter_op(num_modes, mode_a, mode_b, transmittance, phase=0.0):
@@ -241,12 +247,12 @@ def beamsplitter_op(num_modes, mode_a, mode_b, transmittance, phase=0.0):
     if mode_a == mode_b:
         raise ValueError("beamsplitter needs two distinct modes")
     ct, st = math.sqrt(t), math.sqrt(1.0 - t)
-    block = np.zeros((4, 4))
-    block[:2, :2] = ct * np.eye(2)
-    block[:2, 2:] = st * rotation2(phase)
-    block[2:, :2] = -st * rotation2(-phase)
-    block[2:, 2:] = ct * np.eye(2)
-    return SymplecticOp(_embed(num_modes, (mode_a, mode_b), block))
+    block = np.block([[ct * np.eye(2), st * rotation2(phase)],
+                      [-st * rotation2(-phase), ct * np.eye(2)]])
+    s = np.eye(2 * num_modes)
+    idx = _quadratures((mode_a, mode_b))
+    s[np.ix_(idx, idx)] = block
+    return SymplecticOp(s)
 
 
 def beamsplitter(state, mode_a, mode_b, transmittance, phase=0.0):
@@ -255,32 +261,13 @@ def beamsplitter(state, mode_a, mode_b, transmittance, phase=0.0):
 
 def phase_rotation(state, mode, theta):
     """a -> e^{i theta} a on one mode."""
-    s = _embed(state.num_modes, (mode,), rotation2(theta))
-    return SymplecticOp(s).apply(state)
+    return _gaussian_map(state, mode, rotation2(theta))
 
 
 def displace(state, mode, alpha):
     """Ideal displacement: adds sqrt(2)*(Re alpha, Im alpha) to one mode's mean."""
-    d = np.zeros(2 * state.num_modes)
-    d[2 * mode] = math.sqrt(2.0) * complex(alpha).real
-    d[2 * mode + 1] = math.sqrt(2.0) * complex(alpha).imag
-    return GaussianState(state.mean + d, state.cov)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian channels (not symplectic: they mix in vacuum)
-
-
-def _mix_in_vacuum(state, mode, keep):
-    """Common core of loss/mirror channels: mode amplitude scaled by sqrt(keep),
-    with (1-keep) of a vacuum unit mixed in."""
-    n = state.num_modes
-    g = np.eye(2 * n)
-    i = slice(2 * mode, 2 * mode + 2)
-    g[i, i] = math.sqrt(keep) * np.eye(2)
-    cov = g @ state.cov @ g.T
-    cov[i, i] += (1.0 - keep) * VACUUM_VAR * np.eye(2)
-    return g @ state.mean, cov
+    alpha = complex(alpha)
+    return _gaussian_map(state, mode, d=math.sqrt(2.0) * np.array([alpha.real, alpha.imag]))
 
 
 def loss(state, mode, eta):
@@ -292,8 +279,8 @@ def loss(state, mode, eta):
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {eta}")
-    mean, cov = _mix_in_vacuum(state, mode, eta)
-    return GaussianState(mean, cov)
+    return _gaussian_map(state, mode, math.sqrt(eta) * np.eye(2),
+                         y=(1.0 - eta) * VACUUM_VAR * np.eye(2))
 
 
 def mirror_displace(state, mode, bright_alpha, transmittance):
@@ -308,11 +295,10 @@ def mirror_displace(state, mode, bright_alpha, transmittance):
     t = float(transmittance)
     if not 0.0 < t < 1.0:
         raise ValueError(f"mirror transmittance must be in (0, 1), got {t}")
-    mean, cov = _mix_in_vacuum(state, mode, 1.0 - t)
-    d = np.zeros(2 * state.num_modes)
-    d[2 * mode] = math.sqrt(2.0 * t) * complex(bright_alpha).real
-    d[2 * mode + 1] = math.sqrt(2.0 * t) * complex(bright_alpha).imag
-    return GaussianState(mean + d, cov)
+    keep, b = 1.0 - t, complex(bright_alpha)  # 1 - keep need not equal t in floats
+    return _gaussian_map(state, mode, math.sqrt(keep) * np.eye(2),
+                         math.sqrt(2.0 * t) * np.array([b.real, b.imag]),
+                         (1.0 - keep) * VACUUM_VAR * np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +335,8 @@ def condition_on_homodyne(state, mode, angle, outcome):
     n = state.num_modes
     if n < 2:
         raise ValueError("conditioning needs at least two modes")
-    keep = [m for m in range(n) if m != mode]
-    ai = []
-    for m in keep:
-        ai += [2 * m, 2 * m + 1]
-    bi = [2 * mode, 2 * mode + 1]
+    ai = _quadratures(m for m in range(n) if m != mode)
+    bi = _quadratures((mode,))
     a = state.cov[np.ix_(ai, ai)]
     b = state.cov[np.ix_(bi, bi)]
     c = state.cov[np.ix_(ai, bi)]

@@ -228,6 +228,24 @@ def test_gain_dispersion_hook():
     assert rec.output_charge.var() == pytest.approx(v1, abs=4 * se)
 
 
+@pytest.mark.parametrize("dispersion", [0.5, 3.0])
+def test_dispersed_gain_never_negative(dispersion):
+    # a gain of g(1 + d N(0,1)) goes negative for d of order 1
+    cfg = cipd.CipdConfig(gain_dispersion=dispersion, readout_noise=0.0)
+    rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=5)
+    assert rec.output_charge.min() >= 0.0
+
+
+def test_dispersed_gain_moments():
+    cfg = cipd.CipdConfig(gain_dispersion=0.3)
+    n = 100_000
+    q = cipd.simulate_pulses(cfg, 2.0, n, rng=12).output_charge
+    mean, var = cipd.analytic_moments(cfg, 2.0)
+    mu4 = np.mean((q - q.mean()) ** 4)
+    assert abs(q.mean() - mean) <= 5 * math.sqrt(var / n)
+    assert abs(q.var() - var) <= 5 * math.sqrt((mu4 - q.var() ** 2) / n)
+
+
 def test_writers_deterministic(tmp_path):
     cfg = cipd.CipdConfig()
     rec = cipd.simulate_pulses(cfg, 2.0, 50, rng=9)

@@ -158,6 +158,43 @@ def test_non_finite_result_exits_one(tmp_path, capsys):
     assert not out.exists(), "artifacts written for a non-finite result"
 
 
+@pytest.mark.parametrize("params, needle", [
+    ({"dim": 200}, "dim + qnd_pad"),  # refused before any dim^3 work
+    ({"qnd_pad": -3}, "qnd_pad"),
+    ({"grid_points": 1}, "grid_points"),
+])
+def test_gate_sizes_checked_up_front(tmp_path, capsys, params, needle):
+    path = scenario_file(tmp_path, kind="cubic-phase-run", parameters=params)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coarse_homodyne_grid_is_a_truncation(tmp_path, capsys):
+    # 16 points over |x| <= 8.7: spacing 1.15, while phi_15 needs < 0.56
+    path = scenario_file(tmp_path, kind="cubic-phase-run",
+                         parameters={"dim": 16, "grid_points": 16})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out), "--strict"]) == 2
+    assert "grid of 16 points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):
+    # spectra.csv is written before the interrupt, so a run writing into
+    # output_dir directly would leave it behind without a manifest
+    def interrupt(*_args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.densecoding, "write_spectra_json", interrupt)
+    path = scenario_file(tmp_path, kind="dense-coding-spectrum", parameters={"n_bins": 5})
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["run", str(path), "--output-dir", str(out)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

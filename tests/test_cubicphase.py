@@ -39,6 +39,17 @@ def test_config_validation():
         cp.run_gate(cp.CubicGateConfig(coupling_g=float("nan")))
     with pytest.raises(ValueError, match="displacement_alpha"):
         cp.CubicGateConfig(displacement_alpha=complex(0.5, float("inf")))
+    # sizes are refused on construction, before any dim^3 work
+    with pytest.raises(ValueError, match="dim \\+ qnd_pad"):
+        cp.CubicGateConfig(dim=200)
+    with pytest.raises(ValueError, match="dim \\+ qnd_pad"):
+        cp.CubicGateConfig(dim=64, qnd_pad=80)
+    with pytest.raises(ValueError, match="qnd_pad"):
+        cp.CubicGateConfig(qnd_pad=-3)
+    for points in (1, cp.MAX_GRID_POINTS + 1):
+        with pytest.raises(ValueError, match="grid_points"):
+            cp.CubicGateConfig(grid_points=points)
+    cp.CubicGateConfig(dim=85, grid_points=cp.MAX_GRID_POINTS)  # the largest allowed
 
 
 def test_config_digest_pins_configuration():

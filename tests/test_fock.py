@@ -279,6 +279,12 @@ def test_qnd_displaces_target_by_signal():
 def test_qnd_workspace_cap():
     with pytest.raises(ValueError):
         fock.qnd_coupling_op(1.0, 100, pad=100)
+    with pytest.raises(ValueError, match="qnd_pad"):
+        fock.qnd_coupling_op(1.0, 16, pad=-3)
+    with pytest.raises(ValueError, match="qnd_pad"):
+        fock.qnd_heisenberg_residual(1.0, 16, pad=-3)
+    with pytest.raises(ValueError, match="dim \\+ qnd_pad"):
+        fock.qnd_heisenberg_residual(1.0, 40)  # default pad 3*dim: workspace 160
 
 
 def _qnd_reference(g, dim, pad, amps):
@@ -363,6 +369,16 @@ def test_wavefunction_known_shapes():
 def test_wavefunction_grid_warning():
     with pytest.warns(fock.TruncationWarning):
         fock.quadrature_wavefunction(fock.vacuum_state(30), np.linspace(-2, 2, 64))
+
+
+def test_coarse_grid_warning():
+    # phi_{dim-1} needs a spacing below pi/sqrt(2*dim)
+    with pytest.warns(fock.TruncationWarning, match="phi_15"):
+        fock.default_grid(16, n_points=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fock.default_grid(16, n_points=48)  # spacing 0.37 < 0.56
+        fock.default_grid(85)
 
 
 def test_homodyne_fock_moments():

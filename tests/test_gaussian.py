@@ -24,13 +24,11 @@ EPR_BEAM_DB = 0.4451046744531254
 
 
 def random_state(rng, num_modes=2):
-    """Random physical Gaussian state: random symplectic on a thermal-ish state."""
-    st = g.vacuum(num_modes)
-    for mode in range(num_modes):
-        st = g.phase_rotation(st, mode, rng.uniform(0, 2 * math.pi))
-        # mild random squeeze via tensor slot replacement
+    """Random pure Gaussian state: squeezed vacua, rotated, mixed on splitters, displaced."""
     sq = [g.squeezed_vacuum(rng.uniform(-0.8, 0.8), rng.uniform(0, math.pi)) for _ in range(num_modes)]
     st = g.tensor(*sq)
+    for mode in range(num_modes):
+        st = g.phase_rotation(st, mode, rng.uniform(0, 2 * math.pi))
     for _ in range(3):
         a, b = rng.choice(num_modes, size=2, replace=False)
         st = g.beamsplitter(st, a, b, rng.uniform(0.2, 0.8), rng.uniform(0, 2 * math.pi))

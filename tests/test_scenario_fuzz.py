@@ -2,8 +2,9 @@
 
 Any parameters a scenario file can hold -- well-typed, ill-typed, NaN or
 +-Infinity, any subset of a kind's fields -- must end in exit 0 with finite
-artifacts that match the manifest, or in exit 1/2 with no output directory;
-`cli.main` must never raise.  Size- and scale-like fields are drawn small so
+artifacts that match the manifest, or in exit 1/2 with no output directory
+(nor any staging directory); `cli.main` must never raise.  A detector run
+without readout noise must not report a negative charge.  Size- and scale-like fields are drawn small so
 one example costs a few ms and a few MB; for the detector these include every
 field that sets the charge range, and with it the histogram's bin count.
 """
@@ -101,21 +102,27 @@ def assert_finite(name, text):
             assert all(math.isfinite(float(cell)) for cell in row.split(",")), (name, row)
 
 
+def run_scenario(tmp, kind, seed, params, strict=False):
+    """cli.main on tmp/scenario.json with output to tmp/out: (exit code, out)."""
+    path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+    # json.dumps writes NaN / Infinity literals, which json.loads accepts
+    path.write_text(json.dumps({"kind": kind, "seed": seed, "parameters": params}))
+    argv = ["run", str(path), "--output-dir", str(out)] + ["--strict"] * strict
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(scenarios())
 def test_any_scenario_ends_cleanly(scenario):
-    kind, seed, params, strict = scenario
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
-        # json.dumps writes NaN / Infinity literals, which json.loads accepts
-        path.write_text(json.dumps({"kind": kind, "seed": seed, "parameters": params}))
-        argv = ["run", str(path), "--output-dir", str(out)] + ["--strict"] * strict
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
+        code, out = run_scenario(tmp, *scenario)
         assert code in (0, 1, 2)
+        left = sorted(p.name for p in Path(tmp).iterdir())
         if code:
-            assert not out.exists(), "artifacts left by a failed run"
+            assert left == ["scenario.json"], "files left by a failed run"
             return
+        assert left == ["out", "scenario.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         listed = [entry["name"] for entry in manifest["artifacts"]]
         assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
@@ -124,3 +131,19 @@ def test_any_scenario_ends_cleanly(scenario):
             assert len(blob) == entry["bytes"]
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
             assert_finite(entry["name"], blob.decode())
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={
+    name: WELL_TYPED[name] for name in (
+        "gain", "gain_dispersion", "source_mean", "source_pmf", "n_pulses", "dark_rate")}),
+       st.integers(0, 2 ** 32))
+def test_noiseless_detector_charges_are_nonnegative(params, seed):
+    # without readout noise a charge is gain x electrons, negative only
+    # where a drawn gain is
+    params = dict(params, readout_noise=0.0, gain_dispersion=params.get("gain_dispersion", 1.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run_scenario(tmp, "cipd-histogram", seed, params)
+        if code == 0:
+            rows = (out / "records.csv").read_text().splitlines()[1:]
+            assert min(float(row.rsplit(",", 1)[1]) for row in rows) >= 0.0
