@@ -142,40 +142,49 @@ def _power_db(mean, variance):
     return 10.0 * math.log10((variance + mean * mean) / gaussian.VACUUM_VAR)
 
 
-def _result_power_db(res, use_samples):
-    if use_samples:
-        return _power_db(float(res.samples.mean()), float(res.samples.var(ddof=1)))
-    return _power_db(res.mean, res.variance)
+def _moments(results):
+    """[[mean_x, mean_p], [var_x, var_p]] of an (x, p) pair of HomodyneResults."""
+    return [[res.mean for res in results], [res.variance for res in results]]
 
 
 def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """Shot / single-EPR-beam / Bell-output spectra over the plan's bins.
 
-    Each bin is an independent mode pair at that sideband frequency: take the
-    EPR pair (built once per distinct squeezing_r), encode the bin's tone
-    amplitudes, apply the channel loss to the encoded beam, Bell-measure.  The
-    shot trace is the vacuum reference (0 dB by construction) and the EPR trace
-    monitors one beam of the lossless pair.
-
-    With n_samples > 0 every reported power comes from that many homodyne
-    samples per bin (per-bin child seeds derived from `seed`), otherwise the
-    analytic marginals are used.
+    Each bin is an independent mode pair: EPR pair, encode the bin's tones,
+    channel loss on the encoded beam, Bell measurement.  The shot trace is the
+    vacuum (0 dB by construction); the EPR trace is one beam of the pair.
+    The chain is a Gaussian map and the EPR mean is 0, so the Bell means are
+    linear in the tones and the variances depend only on (r, eta) at fixed T:
+    per distinct (r, eta) the circuit runs at zero tones (means z, variances)
+    and at unit AM and PM tones (means u_am, u_pm), and each bin's means are
+    z + (u_am - z) am + (u_pm - z) pm.  With n_samples > 0 each power comes
+    from that many samples per bin and receiver, drawn x then p as
+    `gaussian.homodyne` draws them, from per-bin child seeds of `seed`.
     """
     bins = plan.bins
-    mc = n_samples > 0
-    seeds = np.random.SeedSequence(seed).spawn(3 * len(bins)) if mc else None
-    vac = gaussian.vacuum(1)
-    eprs = {r: build_epr(r) for r in dict.fromkeys(b.squeezing_r for b in bins)}
-    power = np.empty((3, 2, len(bins)))  # (shot, epr, bell) x (x, p) x bin
-    for i, b in enumerate(bins):
-        epr = eprs[b.squeezing_r]
-        sent = encode(epr, b.am_amplitude, b.pm_amplitude, mirror_transmittance)
-        sent = gaussian.loss(sent, 0, b.loss_eta)
-        receivers = ((_homodyne_xp, vac), (_homodyne_xp, epr), (bell_measure, sent))
-        for t, (measure, state) in enumerate(receivers):
-            gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
-            for q, res in enumerate(measure(state, n_samples if mc else 0, gen)):
-                power[t, q, i] = _result_power_db(res, mc)
+    am, pm = np.array([(b.am_amplitude, b.pm_amplitude) for b in bins]).T[:, :, None]
+    keys = [(b.squeezing_r, b.loss_eta) for b in bins]
+    links = {k: j for j, k in enumerate(dict.fromkeys(keys))}  # distinct (r, eta) -> index
+    eprs = {r: build_epr(r) for r, _ in links}
+    probes = np.array([[_moments(_homodyne_xp(eprs[r], 0, None))] + [
+        _moments(bell_measure(gaussian.loss(encode(eprs[r], a, p, mirror_transmittance), 0, eta)))
+        for a, p in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))] for r, eta in links])
+    # each (bin, mean/variance, x/p): one EPR beam, then the Bell probes
+    epr, z, u_am, u_pm = probes[[links[k] for k in keys]].transpose(1, 0, 2, 3)
+    bell = z.copy()
+    bell[:, 0] = z[:, 0] + (u_am - z)[:, 0] * am + (u_pm - z)[:, 0] * pm
+    vac = _moments(_homodyne_xp(gaussian.vacuum(1), 0, None))
+    moments = np.array([np.broadcast_to(vac, bell.shape), epr, bell])  # receiver first
+    if n_samples > 0:
+        seeds = np.random.SeedSequence(seed).spawn(3 * len(bins))
+        for (i, t), child in zip(np.ndindex(len(bins), 3), seeds):
+            gen = np.random.default_rng(child)
+            for q in range(2):
+                s = gen.normal(moments[t, i, 0, q], math.sqrt(moments[t, i, 1, q]),
+                               int(n_samples))
+                moments[t, i, :, q] = s.mean(), s.var(ddof=1)
+    mean, var = (moments[:, :, k].transpose(0, 2, 1).ravel().tolist() for k in (0, 1))
+    power = np.reshape(list(map(_power_db, mean, var)), (3, 2, len(bins)))
     freq = np.array([b.frequency_hz for b in bins])
     return {label: NoiseSpectrum(label, freq, *power[t])
             for t, label in enumerate(("shot", "epr", "bell"))}
@@ -200,17 +209,11 @@ def two_tone_plan(
     i_pm = int(np.argmin(np.abs(freqs - pm_frequency)))
     if i_am == i_pm:
         raise ValueError("AM and PM tones landed on the same bin")
-    bins = []
-    for i, f in enumerate(freqs):
-        bins.append(SidebandBin(
-            frequency_hz=float(f),
-            squeezing_r=r,
-            am_amplitude=amplitude if i == i_am else 0.0,
-            pm_amplitude=amplitude if i == i_pm else 0.0,
-            loss_eta=loss_eta,
-        ))
+    bins = tuple(SidebandBin(float(f), r, amplitude if i == i_am else 0.0,
+                             amplitude if i == i_pm else 0.0, loss_eta)
+                 for i, f in enumerate(freqs))
     rbw = (f_hi - f_lo) / (n_bins - 1) if n_bins > 1 else f_hi - f_lo
-    return SidebandPlan(tuple(bins), rbw)
+    return SidebandPlan(bins, rbw)
 
 
 DEFAULT_SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)
@@ -222,21 +225,17 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
     shot is flat at 0 dB; a single EPR beam is flat at 10*log10(cosh 2r);
     squeezed vacuum swings between -/+ the squeezing dB.
     """
-    if lo_phases is None:
-        lo_phases = DEFAULT_SWEEP_ANGLES
-    lo_phases = np.asarray(lo_phases, dtype=float)
+    lo_phases = np.asarray(DEFAULT_SWEEP_ANGLES if lo_phases is None else lo_phases, dtype=float)
     if state_kind == "shot":
-        state, mode = gaussian.vacuum(1), 0
+        state = gaussian.vacuum(1)
     elif state_kind == "epr":
-        state, mode = build_epr(r), 0
+        state = build_epr(r)
     elif state_kind == "squeezed":
-        state, mode = gaussian.squeezed_vacuum(r, 0.0), 0
+        state = gaussian.squeezed_vacuum(r, 0.0)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
-    power = np.array([
-        gaussian.noise_power_db(gaussian.homodyne(state, mode, th).variance)
-        for th in lo_phases
-    ])
+    power = np.array([gaussian.noise_power_db(gaussian.homodyne(state, 0, th).variance)
+                      for th in lo_phases])
     return PhaseSweepTrace(state_kind, lo_phases, power)
 
 

@@ -420,10 +420,11 @@ def qnd_heisenberg_residual(g, dim, pad=None):
     (truncating first and then conjugating would measure truncation noise,
     not the coupling).  Edge rows of any truncated operator cannot satisfy
     the relation, hence the margin.  Returns the Frobenius norm of the
-    interior residual.
+    interior residual.  pad defaults to 3*dim, capped so that the workspace
+    stays within QND_WORKSPACE_LIMIT wherever the coupling itself can be built.
     """
     if pad is None:
-        pad = 3 * dim
+        pad = min(3 * dim, QND_WORKSPACE_LIMIT - dim)
     w = _qnd_workspace(dim, pad)
     keep = dim - min(pad, dim // 2)
     xi, v, pi, wv = _quadrature_eigh(w)

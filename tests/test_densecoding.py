@@ -2,12 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvsim import cli, gaussian
 from cvsim import densecoding as dc
-from cvsim import gaussian
 
 SQ_VAR = 0.31547867224009657     # e^{-2r}/2 at the default r
 EPR_BEAM_DB = 0.4451046744531254  # 10*log10(cosh 2r)
@@ -148,6 +151,101 @@ def test_spectrum_monte_carlo_within_4_sigma():
                 se = math.sqrt(2 * var**2 + 4 * var * var) / math.sqrt(n)
                 got_lin = 0.5 * 10 ** (got[i] / 10.0)
                 assert abs(got_lin - var) < 4 * se + 1e-12
+
+
+def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
+    """Oracle: every bin through the circuit itself, (shot, epr, bell) x (x, p) x bin.
+
+    The Bell receiver is encode -> loss -> bell_measure on the bin's own tones;
+    the shot and EPR receivers homodyne the vacuum and one beam of the pair.
+    Sampled runs give each (bin, receiver) its own child of `seed`.
+    """
+    mc = n_samples > 0
+    seeds = np.random.SeedSequence(seed).spawn(3 * len(plan.bins)) if mc else None
+    power = np.empty((3, 2, len(plan.bins)))
+    for i, b in enumerate(plan.bins):
+        epr = dc.build_epr(b.squeezing_r)
+        sent = dc.encode(epr, b.am_amplitude, b.pm_amplitude, mirror_transmittance)
+        sent = gaussian.loss(sent, 0, b.loss_eta)
+        receivers = ((dc._homodyne_xp, gaussian.vacuum(1)), (dc._homodyne_xp, epr),
+                     (dc.bell_measure, sent))
+        for t, (measure, state) in enumerate(receivers):
+            gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
+            for q, res in enumerate(measure(state, n_samples if mc else 0, gen)):
+                moments = ((float(res.samples.mean()), float(res.samples.var(ddof=1)))
+                           if mc else (res.mean, res.variance))
+                power[t, q, i] = dc._power_db(*moments)
+    return power
+
+
+def as_array(spectra):
+    return np.array([[s.x_power_db, s.p_power_db] for s in spectra.values()])
+
+
+tones = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+transmittances = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
+
+
+@st.composite
+def mixed_plans(draw):
+    """Hand-built plans whose bins draw r and eta from a few values each."""
+    rs = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3))
+    etas = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    bins = tuple(dc.SidebandBin(1e6 + 1e3 * i, draw(st.sampled_from(rs)), draw(tones),
+                                draw(tones), draw(st.sampled_from(etas)))
+                 for i in range(draw(st.integers(1, 12))))
+    return dc.SidebandPlan(bins, 1e3)
+
+
+two_tone_plans = st.builds(
+    dc.two_tone_plan, n_bins=st.integers(5, 60), r=st.floats(-1.5, 1.5),
+    amplitude=tones, loss_eta=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.one_of(mixed_plans(), two_tone_plans), transmittances,
+       st.sampled_from([0, 0, 50]), st.integers(0, 2 ** 32))
+def test_spectrum_matches_the_circuit_bin_by_bin(plan, transmittance, n_samples, seed):
+    got = as_array(dc.run_spectrum(plan, n_samples=n_samples, seed=seed,
+                                   mirror_transmittance=transmittance))
+    want = circuit_spectrum(plan, n_samples, seed, transmittance)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_bundled_spectrum_equals_the_circuit_exactly(monkeypatch, tmp_path):
+    # the plan and arguments the CLI builds from the bundled scenario, analytic and seeded
+    calls, run = [], dc.run_spectrum
+
+    def recording(plan, **kw):
+        calls.append((plan, kw))
+        return run(plan, **kw)
+
+    monkeypatch.setattr(dc, "run_spectrum", recording)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "dense_coding_spectrum.json"
+    assert cli.main(["run", str(scenario), "--output-dir", str(tmp_path / "out")]) == 0
+    (plan, kw), = calls
+    assert kw["n_samples"] > 0
+    for n_samples in (0, kw["n_samples"]):
+        args = dict(kw, n_samples=n_samples)
+        assert np.array_equal(as_array(run(plan, **args)), circuit_spectrum(plan, **args))
+
+
+def test_states_built_do_not_grow_with_bins(monkeypatch):
+    built, post_init = [], gaussian.GaussianState.__post_init__
+
+    def counting(state):
+        built.append(state)
+        post_init(state)
+
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting)
+    counts = []
+    for n_bins in (33, 1001):
+        plan = dc.two_tone_plan(n_bins)
+        built.clear()
+        dc.run_spectrum(plan)
+        counts.append(len(built))
+    # the vacuum, one EPR pair and three circuit probes: fewer states than bins
+    assert counts[0] == counts[1] < 33
 
 
 def test_spectrum_monte_carlo_deterministic():

@@ -284,7 +284,13 @@ def test_qnd_workspace_cap():
     with pytest.raises(ValueError, match="qnd_pad"):
         fock.qnd_heisenberg_residual(1.0, 16, pad=-3)
     with pytest.raises(ValueError, match="dim \\+ qnd_pad"):
-        fock.qnd_heisenberg_residual(1.0, 40)  # default pad 3*dim: workspace 160
+        fock.qnd_heisenberg_residual(1.0, 40, pad=120)  # workspace 160
+
+
+def test_qnd_heisenberg_default_pad_fits_the_workspace():
+    # the default pad 3*dim is capped at QND_WORKSPACE_LIMIT - dim (88 here)
+    resid = fock.qnd_heisenberg_residual(1.0, 40)
+    assert math.isfinite(resid) and resid <= 1e-6
 
 
 def _qnd_reference(g, dim, pad, amps):
