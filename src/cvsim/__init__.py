@@ -5,9 +5,9 @@ x = (a + a*)/sqrt(2), vacuum quadrature variance 1/2):
 
 - `gaussian`: means and covariance matrices under symplectic operations,
   loss channels, and homodyne conditioning.
-- `fock`: truncated number-basis states and operators (displacement and
-  squeeze from truncated generators; cubic phase and QND coupling from
-  workspace quadrature eigenbases).
+- `fock`: truncated number-basis states and operators (displacement,
+  squeeze and cubic phase as exp(-iH) from one eigendecomposition helper;
+  QND coupling from workspace quadrature eigenbases).
 
 On top of those, `densecoding` models sideband dense coding with EPR beams
 and Bell measurement, `cubicphase` the measurement-induced cubic gate

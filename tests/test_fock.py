@@ -1,7 +1,10 @@
 """Tests for the truncated Fock-space layer.
 
-Where an operator has a closed-form matrix element (displacement), the expm
-build is checked against the analytic expression as an independent route.
+Every one-mode operator is built as exp(-iH) from one eigendecomposition of
+its generator.  Where an operator has a closed-form matrix element
+(displacement), that build is checked against the analytic expression as an
+independent route; scipy's expm of the same truncated generators is kept here
+as a second reference.
 """
 
 import math
@@ -113,9 +116,27 @@ def test_displacement_against_closed_form():
     dim = 30
     op = fock.displacement_op(alpha, dim)
     exact = displacement_exact(alpha, dim)
-    # interior agreement; the expm build deviates only near the truncation corner
+    # interior agreement; the truncated-generator build deviates only near the
+    # truncation corner
     k = dim - dim // 2
     assert np.abs(op.matrix[:k, :k] - exact[:k, :k]).max() < 1e-10
+
+
+@pytest.mark.parametrize("dim, cubic_dim, cubic_pad", [(16, 16, 8), (32, 20, 20), (64, 32, 16)])
+def test_one_mode_builder_matches_references(dim, cubic_dim, cubic_pad):
+    from scipy.linalg import expm
+    alpha, s, gamma = 0.5 + 1j, 0.15, 0.05
+    a = fock.annihilation(dim)
+    ad = a.conj().T
+    d_ref = expm(alpha * ad - alpha.conjugate() * a)
+    s_ref = expm(0.5 * s * (a @ a - ad @ ad))
+    assert np.abs(fock.displacement_op(alpha, dim).matrix - d_ref).max() <= 1e-13
+    assert np.abs(fock.squeeze_op(s, dim).matrix - s_ref).max() <= 1e-13
+    # the cubic phase as V diag(e^{i gamma xi^3}) V^H from the x eigenbasis
+    xi, v, _, _ = fock._quadrature_eigh(cubic_dim + cubic_pad)
+    c_ref = ((v * np.exp(1j * gamma * xi ** 3)) @ v.conj().T)[:cubic_dim, :cubic_dim]
+    op = fock.cubic_phase_op(gamma, cubic_dim, cubic_pad)
+    assert np.abs(op.matrix - c_ref).max() <= 1e-13
 
 
 def test_displacement_is_exactly_unitary():

@@ -4,15 +4,18 @@ States are thermal squeezed states (so mixed ones are covered too) on one to
 three modes, mixed on random splitters and displaced.  Every operation must
 return a state that satisfies V + i*Omega/2 >= 0; splitters and rotations
 must keep purity and the symplectic eigenvalues; the channels and
-displacements must match their closed forms block by block.
+displacements must match their closed forms block by block.  The Fock
+layer's D(alpha) S(s)|0> must carry the moments of the matching Gaussian state.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvsim import fock
 from cvsim import gaussian as g
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -112,3 +115,16 @@ def test_channels_and_displacements_match_closed_forms(state, data, eta, alpha, 
         got = blocks(out, mode)
         for have, want in zip(got, (v_out, c_out, m_out, rest_m, rest_v)):
             assert np.allclose(have, want, rtol=1e-12, atol=1e-12), name
+
+
+@PROPERTY
+@given(st.floats(-0.5, 0.5), st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_fock_displaced_squeezed_vacuum_matches_gaussian_moments(s, alpha):
+    dim = 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", fock.TruncationWarning)  # none fires here
+        squeezed = fock.squeeze_op(s, dim).apply(fock.vacuum_state(dim))
+        mean, cov = fock.quadrature_moments(fock.displacement_op(alpha, dim).apply(squeezed))
+    want = g.displace(g.squeezed_vacuum(s), 0, alpha)
+    assert np.abs(mean - want.mean).max() <= 1e-6
+    assert np.abs(cov - want.cov).max() <= 1e-6
