@@ -146,6 +146,8 @@ def _run_dense_coding_spectrum(params, seed, out):
 
 
 def _run_dense_coding_phase_sweep(params, seed, out):
+    if params["n_phases"] < 1:
+        raise ScenarioError(f"parameters.n_phases: must be >= 1, got {params['n_phases']}")
     angles = np.linspace(0.0, np.pi, params["n_phases"], endpoint=False)
     traces = [densecoding.phase_sweep(kind, angles, r=params["squeezing_r"])
               for kind in ("shot", "epr", "squeezed")]

@@ -11,9 +11,11 @@ phase comes from.
 
 Diagnostics fit the induced phase profile with a cubic model (constant and
 linear terms are measurement-dependent nuisances) and report the fit
-coefficient, the weighted residual, and the overlap with exp(i gamma_fit x^3)
-applied to the input target.  These are recorded, not asserted, except
-against this implementation's own frozen reference run.
+coefficient, the weighted residual, the overlap with exp(i gamma_fit x^3)
+applied to the input target (on the homodyne sampler's trapezoid rule), and
+the ancilla's excess kurtosis in x (exact Fock moments, no grid).  These are
+recorded, not asserted, except against this implementation's own frozen
+reference run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from . import artifacts, fock
 # allows (dim 85 needs about 135 points).  The readout peaks at about 40 bytes
 # per basis state and grid point, so the cap keeps it under 90 MB at dim 128.
 MAX_GRID_POINTS = 16384
+
+FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,7 @@ class GateRunRecord:
 def prepare_ancilla(config):
     """Entangled resource: TMSV with the counted arm (mode 1) displaced."""
     st = fock.tmsv(config.squeezing_r, config.dim)
-    if config.displacement_alpha != 0:
-        st = fock.displacement_op(config.displacement_alpha, config.dim).apply(st, mode=1)
-    return st
+    return fock.displacement_op(config.displacement_alpha, config.dim).apply(st, mode=1)
 
 
 def post_select(state, outcome=None, rng=None):
@@ -133,8 +135,6 @@ def post_select(state, outcome=None, rng=None):
 
 def apply_correction(ancilla, config):
     """Squeeze correction on the counted-and-kept ancilla arm."""
-    if config.correction_s == 0.0:
-        return ancilla
     return fock.squeeze_op(config.correction_s, config.dim).apply(ancilla)
 
 
@@ -160,38 +160,35 @@ def homodyne_density(joint, config):
 
 
 def readout_and_condition(joint, config, rng=None, fixed_x=None):
-    """Homodyne one QND output on the grid; returns (x_m, conditional, density).
+    """Homodyne one QND output on the grid; returns (x_m, conditional).
 
     The conditional state of the kept mode is sum_b C[:, b] phi_b(x_m),
     normalized.  With fixed_x the outcome is imposed instead of sampled.
     """
-    grid, dens = homodyne_density(joint, config)
     if fixed_x is None:
-        gen = np.random.default_rng(rng)
-        x_m = float(fock._sample_grid_density(grid, dens, gen.uniform()))
-    else:
-        x_m = float(fixed_x)
+        u = np.random.default_rng(rng).uniform()
+        fixed_x = fock._sample_grid_density(*homodyne_density(joint, config), u)
+    x_m = float(fixed_x)
     basis_at_x = fock.hermite_functions(config.dim, np.array([x_m]))[:, 0]
     c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
     cond = c @ basis_at_x
     n = np.linalg.norm(cond)
     if n == 0.0:
         raise ValueError(f"homodyne outcome x={x_m} has zero density")
-    return x_m, fock.FockState(cond / n), (grid, dens)
+    return x_m, fock.FockState(cond / n)
 
 
-def fit_cubic_phase(target_in, target_out, window=2.0):
+def fit_cubic_phase(target_in, target_out):
     """Weighted LS fit of arg(psi_out/psi_in) to c0 + c1 x + gamma x^3.
 
     Weights |psi_in * psi_out| suppress points near wavefunction nodes where
     the phase is undefined.  Returns (gamma_fit, weighted rms residual).
     """
-    grid = np.linspace(-window, window, 801)
-    # pointwise evaluation on a deliberately narrow window; bypass the
-    # full-support wavefunction helper so its coverage check stays meaningful
+    grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
+    # one Hermite table for both states; fock.quadrature_wavefunction's
+    # coverage check would fire on this deliberately narrow window
     basis = fock.hermite_functions(max(target_in.dim, target_out.dim), grid)
-    psi_in = target_in.normalized().amps @ basis[: target_in.dim]
-    psi_out = target_out.normalized().amps @ basis[: target_out.dim]
+    psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
     w /= w.max()
     dphi = np.unwrap(np.angle(psi_out / psi_in))
@@ -204,29 +201,31 @@ def fit_cubic_phase(target_in, target_out, window=2.0):
 
 
 def cubic_reference_overlap(target_in, target_out, gamma):
-    """|<psi_out | e^{i gamma x^3} psi_in>|^2 on the default grid."""
-    from scipy.integrate import simpson
+    """|<psi_out | e^{i gamma x^3} psi_in>|^2 on the default grid, integrated
+    by the homodyne sampler's trapezoid rule."""
     dim = max(target_in.dim, target_out.dim)
     grid = fock.default_grid(dim)
-    psi_in = fock.quadrature_wavefunction(target_in.normalized(), grid)
-    psi_out = fock.quadrature_wavefunction(target_out.normalized(), grid)
-    ref = np.exp(1j * gamma * grid**3) * psi_in
-    ov = simpson(psi_out.conj() * ref, x=grid)
-    nn = simpson(np.abs(psi_out) ** 2, x=grid) * simpson(np.abs(ref) ** 2, x=grid)
-    return float(abs(ov) ** 2 / nn)
+    basis = fock.hermite_functions(dim, grid)
+    psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
+    ov, n_in, n_out = (fock._grid_integral(grid, f)[-1] for f in (
+        psi_out.conj() * np.exp(1j * gamma * grid**3) * psi_in,
+        np.abs(psi_in) ** 2, np.abs(psi_out) ** 2))
+    return float(abs(ov) ** 2 / (n_in * n_out))
 
 
-def excess_kurtosis_x(state, grid=None):
-    """Excess kurtosis of the position distribution (0 for any Gaussian)."""
-    from scipy.integrate import simpson
-    if grid is None:
-        grid = fock.default_grid(state.dim)
-    dens = np.abs(fock.quadrature_wavefunction(state.normalized(), grid)) ** 2
-    total = simpson(dens, x=grid)
-    mu = simpson(grid * dens, x=grid) / total
-    m2 = simpson((grid - mu) ** 2 * dens, x=grid) / total
-    m4 = simpson((grid - mu) ** 4 * dens, x=grid) / total
-    return float(m4 / m2**2 - 3.0)
+def excess_kurtosis_x(state):
+    """Excess kurtosis of the position distribution (0 for any Gaussian).
+
+    Exact central moments: x moves the level by one, so on the state padded
+    by two levels z1 = (x - mu) psi and z2 = (x - mu) z1 lose nothing to the
+    cutoff, and m2 = |z1|^2, m4 = |z2|^2.
+    """
+    psi = np.pad(state.normalized().amps, (0, 2))
+    x = fock.position_op(state.dim + 2)
+    mu = np.vdot(psi, x @ psi).real
+    z1 = x @ psi - mu * psi
+    z2 = x @ z1 - mu * z1
+    return float(np.vdot(z2, z2).real / np.vdot(z1, z1).real ** 2 - 3.0)
 
 
 def run_gate(config, target=None, seed=None):
@@ -238,7 +237,7 @@ def run_gate(config, target=None, seed=None):
     count = post_select(resource, outcome=config.post_select_n, rng=gen)
     ancilla = apply_correction(count.conditional, config)
     joint = couple(target, ancilla, config)
-    x_m, conditioned, _ = readout_and_condition(joint, config, rng=gen)
+    x_m, conditioned = readout_and_condition(joint, config, rng=gen)
     # with the ancilla homodyned the surviving mode is the target; homodyning
     # the target instead leaves the ancilla output as the conditioned state
     fit_input = target if config.homodyne_which == "ancilla" else ancilla

@@ -138,10 +138,6 @@ def _homodyne_xp(state, n_samples, rng, x_mode=0):
             gaussian.homodyne(state, 0, math.pi / 2, n_samples=n_samples, rng=rng))
 
 
-def _power_db(mean, variance):
-    return 10.0 * math.log10((variance + mean * mean) / gaussian.VACUUM_VAR)
-
-
 def _moments(results):
     """[[mean_x, mean_p], [var_x, var_p]] of an (x, p) pair of HomodyneResults."""
     return [[res.mean for res in results], [res.variance for res in results]]
@@ -184,7 +180,7 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
                                int(n_samples))
                 moments[t, i, :, q] = s.mean(), s.var(ddof=1)
     mean, var = (moments[:, :, k].transpose(0, 2, 1).ravel().tolist() for k in (0, 1))
-    power = np.reshape(list(map(_power_db, mean, var)), (3, 2, len(bins)))
+    power = np.reshape([gaussian.noise_power_db(v + m * m) for m, v in zip(mean, var)], (3, 2, -1))
     freq = np.array([b.frequency_hz for b in bins])
     return {label: NoiseSpectrum(label, freq, *power[t])
             for t, label in enumerate(("shot", "epr", "bell"))}
@@ -204,6 +200,8 @@ def two_tone_plan(
 
     Tone frequencies snap to the nearest bin of the linspace grid.
     """
+    if n_bins < 2:
+        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     freqs = np.linspace(f_lo, f_hi, n_bins)
     i_am = int(np.argmin(np.abs(freqs - am_frequency)))
     i_pm = int(np.argmin(np.abs(freqs - pm_frequency)))
@@ -212,8 +210,7 @@ def two_tone_plan(
     bins = tuple(SidebandBin(float(f), r, amplitude if i == i_am else 0.0,
                              amplitude if i == i_pm else 0.0, loss_eta)
                  for i, f in enumerate(freqs))
-    rbw = (f_hi - f_lo) / (n_bins - 1) if n_bins > 1 else f_hi - f_lo
-    return SidebandPlan(bins, rbw)
+    return SidebandPlan(bins, (f_hi - f_lo) / (n_bins - 1))
 
 
 DEFAULT_SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)

@@ -15,9 +15,9 @@ from the eigenbases x = V diag(xi) V^H and p = W diag(pi) W^H of such a
 workspace; it is kept in factored form and applied without forming its
 (dim^2) x (dim^2) matrix.
 
-Homodyne outcomes are drawn from a density tabulated on a position grid by
-one inverse-CDF sampler (trapezoid CDF, linear interpolation), which the cubic
-gate's readout shares.
+One trapezoid rule integrates over a position grid: it is the CDF of the one
+inverse-CDF homodyne sampler, which the cubic gate's readout shares, and it
+gives the gate's reference overlap.
 
 Truncation trouble is reported through TruncationWarning, never silently.
 """
@@ -501,10 +501,15 @@ def homodyne_fock(state, n_samples, rng=None, grid=None):
     return _sample_grid_density(grid, dens, gen.uniform(size=int(n_samples)))
 
 
+def _grid_integral(grid, f):
+    """Running trapezoid integral of f (real or complex) on a grid, 0 at grid[0]."""
+    return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * np.diff(grid))])
+
+
 def _sample_grid_density(grid, dens, u):
     """Inverse-CDF draws of a density tabulated on a grid, at uniforms u in [0, 1):
     trapezoid CDF, linear interpolation between grid points."""
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))])
+    cdf = _grid_integral(grid, dens)
     return np.interp(u * cdf[-1], cdf, grid)
 
 

@@ -168,7 +168,7 @@ def test_criterion_07_gate_circuit_properties():
     joint = cubicphase.couple(
         target, cubicphase.post_select(resource, outcome=1).conditional, config)
     for x in (-1.0, 0.0, 1.4):
-        _, cond, _ = cubicphase.readout_and_condition(joint, config, fixed_x=x)
+        _, cond = cubicphase.readout_and_condition(joint, config, fixed_x=x)
         worst = max(worst, abs(cond.norm() - 1.0))
     assert worst <= 1e-8
     assert abs(completeness - 1.0) <= 1e-6

@@ -110,6 +110,11 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (dict(parameters={"n_pulses": 200, "typo_field": 1}), "typo_field"),
     (dict(parameters={"eta": "high"}), "parameters.eta"),
     (dict(extra_top=1), "extra_top"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_bins": 0}), "n_bins"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_bins": -2}), "n_bins"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_bins": 1}), "n_bins"),
+    (dict(kind="dense-coding-phase-sweep", parameters={"n_phases": 0}), "parameters.n_phases"),
+    (dict(kind="dense-coding-phase-sweep", parameters={"n_phases": -1}), "parameters.n_phases"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -288,3 +293,13 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
                    "{'scipy.signal', 'scipy.ndimage', 'scipy.integrate'}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_gate_run_leaves_scipy_integrate_unloaded(tmp_path):
+    # the gate's diagnostics integrate on fock's trapezoid rule, not scipy's
+    run = ["run", str(SCENARIO_DIR / "cubic_phase_run.json"), "--output-dir",
+           str(tmp_path / "out")]
+    proc = _python("-c", f"import sys, cvsim.cli; code = cvsim.cli.main({run!r}); "
+                   "print(code, 'scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"

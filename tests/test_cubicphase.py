@@ -161,7 +161,7 @@ def test_conditional_states_normalized():
         assert abs(count.conditional.norm() - 1.0) <= 1e-8
     joint = cp.couple(target, cp.post_select(resource, outcome=1).conditional, cfg)
     for x in (-2.0, -0.5, 0.0, 0.7, 1.9):
-        _, cond, _ = cp.readout_and_condition(joint, cfg, fixed_x=x)
+        _, cond = cp.readout_and_condition(joint, cfg, fixed_x=x)
         assert abs(cond.norm() - 1.0) <= 1e-8
 
 
@@ -177,7 +177,7 @@ def test_conditioning_matches_position_route():
         anc = cp.apply_correction(cp.post_select(resource, outcome=2).conditional, cfg)
         joint = cp.couple(target, anc, cfg)
         x_m = 0.8
-        _, cond, _ = cp.readout_and_condition(joint, cfg, fixed_x=x_m)
+        _, cond = cp.readout_and_condition(joint, cfg, fixed_x=x_m)
         grid = fock.default_grid(cfg.dim)
         basis = fock.hermite_functions(cfg.dim, grid)
         psi_t = target.amps @ basis
@@ -229,6 +229,46 @@ def test_excess_kurtosis_flags_gaussians():
     assert abs(cp.excess_kurtosis_x(sq)) < 1e-6
     # |1> is strongly platykurtic in x
     assert cp.excess_kurtosis_x(fock.number_state(1, 12)) < -0.5
+
+
+def test_excess_kurtosis_of_number_states_is_exact():
+    # <x^4> = 3/4 (2n^2 + 2n + 1) and <x^2> = n + 1/2 for |n>
+    for n in range(6):
+        expect = 0.75 * (2 * n * n + 2 * n + 1) / (n + 0.5) ** 2 - 3.0
+        assert abs(cp.excess_kurtosis_x(fock.number_state(n, 12)) - expect) <= 1e-12
+
+
+def _simpson_overlap(target_in, target_out, gamma):
+    grid = fock.default_grid(max(target_in.dim, target_out.dim))
+    psi_in = fock.quadrature_wavefunction(target_in.normalized(), grid)
+    psi_out = fock.quadrature_wavefunction(target_out.normalized(), grid)
+    ref = np.exp(1j * gamma * grid**3) * psi_in
+    ov = simpson(psi_out.conj() * ref, x=grid)
+    nn = simpson(np.abs(psi_out) ** 2, x=grid) * simpson(np.abs(ref) ** 2, x=grid)
+    return float(abs(ov) ** 2 / nn)
+
+
+def _simpson_kurtosis(state):
+    grid = fock.default_grid(state.dim)
+    dens = np.abs(fock.quadrature_wavefunction(state.normalized(), grid)) ** 2
+    total = simpson(dens, x=grid)
+    mu = simpson(grid * dens, x=grid) / total
+    m2 = simpson((grid - mu) ** 2 * dens, x=grid) / total
+    m4 = simpson((grid - mu) ** 4 * dens, x=grid) / total
+    return float(m4 / m2**2 - 3.0)
+
+
+def test_diagnostics_match_simpson_on_the_default_grid():
+    # the trapezoid overlap and the grid-free kurtosis agree with Simpson's
+    # rule on the default grid for the seed-7 reference run
+    cfg = cp.CubicGateConfig()
+    rec = cp.run_gate(cfg, seed=7)
+    d = rec.diagnostics
+    out = fock.FockState(rec.conditional_target)
+    ref = _simpson_overlap(fock.vacuum_state(cfg.dim), out, d["gamma_fit"])
+    assert abs(d["cubic_overlap"] - ref) <= 1e-12
+    ancilla = cp.post_select(cp.prepare_ancilla(cfg), outcome=rec.count_n).conditional
+    assert abs(d["ancilla_excess_kurtosis"] - _simpson_kurtosis(ancilla)) <= 1e-12
 
 
 def test_precision_check():

@@ -172,9 +172,9 @@ def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
         for t, (measure, state) in enumerate(receivers):
             gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
             for q, res in enumerate(measure(state, n_samples if mc else 0, gen)):
-                moments = ((float(res.samples.mean()), float(res.samples.var(ddof=1)))
-                           if mc else (res.mean, res.variance))
-                power[t, q, i] = dc._power_db(*moments)
+                mean, var = ((float(res.samples.mean()), float(res.samples.var(ddof=1)))
+                             if mc else (res.mean, res.variance))
+                power[t, q, i] = gaussian.noise_power_db(var + mean * mean)
     return power
 
 
