@@ -182,7 +182,9 @@ def fit_cubic_phase(target_in, target_out):
     """Weighted LS fit of arg(psi_out/psi_in) to c0 + c1 x + gamma x^3.
 
     Weights |psi_in * psi_out| suppress points near wavefunction nodes where
-    the phase is undefined.  Returns (gamma_fit, weighted rms residual).
+    the phase is undefined; points of zero weight (a node on the grid, such
+    as x = 0 for an odd state) are dropped.  Returns (gamma_fit, weighted rms
+    residual).
     """
     grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
     # one Hermite table for both states; fock.quadrature_wavefunction's
@@ -190,7 +192,8 @@ def fit_cubic_phase(target_in, target_out):
     basis = fock.hermite_functions(max(target_in.dim, target_out.dim), grid)
     psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
-    w /= w.max()
+    keep = w > 0.0
+    grid, psi_in, psi_out, w = grid[keep], psi_in[keep], psi_out[keep], w[keep] / w.max()
     dphi = np.unwrap(np.angle(psi_out / psi_in))
     a = np.stack([np.ones_like(grid), grid, grid**3], axis=1)
     wa = a * w[:, None]

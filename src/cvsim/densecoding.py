@@ -104,8 +104,8 @@ def build_epr(r=DEFAULT_R):
     ))
 
 
-def encode(state, am, pm, transmittance=0.01, mode=0):
-    """Write AM/PM tone amplitudes onto one beam as a phase-space displacement.
+def encode(state, am, pm, transmittance):
+    """Write AM/PM tone amplitudes onto beam 0 as a phase-space displacement.
 
     The physical encoder reflects the beam off a mirror of transmittance T
     with a bright beam injected through the back; the bright amplitude is
@@ -113,9 +113,9 @@ def encode(state, am, pm, transmittance=0.01, mode=0):
     the ideal displacement limit.
     """
     if transmittance == 0.0:
-        return gaussian.displace(state, mode, (am + 1j * pm) / math.sqrt(2.0))
+        return gaussian.displace(state, 0, (am + 1j * pm) / math.sqrt(2.0))
     bright = (am + 1j * pm) / math.sqrt(2.0 * transmittance)
-    return gaussian.mirror_displace(state, mode, bright, transmittance)
+    return gaussian.mirror_displace(state, 0, bright, transmittance)
 
 
 def bell_measure(state, n_samples=0, rng=None):

@@ -11,13 +11,15 @@ truncated to `dim`: exactly unitary at the cutoff, and accurate wherever the
 state stays clear of it.  The cubic phase takes H = -gamma x^3 on an enlarged
 workspace (dim + pad), so that the retained block is an accurate restriction
 of the infinite-dimensional operator.  The QND coupling exp(-i g x1 p2) comes
-from the eigenbases x = V diag(xi) V^H and p = W diag(pi) W^H of such a
-workspace; it is kept in factored form and applied without forming its
-(dim^2) x (dim^2) matrix.
+from one eigendecomposition x = V diag(xi) V^H of such a workspace, p's
+eigenbasis being V with a phase on each row; it is kept in factored form and
+applied without forming its (dim^2) x (dim^2) matrix.
 
-One trapezoid rule integrates over a position grid: it is the CDF of the one
-inverse-CDF homodyne sampler, which the cubic gate's readout shares, and it
-gives the gate's reference overlap.
+Quadrature moments are exact for the truncated state: x and p move the level
+by one, so they act on the state padded by one level.  One trapezoid rule
+integrates over a position grid: it is the CDF of the one inverse-CDF grid
+sampler, which the cubic gate's readout calls, and it gives the gate's
+reference overlap.
 
 Truncation trouble is reported through TruncationWarning, never silently.
 """
@@ -159,7 +161,8 @@ class FockOperator:
 class QNDCoupling:
     """The coupling exp(-i g x1 p2) on `dim` levels per mode, in factored form.
 
-    With x = V diag(xi) V^H and p = W diag(pi) W^H on the workspace, the
+    With x = V diag(xi) V^H on the workspace, p = W diag(pi) W^H where
+    pi = -xi and W = diag((-i)^n) V, so one eigendecomposition gives both.  The
     workspace operator is sum_k |v_k><v_k| (x) W diag(e^{-i g xi_k pi}) W^H, and
     its retained block maps joint amplitudes C[n1, n2] to
         V_d ((V_d^H C W_d^*) * e^{-i g xi pi^T}) W_d^T,
@@ -328,26 +331,28 @@ def squeeze_op(s, dim):
 
 def _quadrature_eigh(workspace):
     """x = V diag(xi) V^H and p = W diag(pi) W^H on a `workspace`-level space;
-    returns (xi, V, pi, W), the factors of the QND coupling and its residual."""
+    returns (xi, V, pi, W), the factors of the QND coupling and its residual.
+
+    One eigendecomposition: with D = diag(i^n), D^H a D = i a, so p = -D^H x D
+    exactly, and p's eigenpairs are pi = -xi, W = D^H V (a phase on each row)."""
     xi, v = np.linalg.eigh(position_op(workspace))
-    pi, w = np.linalg.eigh(momentum_op(workspace))
-    return xi, v, pi, w
+    phases = np.array([1.0, -1j, -1.0, 1j])[np.arange(workspace) % 4]
+    return xi, v, -xi, phases[:, None] * v
 
 
-def _product_gram_defect(a, b):
-    """||(a a^H) (x) (b b^H) - I||_F without forming the Kronecker product.
+def _product_gram_defect(a):
+    """||(a a^H) (x) (a a^H) - I||_F without forming the Kronecker product.
 
-    With E = a a^H - I, B = b b^H and F = B - I the difference is
-    E (x) B + I (x) F, whose squared norm is
-        ||E||^2 ||B||^2 + n ||F||^2 + 2 Re(tr E^H tr B^H F),   n = rows of a;
+    With A = a a^H and E = A - I the difference is E (x) A + I (x) E, whose
+    squared norm is
+        ||E||^2 (||A||^2 + n) + 2 Re(tr E^H tr A^H E),   n = rows of a;
     no term is a difference of near-equal large numbers.
     """
     n = a.shape[0]
-    e = a @ a.conj().T - np.eye(n)
-    bb = b @ b.conj().T
-    f = bb - np.eye(b.shape[0])
-    sq = (np.linalg.norm(e) ** 2 * np.linalg.norm(bb) ** 2 + n * np.linalg.norm(f) ** 2
-          + 2.0 * (np.trace(e).conjugate() * np.vdot(bb, f)).real)
+    aa = a @ a.conj().T
+    e = aa - np.eye(n)
+    sq = (np.linalg.norm(e) ** 2 * (np.linalg.norm(aa) ** 2 + n)
+          + 2.0 * (np.trace(e).conjugate() * np.vdot(aa, e)).real)
     return math.sqrt(max(sq, 0.0))
 
 
@@ -388,7 +393,8 @@ def qnd_coupling_op(g, dim, pad=None):
     Built exactly on a (dim+pad)-per-mode workspace from the eigenbases of x1
     and p2 and restricted to dim per mode; see QNDCoupling.
     diagnostics['interior_unitarity'] is the Gram defect of that restriction,
-    ||(V_d V_d^H) (x) (W_d W_d^H) - I||_F.
+    ||(V_d V_d^H) (x) (W_d W_d^H) - I||_F; W_d is V_d up to a phase per row,
+    so it equals ||(V_d V_d^H) (x) (V_d V_d^H) - I||_F.
     """
     g = float(g)
     if dim < 2:
@@ -399,9 +405,8 @@ def qnd_coupling_op(g, dim, pad=None):
         return QNDCoupling(eye, eye, np.ones((dim, dim)), {"interior_unitarity": 0.0})
     xi, v, pi, wv = _quadrature_eigh(w)
     v, wv = v[:dim], wv[:dim]
-    defect = _product_gram_defect(v, wv)
     return QNDCoupling(v, wv, np.exp(-1j * g * np.outer(xi, pi)),
-                       {"interior_unitarity": defect})
+                       {"interior_unitarity": _product_gram_defect(v)})
 
 
 def qnd_heisenberg_residual(g, dim, pad=None):
@@ -491,16 +496,6 @@ def quadrature_wavefunction(state, x):
     return state.amps @ basis
 
 
-def homodyne_fock(state, n_samples, rng=None, grid=None):
-    """Draw x-quadrature samples from |psi(x)|^2 by inverse-CDF on a grid."""
-    if grid is None:
-        grid = default_grid(state.dim)
-    psi = quadrature_wavefunction(state.normalized(), grid)
-    dens = np.abs(psi) ** 2
-    gen = np.random.default_rng(rng)
-    return _sample_grid_density(grid, dens, gen.uniform(size=int(n_samples)))
-
-
 def _grid_integral(grid, f):
     """Running trapezoid integral of f (real or complex) on a grid, 0 at grid[0]."""
     return np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * 0.5 * np.diff(grid))])
@@ -514,18 +509,13 @@ def _sample_grid_density(grid, dens, u):
 
 
 def quadrature_moments(state, mode=0):
-    """Mean (x, p) and 2x2 covariance of one mode, from the reduced density matrix."""
-    rho = state.reduced_density(mode)
-    rho = rho / np.trace(rho).real
-    d = rho.shape[0]
-    x = position_op(d)
-    p = momentum_op(d)
-    ex = np.trace(rho @ x).real
-    ep = np.trace(rho @ p).real
-    exx = np.trace(rho @ x @ x).real
-    epp = np.trace(rho @ p @ p).real
-    exp_sym = 0.5 * np.trace(rho @ (x @ p + p @ x)).real
-    mean = np.array([ex, ep])
-    cov = np.array([[exx - ex * ex, exp_sym - ex * ep],
-                    [exp_sym - ex * ep, epp - ep * ep]])
-    return mean, cov
+    """Mean (x, p) and 2x2 covariance of one mode, from the reduced density
+    matrix.  x and p move the level by one, so on the density padded by one
+    level every second moment of the truncated state is exact."""
+    rho = np.pad(state.reduced_density(mode), (0, 1))
+    rho /= np.trace(rho).real
+    quads = (position_op(rho.shape[0]), momentum_op(rho.shape[0]))
+    mean = np.array([np.trace(rho @ q).real for q in quads])
+    second = np.array([[0.5 * np.trace(rho @ (q @ r + r @ q)).real for r in quads]
+                       for q in quads])
+    return mean, second - np.outer(mean, mean)

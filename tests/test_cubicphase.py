@@ -206,6 +206,16 @@ def test_phase_fit_recovers_synthetic_cubic():
     assert resid <= 1e-3
 
 
+def test_phase_fit_skips_a_node_on_the_grid():
+    # |1> vanishes at x = 0, a point of the fit grid: the phase there is
+    # undefined and must not be divided out
+    target = fock.number_state(1, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit, _ = cp.fit_cubic_phase(target, fock.cubic_phase_op(0.05, 16).apply(target))
+    assert fit == pytest.approx(0.05, abs=1e-3)
+
+
 def test_homodyne_density_matches_moments():
     # with g = 0 the joint is a product, so the homodyned mode's density must
     # carry the corrected ancilla's quadrature moments

@@ -340,22 +340,36 @@ def test_qnd_factored_apply_matches_expm_reference(pad):
     assert np.abs(out - _qnd_reference(g, dim, pad, amps)).max() < 1e-12
 
 
+@pytest.mark.parametrize("workspace", [8, 48, 128])
+def test_quadrature_eigh_gives_p_from_x(workspace):
+    xi, v, pi, w = fock._quadrature_eigh(workspace)
+    eye = np.eye(workspace)
+    assert np.array_equal(pi, -xi)
+    assert np.linalg.norm(fock.momentum_op(workspace) @ w - w * pi) <= 1e-12
+    assert np.linalg.norm(w.conj().T @ w - eye) <= 1e-12
+    # W = D^H V, and p = -D^H x D exactly, with D = diag(i^n)
+    d = np.array([1.0, 1j, -1.0, -1j])[np.arange(workspace) % 4]
+    assert np.array_equal(w, d.conj()[:, None] * v)
+    x = fock.position_op(workspace)
+    assert np.array_equal(fock.momentum_op(workspace), -(d.conj()[:, None] * x * d))
+
+
 def test_qnd_interior_unitarity_closed_form():
     dim, pad = 8, 4
     eye = np.eye(dim)
-    # on factors far from orthonormal the closed form is the explicit norm
+    # on a factor far from orthonormal the closed form is the explicit norm
     rng = np.random.default_rng(3)
-    a, b = (rng.normal(size=(dim, dim + pad)) + 1j * rng.normal(size=(dim, dim + pad))
-            for _ in range(2))
-    explicit = np.linalg.norm(np.kron(a @ a.conj().T, b @ b.conj().T) - np.eye(dim * dim))
-    assert fock._product_gram_defect(a, b) == pytest.approx(explicit, rel=1e-12)
-    # on the operator's own factors (a rounding-level defect) the explicit
-    # Gram defect is formed as E (x) B + I (x) F so that it is not lost to
-    # cancellation against the identity
+    a = rng.normal(size=(dim, dim + pad)) + 1j * rng.normal(size=(dim, dim + pad))
+    aa = a @ a.conj().T
+    explicit = np.linalg.norm(np.kron(aa, aa) - np.eye(dim * dim))
+    assert fock._product_gram_defect(a) == pytest.approx(explicit, rel=1e-12)
+    # on the operator's own factor (a rounding-level defect) the explicit
+    # Gram defect is formed as E (x) A + I (x) E so that it is not lost to
+    # cancellation against the identity; W_d is V_d with a phase on each row
     op = fock.qnd_coupling_op(1.0, dim, pad=pad)
-    e = op.x_rows @ op.x_rows.conj().T - eye
-    bb = op.p_rows @ op.p_rows.conj().T
-    explicit = np.linalg.norm(np.kron(e, bb) + np.kron(eye, bb - eye))
+    aa = op.x_rows @ op.x_rows.conj().T
+    e = aa - eye
+    explicit = np.linalg.norm(np.kron(e, aa) + np.kron(eye, e))
     unit = op.diagnostics["interior_unitarity"]
     assert unit == pytest.approx(explicit, rel=1e-9)
     assert unit < 1e-13
@@ -408,22 +422,21 @@ def test_coarse_grid_warning():
         fock.default_grid(85)
 
 
-def test_homodyne_fock_moments():
+def test_grid_sampler_moments():
     n = 120_000
+    grid = fock.default_grid(12)
+
+    def draws(state, seed):
+        dens = np.abs(fock.quadrature_wavefunction(state, grid)) ** 2
+        return fock._sample_grid_density(grid, dens, np.random.default_rng(seed).uniform(size=n))
+
     # vacuum: Var(x) = 1/2
-    xs = fock.homodyne_fock(fock.vacuum_state(12), n, rng=3)
+    xs = draws(fock.vacuum_state(12), 3)
     assert abs(xs.mean()) < 4 * math.sqrt(0.5 / n)
     assert abs(xs.var() - 0.5) < 4 * 0.5 * math.sqrt(2.0 / n) + 0.01
     # |1>: <x^2> = 3/2
-    xs = fock.homodyne_fock(fock.number_state(1, 12), n, rng=4)
+    xs = draws(fock.number_state(1, 12), 4)
     assert abs((xs**2).mean() - 1.5) < 0.02
-
-
-def test_homodyne_fock_deterministic_under_seed():
-    st = fock.coherent_state(0.5, 16)
-    a = fock.homodyne_fock(st, 1000, rng=11)
-    b = fock.homodyne_fock(st, 1000, rng=11)
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +504,24 @@ def test_tmsv_reduced_cov_matches_epr_beam():
                         gaussian.squeezed_vacuum(R2DB, math.pi / 2)),
         0, 1, 0.5)
     assert np.abs(cov_f - epr.mode_cov(0)).max() < 1e-8
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_moments_exact_at_the_cutoff(dim):
+    # x^2 and p^2 reach one level above the state: <dim-1| x^2 |dim-1> = dim - 1/2
+    _, cov = fock.quadrature_moments(fock.number_state(dim - 1, dim))
+    assert np.abs(cov - (dim - 0.5) * np.eye(2)).max() <= 1e-12
+    # a superposition reaching the top level against its grid moments: the
+    # rotated quadrature x cos t + p sin t is x in the state with amplitudes
+    # c_n e^{-i n t}, and its variance is (cos t, sin t) cov (cos t, sin t)^T
+    amps = np.zeros(dim, dtype=complex)
+    amps[[0, dim - 2, dim - 1]] = [0.6, 0.48j, 0.64 * np.exp(0.3j)]
+    mean, cov = fock.quadrature_moments(fock.FockState(amps))
+    grid = fock.default_grid(dim)
+    for t in (0.0, math.pi / 2, math.pi / 4):
+        rotated = fock.FockState(amps * np.exp(-1j * t * np.arange(dim)))
+        dens = np.abs(fock.quadrature_wavefunction(rotated, grid)) ** 2
+        m1, m2 = (fock._grid_integral(grid, grid ** k * dens)[-1] for k in (1, 2))
+        u = np.array([math.cos(t), math.sin(t)])
+        assert m1 == pytest.approx(u @ mean, abs=1e-10)
+        assert m2 - m1 ** 2 == pytest.approx(u @ cov @ u, abs=1e-10)

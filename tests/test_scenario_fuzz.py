@@ -7,9 +7,10 @@ artifacts that match the manifest, or in exit 1/2 with no output directory
 without readout noise must not report a negative charge.  Size- and scale-like fields are drawn small so
 one example costs a few ms and a few MB; for the detector these include every
 field that sets the charge range, and with it the histogram's bin count.
-Detector fields come from their valid ranges in nine draws of ten, so most
-detector examples run to the end; each example is tagged with its kind and
-exit code (see `pytest --hypothesis-show-statistics`).
+The fields of the detector, dense-coding-spectrum and cubic-phase-run kinds
+come from their valid ranges in nine draws of ten, so most of their examples
+run to the end; each example is tagged with its kind and exit code (see
+`pytest --hypothesis-show-statistics`).
 """
 
 import contextlib
@@ -52,28 +53,36 @@ ILL_TYPED = st.one_of(
     st.lists(st.one_of(floats(-1, 1), NON_FINITE, st.text(max_size=1)), max_size=3))
 
 WELL_TYPED = {
-    # dense-coding-spectrum / dense-coding-phase-sweep
-    "n_bins": st.integers(-1, 9),
-    "f_lo_hz": floats(-1e6, 2e6),
-    "f_hi_hz": floats(-1e6, 3e6),
-    "squeezing_r": floats(-1.0, 1.5),
-    "am_frequency_hz": floats(0.0, 3e6),
-    "pm_frequency_hz": floats(0.0, 3e6),
+    # dense-coding-spectrum / dense-coding-phase-sweep; a valid band puts the
+    # PM tone at or below f_lo and the AM tone at or above f_hi, so the two
+    # never share a bin
+    "n_bins": mostly(st.integers(2, 9), st.integers(-1, 9)),
+    "f_lo_hz": mostly(floats(0.5e6, 1e6), floats(-1e6, 2e6)),
+    "f_hi_hz": mostly(floats(1.5e6, 2.5e6), floats(-1e6, 3e6)),
+    "squeezing_r": mostly(floats(0.0, 0.2), floats(-1.0, 1.5)),
+    "am_frequency_hz": mostly(floats(2.5e6, 3e6), floats(0.0, 3e6)),
+    "pm_frequency_hz": mostly(floats(0.0, 0.5e6), floats(0.0, 3e6)),
     "amplitude": floats(-10.0, 10.0),
-    "loss_eta": floats(-0.2, 1.2),
-    "n_samples": st.integers(-2, 40),
-    "mirror_transmittance": floats(-0.1, 1.1),
+    "loss_eta": mostly(floats(0.0, 1.0), floats(-0.2, 1.2)),
+    "n_samples": mostly(st.integers(0, 40), st.integers(-2, 40)),
+    "mirror_transmittance": mostly(floats(0.0, 0.9), floats(-0.1, 1.1)),
     "n_phases": st.integers(-1, 16),
-    # cubic-phase-run
-    "displacement_alpha": st.lists(floats(-2.0, 2.0), min_size=2, max_size=2),
-    "correction_s": floats(-1.0, 1.0),
+    # cubic-phase-run; a valid draw also passes --strict: |alpha|^2 <= dim/4,
+    # the resource and correction tails below 1e-10, a grid that resolves
+    # phi_{dim-1}, and a count that the resource can produce
+    "displacement_alpha": mostly(st.lists(floats(-1.0, 1.0), min_size=2, max_size=2),
+                                 st.lists(floats(-2.0, 2.0), min_size=2, max_size=2)),
+    "correction_s": mostly(floats(-0.05, 0.05), floats(-1.0, 1.0)),
     "coupling_g": floats(-3.0, 3.0),
     "gamma_target": floats(-1.0, 1.0),
-    "dim": st.integers(4, 12),
-    "qnd_pad": st.one_of(st.none(), st.integers(-2, 8)),
-    "post_select_n": st.one_of(st.none(), st.integers(-1, 13)),
-    "homodyne_which": st.sampled_from(["ancilla", "target", "both"]),
-    "grid_points": st.integers(-1, 256),
+    "dim": mostly(st.integers(8, 12), st.integers(4, 12)),
+    "qnd_pad": mostly(st.one_of(st.none(), st.integers(0, 8)),
+                      st.one_of(st.none(), st.integers(-2, 8))),
+    "post_select_n": mostly(st.one_of(st.none(), st.integers(0, 2)),
+                            st.one_of(st.none(), st.integers(-1, 13))),
+    "homodyne_which": mostly(st.sampled_from(["ancilla", "target"]),
+                             st.sampled_from(["ancilla", "target", "both"])),
+    "grid_points": mostly(st.integers(32, 256), st.integers(-1, 256)),
     # cipd-histogram / cipd-resolution
     "eta": mostly(floats(0.0, 1.0), floats(-0.2, 1.2)),
     "gain": mostly(floats(1.0, 20.0), positive(0.5, 20.0)),
