@@ -133,6 +133,9 @@ def _resolution(config):
 
 
 def _run_dense_coding_spectrum(params, seed, out):
+    if params["n_samples"] < 0 or params["n_samples"] == 1:
+        raise ScenarioError(
+            f"parameters.n_samples: must be 0 or >= 2, got {params['n_samples']}")
     plan = densecoding.two_tone_plan(
         n_bins=params["n_bins"], f_lo=params["f_lo_hz"], f_hi=params["f_hi_hz"],
         r=params["squeezing_r"], am_frequency=params["am_frequency_hz"],
@@ -242,7 +245,7 @@ _KINDS = {
             "amplitude": ("float", densecoding.DEFAULT_TONE_AMPLITUDE,
                           "tone displacement amplitude"),
             "loss_eta": ("float", 1.0, "transmission of the encoded beam"),
-            "n_samples": ("int", 0, "homodyne samples per bin; 0 = analytic"),
+            "n_samples": ("int", 0, "homodyne samples per bin; 0 = analytic, else >= 2"),
             "mirror_transmittance": ("float", 0.0,
                                      "encoding mirror transmittance; 0 = ideal displacement"),
         }),

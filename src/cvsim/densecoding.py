@@ -153,10 +153,16 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     linear in the tones and the variances depend only on (r, eta) at fixed T:
     per distinct (r, eta) the circuit runs at zero tones (means z, variances)
     and at unit AM and PM tones (means u_am, u_pm), and each bin's means are
-    z + (u_am - z) am + (u_pm - z) pm.  With n_samples > 0 each power comes
-    from that many samples per bin and receiver, drawn x then p as
-    `gaussian.homodyne` draws them, from per-bin child seeds of `seed`.
+    z + (u_am - z) am + (u_pm - z) pm.  With n_samples = n >= 2 each power
+    comes from the sample mean and ddof=1 variance of n homodyne samples per
+    bin and receiver.  Those are drawn from their exact joint law, so the cost
+    does not depend on n: for n iid N(mu, var) samples the mean is
+    mu + sqrt(var/n) Z and the variance var X/(n-1), with Z ~ N(0, 1) and
+    X ~ chi^2(n-1) independent.  Each (bin, receiver) has its own child seed
+    of `seed` and draws Z then X for x, then for p.
     """
+    if n_samples < 0 or n_samples == 1:
+        raise ValueError(f"n_samples must be 0 or >= 2, got {n_samples}")
     bins = plan.bins
     am, pm = np.array([(b.am_amplitude, b.pm_amplitude) for b in bins]).T[:, :, None]
     keys = [(b.squeezing_r, b.loss_eta) for b in bins]
@@ -171,14 +177,14 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     bell[:, 0] = z[:, 0] + (u_am - z)[:, 0] * am + (u_pm - z)[:, 0] * pm
     vac = _moments(_homodyne_xp(gaussian.vacuum(1), 0, None))
     moments = np.array([np.broadcast_to(vac, bell.shape), epr, bell])  # receiver first
-    if n_samples > 0:
-        seeds = np.random.SeedSequence(seed).spawn(3 * len(bins))
-        for (i, t), child in zip(np.ndindex(len(bins), 3), seeds):
-            gen = np.random.default_rng(child)
-            for q in range(2):
-                s = gen.normal(moments[t, i, 0, q], math.sqrt(moments[t, i, 1, q]),
-                               int(n_samples))
-                moments[t, i, :, q] = s.mean(), s.var(ddof=1)
+    if n_samples:
+        n = int(n_samples)
+        gens = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3 * len(bins)))
+        draws = np.array([[(g.standard_normal(), g.chisquare(n - 1)) for _ in "xp"] for g in gens])
+        # Z and X, each shaped (receiver, bin, x/p) like moments[:, :, k]
+        normal, chi2 = draws.reshape(len(bins), 3, 2, 2).transpose(3, 1, 0, 2)
+        moments[:, :, 0] += np.sqrt(moments[:, :, 1] / n) * normal
+        moments[:, :, 1] *= chi2 / (n - 1)
     mean, var = (moments[:, :, k].transpose(0, 2, 1).ravel().tolist() for k in (0, 1))
     power = np.reshape([gaussian.noise_power_db(v + m * m) for m, v in zip(mean, var)], (3, 2, -1))
     freq = np.array([b.frequency_hz for b in bins])

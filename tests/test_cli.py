@@ -115,6 +115,8 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (dict(kind="dense-coding-spectrum", parameters={"n_bins": 1}), "n_bins"),
     (dict(kind="dense-coding-phase-sweep", parameters={"n_phases": 0}), "parameters.n_phases"),
     (dict(kind="dense-coding-phase-sweep", parameters={"n_phases": -1}), "parameters.n_phases"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_samples": -1}), "parameters.n_samples"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_samples": 1}), "parameters.n_samples"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)

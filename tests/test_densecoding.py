@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cvsim import cli, gaussian
 from cvsim import densecoding as dc
@@ -153,12 +154,21 @@ def test_spectrum_monte_carlo_within_4_sigma():
                 assert abs(got_lin - var) < 4 * se + 1e-12
 
 
+def sampled_moments(gen, mean, var, n):
+    """Sample mean and ddof=1 variance of n draws from N(mean, var), from their
+    exact joint law: mean + sqrt(var/n) Z and var X/(n-1), Z ~ N(0, 1) and
+    X ~ chi^2(n-1) independent, drawn Z then X from `gen`."""
+    z, chi2 = gen.standard_normal(), gen.chisquare(n - 1)
+    return mean + math.sqrt(var / n) * z, var * (chi2 / (n - 1))
+
+
 def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """Oracle: every bin through the circuit itself, (shot, epr, bell) x (x, p) x bin.
 
     The Bell receiver is encode -> loss -> bell_measure on the bin's own tones;
     the shot and EPR receivers homodyne the vacuum and one beam of the pair.
-    Sampled runs give each (bin, receiver) its own child of `seed`.
+    Sampled runs give each (bin, receiver) its own child of `seed`, which draws
+    the x, then the p, sample moments with `sampled_moments`.
     """
     mc = n_samples > 0
     seeds = np.random.SeedSequence(seed).spawn(3 * len(plan.bins)) if mc else None
@@ -171,8 +181,8 @@ def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
                      (dc.bell_measure, sent))
         for t, (measure, state) in enumerate(receivers):
             gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
-            for q, res in enumerate(measure(state, n_samples if mc else 0, gen)):
-                mean, var = ((float(res.samples.mean()), float(res.samples.var(ddof=1)))
+            for q, res in enumerate(measure(state, 0, None)):
+                mean, var = (sampled_moments(gen, res.mean, res.variance, n_samples)
                              if mc else (res.mean, res.variance))
                 power[t, q, i] = gaussian.noise_power_db(var + mean * mean)
     return power
@@ -228,6 +238,38 @@ def test_bundled_spectrum_equals_the_circuit_exactly(monkeypatch, tmp_path):
     for n_samples in (0, kw["n_samples"]):
         args = dict(kw, n_samples=n_samples)
         assert np.array_equal(as_array(run(plan, **args)), circuit_spectrum(plan, **args))
+
+
+def test_sampled_moments_follow_the_law_of_explicit_samples():
+    # the exact draw against n explicit normal draws, in mean and in variance
+    n, repeats, mean, var = 50, 4000, 0.3, 1.7
+    exact_gen, explicit_gen = np.random.default_rng(2024), np.random.default_rng(2025)
+    exact = np.array([sampled_moments(exact_gen, mean, var, n) for _ in range(repeats)])
+    samples = explicit_gen.normal(mean, math.sqrt(var), (repeats, n))
+    explicit = np.column_stack([samples.mean(axis=1), samples.var(axis=1, ddof=1)])
+    for k in (0, 1):
+        assert stats.ks_2samp(exact[:, k], explicit[:, k]).pvalue >= 1e-3
+
+
+def test_spectrum_at_a_huge_sample_count_is_finite_and_near_analytic():
+    # the cost does not grow with n_samples: 10**12 samples per bin, three bins
+    n = 10 ** 12
+    plan = dc.SidebandPlan(tuple(dc.SidebandBin(1e6 + 1e3 * i, dc.DEFAULT_R, am, pm, 0.9)
+                                 for i, (am, pm) in enumerate(((0.0, 0.0), (2.5, 0.0),
+                                                               (0.0, 2.5)))), 1e3)
+    got = as_array(dc.run_spectrum(plan, n_samples=n, seed=5))
+    want = as_array(dc.run_spectrum(plan))
+    assert np.isfinite(got).all()
+    power, got_lin = 0.5 * 10 ** (want / 10.0), 0.5 * 10 ** (got / 10.0)
+    se = np.sqrt(6 * power ** 2) / math.sqrt(n)  # as in the 4-sigma test above
+    assert np.all(np.abs(got_lin - power) < 4 * se + 1e-12)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 1])
+def test_spectrum_rejects_unusable_sample_counts(n_samples):
+    plan = dc.two_tone_plan(n_bins=5)
+    with pytest.raises(ValueError, match="n_samples"):
+        dc.run_spectrum(plan, n_samples=n_samples, seed=1)
 
 
 def test_states_built_do_not_grow_with_bins(monkeypatch):

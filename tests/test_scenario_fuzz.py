@@ -64,7 +64,8 @@ WELL_TYPED = {
     "pm_frequency_hz": mostly(floats(0.0, 0.5e6), floats(0.0, 3e6)),
     "amplitude": floats(-10.0, 10.0),
     "loss_eta": mostly(floats(0.0, 1.0), floats(-0.2, 1.2)),
-    "n_samples": mostly(st.integers(0, 40), st.integers(-2, 40)),
+    # a sampled spectrum costs the same at any n_samples; -2 and 1 are invalid
+    "n_samples": mostly(st.one_of(st.just(0), st.integers(2, 10 ** 9)), st.integers(-2, 40)),
     "mirror_transmittance": mostly(floats(0.0, 0.9), floats(-0.1, 1.1)),
     "n_phases": st.integers(-1, 16),
     # cubic-phase-run; a valid draw also passes --strict: |alpha|^2 <= dim/4,
