@@ -205,22 +205,71 @@ def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
     return Histogram(edges, counts, int(charges.size))
 
 
+def _gaussian_smooth(y, sigma):
+    """Gaussian smoothing with the kernel (radius 4 sigma), reflect edges and
+    summation order of scipy's gaussian_filter1d, so the result is
+    bit-identical to it."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    n = len(y)
+    padded = np.pad(y, r, mode="symmetric")
+    out = y * w[r]
+    for j in range(r, 0, -1):
+        out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r + j]
+    return out
+
+
+def _find_peaks(s, floor, distance):
+    """Indices that scipy's find_peaks(s, height=floor, prominence=floor,
+    distance=distance) returns, found by the same rules in the same order."""
+    # a local maximum is a run of equal samples above both neighbouring runs;
+    # a run at either end of s has only one neighbour and is never a peak
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:] - 1, len(s) - 1]
+    top = s[starts]
+    k = np.flatnonzero((top[1:-1] > top[:-2]) & (top[1:-1] > top[2:])) + 1
+    peaks = (starts[k] + ends[k]) // 2
+    peaks = peaks[s[peaks] >= floor]
+    # highest first (scipy's non-stable argsort breaks ties), each kept peak
+    # drops every other peak closer than distance
+    keep = np.ones(len(peaks), dtype=bool)
+    lo = np.searchsorted(peaks, peaks - distance, side="right")
+    hi = np.searchsorted(peaks, peaks + distance)
+    for j in np.argsort(s[peaks])[::-1]:
+        if keep[j]:
+            keep[lo[j]:hi[j]] = False
+            keep[j] = True
+    peaks = peaks[keep]
+    # prominence: height over the higher of the two side minima, each taken
+    # out to the nearest strictly higher sample or the end of s
+    prominence = np.empty(len(peaks))
+    for i, p in enumerate(peaks):
+        bases = []
+        for side in (s[p::-1], s[p:]):
+            higher = np.flatnonzero(side > s[p])
+            bases.append(side[:higher[0] if higher.size else None].min())
+        prominence[i] = s[p] - max(bases)
+    return peaks[prominence >= floor]
+
+
 def detect_peaks(hist, gain):
     """Charge positions of resolved photon-number peaks.
 
     The probability histogram is smoothed with a Gaussian kernel of width
     PEAK_SMOOTHING_GAIN_FRACTION * gain, then peaks must clear both a height
     and a prominence floor of PEAK_THRESHOLD_FRACTION of the smoothed mode
-    and sit at least half a gain apart.
+    and sit at least half a gain apart.  The filters run in that order:
+    height, then distance, then prominence.  The distance filter keeps the
+    highest peak first; equal heights are taken in np.argsort's order.  The
+    smoothing and the peak rules reproduce scipy's gaussian_filter1d and
+    find_peaks bit for bit, without importing scipy.
     """
-    from scipy.ndimage import gaussian_filter1d
-    from scipy.signal import find_peaks
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
-    smooth = gaussian_filter1d(hist.probability, PEAK_SMOOTHING_GAIN_FRACTION * gain / width)
+    smooth = _gaussian_smooth(hist.probability, PEAK_SMOOTHING_GAIN_FRACTION * gain / width)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()
     distance = max(1, int(round(0.5 * gain / width)))
-    idx, _ = find_peaks(smooth, height=floor, prominence=floor, distance=distance)
-    return hist.centers[idx]
+    return hist.centers[_find_peaks(smooth, floor, distance)]
 
 
 def resolution_metric(config):

@@ -136,6 +136,9 @@ def _run_dense_coding_spectrum(params, seed, out):
     if params["n_samples"] < 0 or params["n_samples"] == 1:
         raise ScenarioError(
             f"parameters.n_samples: must be 0 or >= 2, got {params['n_samples']}")
+    if params["n_samples"] > sys.float_info.max:  # run_spectrum takes n as a float
+        raise ScenarioError("parameters.n_samples: must convert to a finite float, got "
+                            f"an integer of {len(str(params['n_samples']))} digits")
     plan = densecoding.two_tone_plan(
         n_bins=params["n_bins"], f_lo=params["f_lo_hz"], f_hi=params["f_hi_hz"],
         r=params["squeezing_r"], am_frequency=params["am_frequency_hz"],

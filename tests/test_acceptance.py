@@ -194,11 +194,6 @@ def test_criterion_07_gate_circuit_properties():
 
 
 def test_criterion_08_cipd_resolution_arithmetic():
-    # detect_peaks imports these lazily (about 0.9 s cold); the budget is for
-    # the arithmetic and the peak detection, whatever ran before this test
-    import scipy.ndimage  # noqa: F401
-    import scipy.signal  # noqa: F401
-
     t0 = time.perf_counter()
     config = cipd.CipdConfig()
     snr = cipd.resolution_metric(config)

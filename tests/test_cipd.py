@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.ndimage import gaussian_filter1d
+from scipy.signal import find_peaks
 
 from cvsim import cipd
 
@@ -145,6 +149,53 @@ def test_peaks_resolve_at_one_third_noise():
     # each resolved peak sits on the photon-number charge grid
     offsets = np.abs(peaks / cfg.gain - np.round(peaks / cfg.gain))
     assert np.all(offsets <= 0.25)
+
+
+# scipy is the test-only reference for the numpy peak detection
+ORACLE = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+@ORACLE
+@given(gain=st.floats(1.0, 40.0),
+       readout_noise=st.one_of(st.just(0.0), st.floats(0.0, 15.0)),
+       gain_dispersion=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       bin_width=st.floats(0.05, 8.0), n_pulses=st.integers(1, 3000),
+       source_mean=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
+# one bin under a 72-bin kernel radius
+@example(gain=40.0, readout_noise=0.0, gain_dispersion=0.0, bin_width=0.5, n_pulses=1,
+         source_mean=0.0, seed=0)
+def test_peak_detection_matches_scipy_on_simulated_histograms(
+        gain, readout_noise, gain_dispersion, bin_width, n_pulses, source_mean, seed):
+    config = cipd.CipdConfig(gain=gain, readout_noise=readout_noise,
+                             gain_dispersion=gain_dispersion)
+    hist = cipd.histogram(cipd.simulate_pulses(config, source_mean, n_pulses, rng=seed),
+                          bin_width)
+    width = float(hist.bin_edges[1] - hist.bin_edges[0])
+    sigma = cipd.PEAK_SMOOTHING_GAIN_FRACTION * gain / width
+    smooth = cipd._gaussian_smooth(hist.probability, sigma)
+    assert smooth.tobytes() == gaussian_filter1d(hist.probability, sigma).tobytes()
+    floor = cipd.PEAK_THRESHOLD_FRACTION * smooth.max()
+    distance = max(1, int(round(0.5 * gain / width)))
+    expected, _ = find_peaks(smooth, height=floor, prominence=floor, distance=distance)
+    np.testing.assert_array_equal(cipd._find_peaks(smooth, floor, distance), expected)
+    np.testing.assert_array_equal(cipd.detect_peaks(hist, gain), hist.centers[expected])
+
+
+@ORACLE
+@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=40),
+       floor=st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 4.0)),
+       distance=st.integers(1, 6), sigma=st.floats(0.05, 25.0))
+# two equal heights 2 apart: the argsort order decides which one stays
+@example(values=[0, 3, 0, 3, 0, 1, 0, 0, 1, 0], floor=0.0, distance=3, sigma=1.0)
+# plateaus of even length, and one at each end
+@example(values=[2, 2, 0, 3, 3, 1, 3, 3, 3, 3, 0, 1, 1], floor=1.0, distance=1, sigma=0.3)
+def test_peak_rules_match_scipy_on_plateaus_and_ties(values, floor, distance, sigma):
+    # small integers give plateaus and equal heights; sigma up to 25 puts the
+    # kernel radius (up to 100) past the array's length (at most 40)
+    y = np.array(values, dtype=float)
+    assert cipd._gaussian_smooth(y, sigma).tobytes() == gaussian_filter1d(y, sigma).tobytes()
+    expected, _ = find_peaks(y, height=floor, prominence=floor, distance=distance)
+    np.testing.assert_array_equal(cipd._find_peaks(y, floor, distance), expected)
 
 
 def test_resolution_metric_values():

@@ -117,6 +117,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (dict(kind="dense-coding-phase-sweep", parameters={"n_phases": -1}), "parameters.n_phases"),
     (dict(kind="dense-coding-spectrum", parameters={"n_samples": -1}), "parameters.n_samples"),
     (dict(kind="dense-coding-spectrum", parameters={"n_samples": 1}), "parameters.n_samples"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_samples": 10**400}), "parameters.n_samples"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -297,11 +298,15 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_gate_run_leaves_scipy_integrate_unloaded(tmp_path):
+@pytest.mark.parametrize("name, modules", [
     # the gate's diagnostics integrate on fock's trapezoid rule, not scipy's
-    run = ["run", str(SCENARIO_DIR / "cubic_phase_run.json"), "--output-dir",
-           str(tmp_path / "out")]
+    ("cubic_phase_run.json", ["scipy.integrate"]),
+    # the detector smooths and picks peaks in numpy, not scipy
+    ("cipd_histogram.json", ["scipy.ndimage", "scipy.signal"]),
+], ids=["cubic_phase_run", "cipd_histogram"])
+def test_run_leaves_scipy_modules_unloaded(name, modules, tmp_path):
+    run = ["run", str(SCENARIO_DIR / name), "--output-dir", str(tmp_path / "out")]
     proc = _python("-c", f"import sys, cvsim.cli; code = cvsim.cli.main({run!r}); "
-                   "print(code, 'scipy.integrate' in sys.modules)")
+                   f"print(code, sorted(set(sys.modules) & {set(modules)!r}))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
