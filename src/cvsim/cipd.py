@@ -215,8 +215,11 @@ def _gaussian_smooth(y, sigma):
     n = len(y)
     padded = np.pad(y, r, mode="symmetric")
     out = y * w[r]
+    pair = np.empty(n)  # one buffer for every tap: same operations, no temporaries
     for j in range(r, 0, -1):
-        out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r + j]
+        np.add(padded[r - j:r - j + n], padded[r + j:r + j + n], out=pair)
+        pair *= w[r + j]
+        out += pair
     return out
 
 
@@ -304,16 +307,18 @@ def write_records_csv(records, path):
     artifacts.write_csv(path, fields, [getattr(records, f) for f in fields])
 
 
-def write_histogram_csv(hist, path):
-    artifacts.write_csv(path, ["bin_left", "bin_right", "count", "probability"],
-                        [hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts, hist.probability])
-
-
-def write_histogram_json(hist, path, label=""):
-    artifacts.write_json(path, {
+def write_histogram(hist, out, stem, label):
+    """<stem>.csv, one row per bin (left and right edge, count, probability),
+    and <stem>.json (label, n_events and the three arrays) into directory `out`."""
+    edges, counts, probability = map(artifacts.numbers, (hist.bin_edges, hist.counts,
+                                                         hist.probability))
+    artifacts.write_csv(out / f"{stem}.csv", ["bin_left", "bin_right", "count", "probability"],
+                        [artifacts.Numbers(edges[:-1]), artifacts.Numbers(edges[1:]),
+                         counts, probability])
+    artifacts.write_json(out / f"{stem}.json", {
         "label": label,
         "n_events": int(hist.n_events),
-        "bin_edges": hist.bin_edges.tolist(),
-        "counts": hist.counts.tolist(),
-        "probability": hist.probability.tolist(),
+        "bin_edges": edges,
+        "counts": counts,
+        "probability": probability,
     })

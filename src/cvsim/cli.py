@@ -147,8 +147,7 @@ def _run_dense_coding_spectrum(params, seed, out):
     traces = densecoding.run_spectrum(
         plan, n_samples=params["n_samples"], seed=seed,
         mirror_transmittance=params["mirror_transmittance"])
-    densecoding.write_spectra_csv(traces, out / "spectra.csv")
-    densecoding.write_spectra_json(traces, out / "spectra.json")
+    densecoding.write_spectra(traces, out)
 
 
 def _run_dense_coding_phase_sweep(params, seed, out):
@@ -157,13 +156,12 @@ def _run_dense_coding_phase_sweep(params, seed, out):
     angles = np.linspace(0.0, np.pi, params["n_phases"], endpoint=False)
     traces = [densecoding.phase_sweep(kind, angles, r=params["squeezing_r"])
               for kind in ("shot", "epr", "squeezed")]
-    densecoding.write_phase_sweep_csv(traces, out / "phase_sweep.csv")
-    densecoding.write_phase_sweep_json(traces, out / "phase_sweep.json")
+    densecoding.write_phase_sweep(traces, out)
 
 
 def _run_cubic_phase(params, seed, out):
     record = cubicphase.run_gate(_config(cubicphase.CubicGateConfig, params), seed=seed)
-    write_json(out / "gate_run.json", record.as_dict())
+    (out / "gate_run.json").write_text(record.to_json())
 
 
 def _run_cipd_histogram(params, seed, out):
@@ -174,11 +172,8 @@ def _run_cipd_histogram(params, seed, out):
     referred = hist.scaled(1.0 / config.gain)
     peaks = cipd.detect_peaks(hist, config.gain)
     cipd.write_records_csv(records, out / "records.csv")
-    cipd.write_histogram_csv(hist, out / "histogram_charge.csv")
-    cipd.write_histogram_csv(referred, out / "histogram_pe.csv")
-    cipd.write_histogram_json(hist, out / "histogram_charge.json", label="output charge (e)")
-    cipd.write_histogram_json(referred, out / "histogram_pe.json",
-                              label="input-referred photoelectrons")
+    cipd.write_histogram(hist, out, "histogram_charge", "output charge (e)")
+    cipd.write_histogram(referred, out, "histogram_pe", "input-referred photoelectrons")
     mean, var = (cipd.analytic_moments(config, params["source_mean"])
                  if params["source_pmf"] is None else (None, None))
     write_json(out / "report.json", {

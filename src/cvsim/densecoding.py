@@ -10,8 +10,8 @@ at the default r) while each tone appears only in its own quadrature.
 
 Spectrum-analyzer style powers are reported as 10*log10((Var + mean^2)/0.5),
 i.e. noise floor plus coherent tone power relative to shot noise.  The
-write_* functions only map spectra and sweeps to columns or a dict;
-cvsim.artifacts owns the file format.
+write_* functions only map spectra and sweeps to columns and a dict, each
+number formatted once for both files; cvsim.artifacts owns the file format.
 """
 
 from __future__ import annotations
@@ -246,30 +246,40 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
 # file output
 
 
-def write_spectra_csv(spectra, path):
-    """One row per bin: frequency, then x/p power columns per trace."""
-    header, columns = ["frequency_hz"], [next(iter(spectra.values())).frequency_hz]
-    for lab, s in spectra.items():
+def _formatter():
+    """artifacts.numbers memoised per array object: traces that share one axis
+    array (as run_spectrum's and phase_sweep's do) format it once."""
+    done = {}
+
+    def text(array):
+        if id(array) not in done:
+            done[id(array)] = artifacts.numbers(array)
+        return done[id(array)]
+    return text
+
+
+def write_spectra(spectra, out):
+    """spectra.csv, one row per bin (frequency, then x/p power columns per
+    trace), and spectra.json, one entry per trace, into directory `out`."""
+    text = _formatter()
+    traces = {lab: {"label": s.label, "frequency_hz": text(s.frequency_hz),
+                    "x_power_db": text(s.x_power_db), "p_power_db": text(s.p_power_db)}
+              for lab, s in spectra.items()}
+    header, columns = ["frequency_hz"], [next(iter(traces.values()))["frequency_hz"]]
+    for lab, t in traces.items():
         header += [f"{lab}_x_db", f"{lab}_p_db"]
-        columns += [s.x_power_db, s.p_power_db]
-    artifacts.write_csv(path, header, columns)
+        columns += [t["x_power_db"], t["p_power_db"]]
+    artifacts.write_csv(out / "spectra.csv", header, columns)
+    artifacts.write_json(out / "spectra.json", {"traces": list(traces.values())})
 
 
-def write_spectra_json(spectra, path):
-    artifacts.write_json(path, {"traces": [
-        {"label": s.label, "frequency_hz": s.frequency_hz.tolist(),
-         "x_power_db": s.x_power_db.tolist(), "p_power_db": s.p_power_db.tolist()}
-        for s in spectra.values()
-    ]})
-
-
-def write_phase_sweep_csv(traces, path):
-    artifacts.write_csv(path, ["phase_rad"] + [f"{t.label}_db" for t in traces],
-                        [traces[0].lo_phase_rad] + [t.power_db for t in traces])
-
-
-def write_phase_sweep_json(traces, path):
-    artifacts.write_json(path, {"traces": [
-        {"label": t.label, "lo_phase_rad": t.lo_phase_rad.tolist(), "power_db": t.power_db.tolist()}
-        for t in traces
-    ]})
+def write_phase_sweep(traces, out):
+    """phase_sweep.csv, one row per LO angle, and phase_sweep.json, one entry
+    per trace, into directory `out`."""
+    text = _formatter()
+    entries = [{"label": t.label, "lo_phase_rad": text(t.lo_phase_rad), "power_db": text(t.power_db)}
+               for t in traces]
+    artifacts.write_csv(out / "phase_sweep.csv",
+                        ["phase_rad"] + [f"{t['label']}_db" for t in entries],
+                        [entries[0]["lo_phase_rad"]] + [t["power_db"] for t in entries])
+    artifacts.write_json(out / "phase_sweep.json", {"traces": entries})

@@ -301,11 +301,16 @@ def test_writers_deterministic(tmp_path):
     cfg = cipd.CipdConfig()
     rec = cipd.simulate_pulses(cfg, 2.0, 50, rng=9)
     hist = cipd.histogram(rec)
+    cipd.write_histogram(hist, tmp_path, "a", "charge")
+    cipd.write_histogram(hist, tmp_path, "b", "charge")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    cipd.write_histogram_csv(hist, p1)
-    cipd.write_histogram_csv(hist, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text().splitlines()[0] == "bin_left,bin_right,count,probability"
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    header, *rows = p1.read_text().splitlines()
+    assert header == "bin_left,bin_right,count,probability"
+    left, right = np.array([row.split(",")[:2] for row in rows], dtype=float).T
+    np.testing.assert_array_equal(left, hist.bin_edges[:-1])
+    np.testing.assert_array_equal(right, hist.bin_edges[1:])
 
     many = cipd.simulate_pulses(cfg, 2.0, 20_000, rng=9)  # spans several write chunks
     r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
@@ -319,11 +324,10 @@ def test_writers_deterministic(tmp_path):
         column = getattr(many, name)
         np.testing.assert_array_equal(np.array(text, dtype=column.dtype), column)
 
-    j1 = tmp_path / "h.json"
-    cipd.write_histogram_json(hist, j1, label="charge")
-    body = j1.read_text()
+    body = (tmp_path / "a.json").read_text()
     assert body.endswith("\n")
     import json
     data = json.loads(body)
+    assert data["label"] == "charge"
     assert data["n_events"] == 50
     assert sum(data["counts"]) == 50

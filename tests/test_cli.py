@@ -190,12 +190,14 @@ def test_coarse_homodyne_grid_is_a_truncation(tmp_path, capsys):
 
 
 def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):
-    # spectra.csv is written before the interrupt, so a run writing into
-    # output_dir directly would leave it behind without a manifest
-    def interrupt(*_args):
+    # the interrupt falls between the two files of write_spectra: spectra.csv
+    # is written, so a run writing into output_dir directly would leave it
+    # behind without a manifest
+    def interrupt(path, _payload):
+        assert path.with_suffix(".csv").is_file()
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli.densecoding, "write_spectra_json", interrupt)
+    monkeypatch.setattr(cli.densecoding.artifacts, "write_json", interrupt)
     path = scenario_file(tmp_path, kind="dense-coding-spectrum", parameters={"n_bins": 5})
     out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):

@@ -319,8 +319,8 @@ def test_phase_sweep_traces():
 def test_csv_and_json_outputs(tmp_path):
     plan = dc.two_tone_plan(n_bins=5)
     spectra = dc.run_spectrum(plan)
+    dc.write_spectra(spectra, tmp_path)
     csv_path = tmp_path / "spectra.csv"
-    dc.write_spectra_csv(spectra, csv_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "frequency_hz,shot_x_db,shot_p_db,epr_x_db,epr_p_db,bell_x_db,bell_p_db"
     assert len(lines) == 6
@@ -329,35 +329,35 @@ def test_csv_and_json_outputs(tmp_path):
     assert float(first[5]) == spectra["bell"].x_power_db[0]
 
     json_path = tmp_path / "spectra.json"
-    dc.write_spectra_json(spectra, json_path)
     doc = json.loads(json_path.read_text())
     labels = [t["label"] for t in doc["traces"]]
     assert labels == ["shot", "epr", "bell"]
     assert doc["traces"][2]["x_power_db"] == [float(v) for v in spectra["bell"].x_power_db]
 
     # byte-identical rewrite
-    again = tmp_path / "spectra2.csv"
-    dc.write_spectra_csv(spectra, again)
-    assert again.read_bytes() == csv_path.read_bytes()
+    again = tmp_path / "again"
+    again.mkdir()
+    dc.write_spectra(spectra, again)
+    for name in ("spectra.csv", "spectra.json"):
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
 
-    # a non-finite power is refused before the file is opened
+    # a non-finite power is refused before either file is opened
     bell = spectra["bell"]
     spectra["bell"] = dc.NoiseSpectrum("bell", bell.frequency_hz,
                                        np.where(np.arange(5) == 2, np.nan, bell.x_power_db),
                                        bell.p_power_db)
-    for write, name in ((dc.write_spectra_csv, "nan.csv"), (dc.write_spectra_json, "nan.json")):
-        with pytest.raises(ValueError):
-            write(spectra, tmp_path / name)
-        assert not (tmp_path / name).exists()
+    nan_dir = tmp_path / "nan"
+    nan_dir.mkdir()
+    with pytest.raises(ValueError):
+        dc.write_spectra(spectra, nan_dir)
+    assert list(nan_dir.iterdir()) == []
 
 
 def test_phase_sweep_outputs(tmp_path):
     traces = [dc.phase_sweep(k) for k in ("shot", "epr", "squeezed")]
-    p = tmp_path / "sweep.csv"
-    dc.write_phase_sweep_csv(traces, p)
-    lines = p.read_text().strip().splitlines()
+    dc.write_phase_sweep(traces, tmp_path)
+    lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "phase_rad,shot_db,epr_db,squeezed_db"
     assert len(lines) == 65
-    dc.write_phase_sweep_json(traces, tmp_path / "sweep.json")
-    doc = json.loads((tmp_path / "sweep.json").read_text())
+    doc = json.loads((tmp_path / "phase_sweep.json").read_text())
     assert [t["label"] for t in doc["traces"]] == ["shot", "epr", "squeezed"]
