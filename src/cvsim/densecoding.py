@@ -60,7 +60,6 @@ class SidebandBin:
 @dataclass(frozen=True)
 class SidebandPlan:
     bins: tuple
-    resolution_bandwidth_hz: float
 
     def __post_init__(self):
         bins = tuple(self.bins)
@@ -69,9 +68,6 @@ class SidebandPlan:
         freqs = [b.frequency_hz for b in bins]
         if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
             raise ValueError("bin frequencies must be strictly increasing")
-        if not 0 < self.resolution_bandwidth_hz < math.inf:
-            raise ValueError("resolution bandwidth must be positive and finite, "
-                             f"got {self.resolution_bandwidth_hz!r}")
         object.__setattr__(self, "bins", bins)
 
 
@@ -216,7 +212,7 @@ def two_tone_plan(
     bins = tuple(SidebandBin(float(f), r, amplitude if i == i_am else 0.0,
                              amplitude if i == i_pm else 0.0, loss_eta)
                  for i, f in enumerate(freqs))
-    return SidebandPlan(bins, (f_hi - f_lo) / (n_bins - 1))
+    return SidebandPlan(bins)
 
 
 DEFAULT_SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)

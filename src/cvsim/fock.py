@@ -113,9 +113,6 @@ class FockState:
             return p
         return p.sum(axis=1 - mode)
 
-    def mean_photon(self, mode=0):
-        return float(self.probabilities(mode) @ np.arange(self.dim))
-
     def reduced_density(self, mode=0):
         """Reduced density matrix of one mode."""
         if self.num_modes == 1:
@@ -136,7 +133,6 @@ class FockOperator:
 
     matrix: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    num_modes = 1
 
     def __post_init__(self):
         m = _readonly_complex(self.matrix)
@@ -175,7 +171,6 @@ class QNDCoupling:
     p_rows: np.ndarray  # W_d, (dim, workspace)
     phase: np.ndarray   # e^{-i g xi_k pi_j}, (workspace, workspace)
     diagnostics: dict = field(default_factory=dict)
-    num_modes = 2
 
     @property
     def dim(self):
@@ -216,24 +211,6 @@ def vacuum_state(dim):
     a = np.zeros(dim, dtype=complex)
     a[0] = 1.0
     return FockState(a)
-
-
-def number_state(n, dim):
-    if not 0 <= n < dim:
-        raise ValueError(f"need 0 <= n < dim, got n={n}, dim={dim}")
-    a = np.zeros(dim, dtype=complex)
-    a[n] = 1.0
-    return FockState(a)
-
-
-def coherent_state(alpha, dim):
-    """Truncated coherent state, renormalized."""
-    if alpha == 0:
-        return vacuum_state(dim)
-    from scipy.special import gammaln
-    n = np.arange(dim)
-    log_amp = n * np.log(complex(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2
-    return FockState(np.exp(log_amp)).normalized()
 
 
 def tmsv(r, dim):

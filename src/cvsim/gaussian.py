@@ -9,8 +9,8 @@ so the vacuum has Var(x) = Var(p) = 1/2.  Quadratures are ordered
 blocks.  Noise powers in dB are relative to this shot-noise unit:
 10*log10(V / 0.5).
 
-Every operation (symplectic unitaries, rotations, displacements, and the loss
-and mirror channels that mix in vacuum) is one Gaussian map r -> X r + d with
+Every operation (symplectic unitaries, displacements, and the loss and
+mirror channels that mix in vacuum) is one Gaussian map r -> X r + d with
 added noise Y: mean -> X mean + d, V -> X V X^T + Y (Weedbrook et al., Rev.
 Mod. Phys. 84, 621 (2012)), computed by `_gaussian_map`.
 """
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 VACUUM_VAR = 0.5
 
@@ -104,15 +103,6 @@ class GaussianState:
         """2x2 covariance block of one mode."""
         return self.cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2].copy()
 
-    def reduced(self, modes):
-        """Partial trace down to the given modes (in the given order)."""
-        idx = _quadratures(modes)
-        return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)])
-
-    def purity(self):
-        """Tr rho^2 = 1/sqrt(det(2V)) for Gaussian states."""
-        return 1.0 / math.sqrt(np.linalg.det(2.0 * self.cov))
-
 
 @dataclass(frozen=True)
 class SymplecticOp:
@@ -139,27 +129,10 @@ class SymplecticOp:
         object.__setattr__(self, "matrix", s)
         object.__setattr__(self, "displacement", d)
 
-    @property
-    def num_modes(self):
-        return self.matrix.shape[0] // 2
-
     def apply(self, state):
         if state.mean.size != self.matrix.shape[0]:
             raise ValueError("operator and state mode counts differ")
         return _gaussian_map(state, None, self.matrix, self.displacement)
-
-    def compose(self, other):
-        """self after other: (S1, d1) * (S2, d2) = (S1 S2, S1 d2 + d1)."""
-        return SymplecticOp(
-            self.matrix @ other.matrix,
-            self.matrix @ other.displacement + self.displacement,
-        )
-
-    def inverse(self):
-        # symplectic inverse: S^{-1} = Omega^T S^T Omega
-        w = omega(self.num_modes)
-        sinv = w.T @ self.matrix.T @ w
-        return SymplecticOp(sinv, -sinv @ self.displacement)
 
 
 @dataclass(frozen=True)
@@ -205,8 +178,13 @@ def squeezed_vacuum(r, theta=0.0):
 
 def tensor(*states):
     """Tensor product of Gaussian states (block-diagonal covariance)."""
-    return GaussianState(np.concatenate([s.mean for s in states]),
-                         block_diag(*[s.cov for s in states]))
+    mean = np.concatenate([s.mean for s in states])
+    cov = np.zeros((mean.size, mean.size))
+    i = 0
+    for s in states:
+        cov[i : i + s.mean.size, i : i + s.mean.size] = s.cov
+        i += s.mean.size
+    return GaussianState(mean, cov)
 
 
 def r_for_noise_db(db):
@@ -253,15 +231,6 @@ def beamsplitter_op(num_modes, mode_a, mode_b, transmittance, phase=0.0):
     idx = _quadratures((mode_a, mode_b))
     s[np.ix_(idx, idx)] = block
     return SymplecticOp(s)
-
-
-def beamsplitter(state, mode_a, mode_b, transmittance, phase=0.0):
-    return beamsplitter_op(state.num_modes, mode_a, mode_b, transmittance, phase).apply(state)
-
-
-def phase_rotation(state, mode, theta):
-    """a -> e^{i theta} a on one mode."""
-    return _gaussian_map(state, mode, rotation2(theta))
 
 
 def displace(state, mode, alpha):
@@ -356,6 +325,3 @@ def noise_power_db(variance):
     """Noise power relative to shot noise: 10*log10(V / 0.5)."""
     return 10.0 * math.log10(variance / VACUUM_VAR)
 
-
-def db_to_variance(db):
-    return VACUUM_VAR * 10.0 ** (db / 10.0)

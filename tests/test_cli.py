@@ -293,7 +293,7 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # only the functions that need them import these, on first call
+    # importing the CLI pulls in none of scipy's heavy subpackages
     proc = _python("-c", "import sys, cvsim.cli; print(sorted(set(sys.modules) & "
                    "{'scipy.signal', 'scipy.ndimage', 'scipy.integrate'}))")
     assert proc.returncode == 0, proc.stderr
@@ -312,3 +312,14 @@ def test_run_leaves_scipy_modules_unloaded(name, modules, tmp_path):
                    f"print(code, sorted(set(sys.modules) & {set(modules)!r}))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_bundled_scenarios_run_without_scipy(tmp_path):
+    # scipy is a test-side oracle only: with every `import scipy...` failing,
+    # each bundled scenario still runs clean under --strict
+    runs = [["run", str(path), "--output-dir", str(tmp_path / path.stem), "--strict"]
+            for path in BUNDLED]
+    proc = _python("-c", "import sys; sys.modules['scipy'] = None; import cvsim.cli; "
+                   f"print([cvsim.cli.main(run) for run in {runs!r}])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr([0] * 5)

@@ -172,7 +172,7 @@ def test_conditioning_matches_position_route():
     defects = []
     for dim in (16, 24):
         cfg = cp.CubicGateConfig(dim=dim, post_select_n=2)
-        target = fock.number_state(1, cfg.dim)
+        target = fock.FockState(np.eye(cfg.dim)[1])
         resource = cp.prepare_ancilla(cfg)
         anc = cp.apply_correction(cp.post_select(resource, outcome=2).conditional, cfg)
         joint = cp.couple(target, anc, cfg)
@@ -209,7 +209,7 @@ def test_phase_fit_recovers_synthetic_cubic():
 def test_phase_fit_skips_a_node_on_the_grid():
     # |1> vanishes at x = 0, a point of the fit grid: the phase there is
     # undefined and must not be divided out
-    target = fock.number_state(1, 16)
+    target = fock.FockState(np.eye(16)[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fit, _ = cp.fit_cubic_phase(target, fock.cubic_phase_op(0.05, 16).apply(target))
@@ -238,14 +238,14 @@ def test_excess_kurtosis_flags_gaussians():
     sq = fock.squeeze_op(0.3, 24).apply(fock.vacuum_state(24))
     assert abs(cp.excess_kurtosis_x(sq)) < 1e-6
     # |1> is strongly platykurtic in x
-    assert cp.excess_kurtosis_x(fock.number_state(1, 12)) < -0.5
+    assert cp.excess_kurtosis_x(fock.FockState(np.eye(12)[1])) < -0.5
 
 
 def test_excess_kurtosis_of_number_states_is_exact():
     # <x^4> = 3/4 (2n^2 + 2n + 1) and <x^2> = n + 1/2 for |n>
     for n in range(6):
         expect = 0.75 * (2 * n * n + 2 * n + 1) / (n + 0.5) ** 2 - 3.0
-        assert abs(cp.excess_kurtosis_x(fock.number_state(n, 12)) - expect) <= 1e-12
+        assert abs(cp.excess_kurtosis_x(fock.FockState(np.eye(12)[n])) - expect) <= 1e-12
 
 
 def _simpson_overlap(target_in, target_out, gamma):

@@ -77,16 +77,11 @@ def test_two_tone_plan_layout():
 def test_plan_validation():
     b = dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        dc.SidebandPlan((), 1.0)
+        dc.SidebandPlan(())
     with pytest.raises(ValueError):
-        dc.SidebandPlan((b, b), 1.0)  # not strictly increasing
+        dc.SidebandPlan((b, b))  # not strictly increasing
     with pytest.raises(ValueError):
         dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.4)
-    with pytest.raises(ValueError):
-        dc.SidebandPlan((b,), 0.0)
-    for rbw in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="resolution bandwidth"):
-            dc.SidebandPlan((b,), rbw)
     with pytest.raises(ValueError, match="am_amplitude"):
         dc.SidebandBin(1e6, dc.DEFAULT_R, math.nan, 0.0, 1.0)
 
@@ -204,7 +199,7 @@ def mixed_plans(draw):
     bins = tuple(dc.SidebandBin(1e6 + 1e3 * i, draw(st.sampled_from(rs)), draw(tones),
                                 draw(tones), draw(st.sampled_from(etas)))
                  for i in range(draw(st.integers(1, 12))))
-    return dc.SidebandPlan(bins, 1e3)
+    return dc.SidebandPlan(bins)
 
 
 two_tone_plans = st.builds(
@@ -256,7 +251,7 @@ def test_spectrum_at_a_huge_sample_count_is_finite_and_near_analytic():
     n = 10 ** 12
     plan = dc.SidebandPlan(tuple(dc.SidebandBin(1e6 + 1e3 * i, dc.DEFAULT_R, am, pm, 0.9)
                                  for i, (am, pm) in enumerate(((0.0, 0.0), (2.5, 0.0),
-                                                               (0.0, 2.5)))), 1e3)
+                                                               (0.0, 2.5)))))
     got = as_array(dc.run_spectrum(plan, n_samples=n, seed=5))
     want = as_array(dc.run_spectrum(plan))
     assert np.isfinite(got).all()

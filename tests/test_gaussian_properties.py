@@ -34,10 +34,22 @@ def states(draw, min_modes=1):
     state = g.tensor(*modes)
     for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
         a, b = draw(st.permutations(range(n)))[:2]
-        state = g.beamsplitter(state, a, b, draw(st.floats(0.0, 1.0)), draw(angles))
+        state = g.beamsplitter_op(n, a, b, draw(st.floats(0.0, 1.0)), draw(angles)).apply(state)
     for mode in range(n):
         state = g.displace(state, mode, draw(amplitudes))
     return state
+
+
+def rotate(state, mode, theta):
+    """a -> e^{i theta} a on one mode, as a SymplecticOp with a rotation2 block."""
+    s = np.eye(2 * state.num_modes)
+    s[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = g.rotation2(theta)
+    return g.SymplecticOp(s).apply(state)
+
+
+def purity(state):
+    """Tr rho^2 = 1/sqrt(det(2V)) for Gaussian states."""
+    return 1.0 / math.sqrt(np.linalg.det(2.0 * state.cov))
 
 
 def uncertainty_margin(state):
@@ -63,7 +75,7 @@ def blocks(state, mode):
 def test_every_operation_keeps_the_uncertainty_relation(state, data):
     mode = data.draw(st.integers(0, state.num_modes - 1))
     outs = [
-        g.phase_rotation(state, mode, data.draw(angles)),
+        rotate(state, mode, data.draw(angles)),
         g.displace(state, mode, data.draw(amplitudes)),
         g.loss(state, mode, data.draw(st.floats(0.0, 1.0))),
         g.mirror_displace(state, mode, data.draw(amplitudes),
@@ -71,8 +83,9 @@ def test_every_operation_keeps_the_uncertainty_relation(state, data):
     ]
     if state.num_modes > 1:
         other = data.draw(st.sampled_from([m for m in range(state.num_modes) if m != mode]))
-        outs.append(g.beamsplitter(state, mode, other, data.draw(st.floats(0.0, 1.0)),
-                                   data.draw(angles)))
+        outs.append(g.beamsplitter_op(state.num_modes, mode, other,
+                                      data.draw(st.floats(0.0, 1.0)),
+                                      data.draw(angles)).apply(state))
         outs.append(g.condition_on_homodyne(state, mode, data.draw(angles),
                                             data.draw(st.floats(-3.0, 3.0))))
     for out in outs:
@@ -83,12 +96,12 @@ def test_every_operation_keeps_the_uncertainty_relation(state, data):
 @given(states(min_modes=2), st.floats(0.0, 1.0), angles, angles)
 def test_splitters_and_rotations_are_symplectic(state, t, phase, theta):
     nu = symplectic_eigenvalues(state)
-    split = g.beamsplitter(state, 0, 1, t, phase)
-    rotated = g.phase_rotation(state, 1, theta)
+    split = g.beamsplitter_op(state.num_modes, 0, 1, t, phase).apply(state)
+    rotated = rotate(state, 1, theta)
     for out in (split, rotated):
-        assert math.isclose(out.purity(), state.purity(), rel_tol=1e-9)
+        assert math.isclose(purity(out), purity(state), rel_tol=1e-9)
         assert np.allclose(symplectic_eigenvalues(out), nu, rtol=1e-9, atol=1e-12)
-    back = g.beamsplitter(split, 0, 1, t, phase + math.pi)
+    back = g.beamsplitter_op(state.num_modes, 0, 1, t, phase + math.pi).apply(split)
     assert np.allclose(back.mean, state.mean, atol=1e-11)
     assert np.allclose(back.cov, state.cov, atol=1e-11)
 
