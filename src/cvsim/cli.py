@@ -139,11 +139,27 @@ def _run_dense_coding_spectrum(params, seed, out):
     if params["n_samples"] > sys.float_info.max:  # run_spectrum takes n as a float
         raise ScenarioError("parameters.n_samples: must convert to a finite float, got "
                             f"an integer of {len(str(params['n_samples']))} digits")
+    f_lo, f_hi, n_bins = params["f_lo_hz"], params["f_hi_hz"], params["n_bins"]
+    if f_hi <= f_lo:
+        raise ScenarioError(f"parameters.f_hi_hz: must exceed f_lo_hz {f_lo!r}, got {f_hi!r}")
+    if not math.isfinite(f_hi - f_lo):
+        raise ScenarioError("parameters.f_lo_hz, parameters.f_hi_hz: the band width "
+                            f"{f_hi!r} - {f_lo!r} is not a finite float")
+    if f_lo <= 0:
+        raise ScenarioError(f"parameters.f_lo_hz: must be > 0, got {f_lo!r}")
+    if n_bins < 2:
+        raise ScenarioError(f"parameters.n_bins: must be >= 2, got {n_bins}")
+    # two_tone_plan's snapping rule: each tone goes to the nearest bin
+    freqs = np.linspace(f_lo, f_hi, n_bins)
+    i_am, i_pm = (int(np.argmin(np.abs(freqs - params[f"{tone}_frequency_hz"])))
+                  for tone in ("am", "pm"))
+    if i_am == i_pm:
+        raise ScenarioError("parameters.am_frequency_hz, parameters.pm_frequency_hz: both "
+                            f"tones snap to bin {i_am} of {n_bins}; they need distinct bins")
     plan = densecoding.two_tone_plan(
-        n_bins=params["n_bins"], f_lo=params["f_lo_hz"], f_hi=params["f_hi_hz"],
-        r=params["squeezing_r"], am_frequency=params["am_frequency_hz"],
-        pm_frequency=params["pm_frequency_hz"], amplitude=params["amplitude"],
-        loss_eta=params["loss_eta"])
+        n_bins=n_bins, f_lo=f_lo, f_hi=f_hi, r=params["squeezing_r"],
+        am_frequency=params["am_frequency_hz"], pm_frequency=params["pm_frequency_hz"],
+        amplitude=params["amplitude"], loss_eta=params["loss_eta"])
     traces = densecoding.run_spectrum(
         plan, n_samples=params["n_samples"], seed=seed,
         mirror_transmittance=params["mirror_transmittance"])

@@ -154,8 +154,8 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     bin and receiver.  Those are drawn from their exact joint law, so the cost
     does not depend on n: for n iid N(mu, var) samples the mean is
     mu + sqrt(var/n) Z and the variance var X/(n-1), with Z ~ N(0, 1) and
-    X ~ chi^2(n-1) independent.  Each (bin, receiver) has its own child seed
-    of `seed` and draws Z then X for x, then for p.
+    X ~ chi^2(n-1) independent.  One generator seeded with `seed` draws every
+    Z, then every X, each in (receiver, bin, x/p) order.
     """
     if n_samples < 0 or n_samples == 1:
         raise ValueError(f"n_samples must be 0 or >= 2, got {n_samples}")
@@ -175,10 +175,8 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     moments = np.array([np.broadcast_to(vac, bell.shape), epr, bell])  # receiver first
     if n_samples:
         n = int(n_samples)
-        gens = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3 * len(bins)))
-        draws = np.array([[(g.standard_normal(), g.chisquare(n - 1)) for _ in "xp"] for g in gens])
-        # Z and X, each shaped (receiver, bin, x/p) like moments[:, :, k]
-        normal, chi2 = draws.reshape(len(bins), 3, 2, 2).transpose(3, 1, 0, 2)
+        gen, shape = np.random.default_rng(seed), moments[:, :, 0].shape  # (receiver, bin, x/p)
+        normal, chi2 = gen.standard_normal(shape), gen.chisquare(n - 1, shape)  # Z, then X
         moments[:, :, 0] += np.sqrt(moments[:, :, 1] / n) * normal
         moments[:, :, 1] *= chi2 / (n - 1)
     mean, var = (moments[:, :, k].transpose(0, 2, 1).ravel().tolist() for k in (0, 1))

@@ -118,6 +118,18 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (dict(kind="dense-coding-spectrum", parameters={"n_samples": -1}), "parameters.n_samples"),
     (dict(kind="dense-coding-spectrum", parameters={"n_samples": 1}), "parameters.n_samples"),
     (dict(kind="dense-coding-spectrum", parameters={"n_samples": 10**400}), "parameters.n_samples"),
+    (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": 0.0}), "parameters.f_lo_hz"),
+    (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": 2e6, "f_hi_hz": 1e6}),
+     "parameters.f_hi_hz"),
+    (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": 1e6, "f_hi_hz": 1e6}),
+     "parameters.f_hi_hz"),
+    (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": -1e308, "f_hi_hz": 1e308}),
+     "parameters.f_lo_hz, parameters.f_hi_hz"),
+    (dict(kind="dense-coding-spectrum",
+          parameters={"am_frequency_hz": 1.2e6, "pm_frequency_hz": 1.2e6}),
+     "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
+    (dict(kind="dense-coding-spectrum", parameters={"n_bins": 3}),
+     "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)

@@ -149,11 +149,10 @@ def test_spectrum_monte_carlo_within_4_sigma():
                 assert abs(got_lin - var) < 4 * se + 1e-12
 
 
-def sampled_moments(gen, mean, var, n):
+def sampled_moments(mean, var, n, z, chi2):
     """Sample mean and ddof=1 variance of n draws from N(mean, var), from their
-    exact joint law: mean + sqrt(var/n) Z and var X/(n-1), Z ~ N(0, 1) and
-    X ~ chi^2(n-1) independent, drawn Z then X from `gen`."""
-    z, chi2 = gen.standard_normal(), gen.chisquare(n - 1)
+    exact joint law: mean + sqrt(var/n) Z and var X/(n-1), given Z ~ N(0, 1)
+    and X ~ chi^2(n-1) independent."""
     return mean + math.sqrt(var / n) * z, var * (chi2 / (n - 1))
 
 
@@ -162,11 +161,14 @@ def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
 
     The Bell receiver is encode -> loss -> bell_measure on the bin's own tones;
     the shot and EPR receivers homodyne the vacuum and one beam of the pair.
-    Sampled runs give each (bin, receiver) its own child of `seed`, which draws
-    the x, then the p, sample moments with `sampled_moments`.
+    Sampled runs draw from one generator seeded with `seed`: every Z, then every
+    X, each shaped (receiver, bin, x/p); `sampled_moments` turns draw [t, i, q]
+    into that receiver's sample moments.
     """
     mc = n_samples > 0
-    seeds = np.random.SeedSequence(seed).spawn(3 * len(plan.bins)) if mc else None
+    if mc:
+        gen, shape = np.random.default_rng(seed), (3, len(plan.bins), 2)
+        normal, chi2 = gen.standard_normal(shape), gen.chisquare(n_samples - 1, shape)
     power = np.empty((3, 2, len(plan.bins)))
     for i, b in enumerate(plan.bins):
         epr = dc.build_epr(b.squeezing_r)
@@ -175,9 +177,9 @@ def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
         receivers = ((dc._homodyne_xp, gaussian.vacuum(1)), (dc._homodyne_xp, epr),
                      (dc.bell_measure, sent))
         for t, (measure, state) in enumerate(receivers):
-            gen = np.random.default_rng(seeds[3 * i + t]) if mc else None
             for q, res in enumerate(measure(state, 0, None)):
-                mean, var = (sampled_moments(gen, res.mean, res.variance, n_samples)
+                mean, var = (sampled_moments(res.mean, res.variance, n_samples,
+                                             normal[t, i, q], chi2[t, i, q])
                              if mc else (res.mean, res.variance))
                 power[t, q, i] = gaussian.noise_power_db(var + mean * mean)
     return power
@@ -239,7 +241,8 @@ def test_sampled_moments_follow_the_law_of_explicit_samples():
     # the exact draw against n explicit normal draws, in mean and in variance
     n, repeats, mean, var = 50, 4000, 0.3, 1.7
     exact_gen, explicit_gen = np.random.default_rng(2024), np.random.default_rng(2025)
-    exact = np.array([sampled_moments(exact_gen, mean, var, n) for _ in range(repeats)])
+    draws = zip(exact_gen.standard_normal(repeats), exact_gen.chisquare(n - 1, repeats))
+    exact = np.array([sampled_moments(mean, var, n, z, chi2) for z, chi2 in draws])
     samples = explicit_gen.normal(mean, math.sqrt(var), (repeats, n))
     explicit = np.column_stack([samples.mean(axis=1), samples.var(axis=1, ddof=1)])
     for k in (0, 1):
@@ -292,6 +295,41 @@ def test_spectrum_monte_carlo_deterministic():
     c = dc.run_spectrum(plan, n_samples=500, seed=8)
     assert np.array_equal(a["bell"].x_power_db, b["bell"].x_power_db)
     assert not np.array_equal(a["bell"].x_power_db, c["bell"].x_power_db)
+
+
+def test_sampled_spectrum_draws_from_one_generator(monkeypatch):
+    generators, spawned, default_rng = [], [], np.random.default_rng
+
+    def counting_rng(*args):
+        generators.append(args)
+        return default_rng(*args)
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    plan, n = dc.two_tone_plan(n_bins=1001), 20_000
+    got = as_array(dc.run_spectrum(plan, n_samples=n, seed=3))
+    assert len(generators) == 1 and spawned == []
+    want = as_array(dc.run_spectrum(plan))
+    freqs = np.array([b.frequency_hz for b in plan.bins])
+    quiet = np.ones(got.shape, bool)  # (receiver, x/p, bin)
+    quiet[2, 0, np.argmin(np.abs(freqs - dc.AM_FREQUENCY_HZ))] = False
+    quiet[2, 1, np.argmin(np.abs(freqs - dc.PM_FREQUENCY_HZ))] = False
+    for t in range(3):
+        assert np.unique(got[t][quiet[t]]).size == quiet[t].sum()
+    # a quiet bin's sampled/analytic power depends on its (Z, X) draw alone:
+    # a draw shared across bins or receivers would repeat a ratio to roundoff
+    ratio = np.sort(10 ** ((got - want)[quiet] / 10.0))
+    assert np.diff(ratio).min() > 1e-12
+    # the benchmark's pooled statistic: each quiet Bell bin is ~N(0, sigma) in dB
+    sigma = 10.0 / math.log(10.0) * math.sqrt(2.0 / (n - 1))
+    for q in range(2):
+        offsets = (got[2, q] - want[2, q])[quiet[2, q]]
+        assert abs(offsets.sum() / (sigma * math.sqrt(offsets.size))) <= 4.0
 
 
 def test_phase_sweep_traces():
