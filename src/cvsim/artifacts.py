@@ -7,10 +7,10 @@ newline; the bytes are those of json.dumps(payload, indent=2, sort_keys=True).
 Both writers refuse NaN and +-Infinity with ValueError before the file is
 opened, so a refused artifact leaves no file behind.
 
-Each number is turned into text once.  numbers(array) checks a column and
-returns its repr strings as Numbers, which write_csv and encode_json emit as
-they stand; for finite floats and ints repr is exactly what json writes, so a
-scenario's CSV and JSON can share one formatted column.
+numbers(array) checks a column and returns its repr strings as Numbers, each
+distinct value formatted once; write_csv and encode_json emit Numbers as they
+stand.  For finite floats and ints repr is what json writes, so a scenario's
+CSV and JSON can share one formatted column.
 """
 
 from __future__ import annotations
@@ -45,11 +45,14 @@ def _checked(array):
 
 
 def numbers(array):
-    """The repr strings of a 1-D int or float array, as both writers emit them.
-
-    ValueError on NaN, +-Infinity, bool or any other dtype.
+    """The repr strings of a 1-D int or float array, as both writers emit them;
+    each distinct value is formatted once.  ValueError on NaN, +-Infinity, bool
+    or any other dtype.
     """
-    return Numbers(map(repr, _checked(array).tolist()))
+    a = _checked(array)
+    bits, index = np.unique(a.view(f"i{a.itemsize}"), return_inverse=True)  # -0.0 is not 0.0
+    text = list(map(repr, bits.view(a.dtype).tolist()))
+    return Numbers(map(text.__getitem__, index.tolist()))
 
 
 def write_csv(path, header, columns):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -394,7 +395,8 @@ def _cmd_describe(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache  # built once per process; main parses every call with it
+def _parser():
     parser = argparse.ArgumentParser(
         prog="cvsim", description="scenario runner for the simulation modules")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,15 +404,18 @@ def main(argv=None):
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument("--strict", action="store_true",
                        help="escalate truncation warnings to exit code 2")
-    p_run.add_argument("--output-dir", default=None,
-                       help="override the scenario's output_dir")
+    p_run.add_argument("--output-dir", help="override the scenario's output_dir")
     p_run.set_defaults(func=_cmd_run)
     sub.add_parser("list", help="list scenario kinds").set_defaults(func=_cmd_list)
     p_desc = sub.add_parser("describe", help="show a kind's parameter schema")
     p_desc.add_argument("kind")
     p_desc.set_defaults(func=_cmd_describe)
+    return parser
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for strict-mode
         # numerical failures here

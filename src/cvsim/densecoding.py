@@ -35,39 +35,32 @@ PM_FREQUENCY_HZ = 1.1e6
 # the 50:50 splitter that makes the EPR pair and recombines it in the receiver
 _BALANCED = gaussian.beamsplitter_op(2, 0, 1, 0.5)
 
-
-@dataclass(frozen=True)
-class SidebandBin:
-    """One analysis bin: tone amplitudes in shot-pair units, channel loss eta."""
-
-    frequency_hz: float
-    squeezing_r: float
-    am_amplitude: float
-    pm_amplitude: float
-    loss_eta: float
-
-    def __post_init__(self):
-        for name in ("frequency_hz", "squeezing_r", "am_amplitude", "pm_amplitude", "loss_eta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0.0 <= self.loss_eta <= 1.0:
-            raise ValueError(f"loss_eta must be in [0, 1], got {self.loss_eta}")
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency must be positive")
+# a plan's record per analysis bin: tones in shot-pair units, channel loss eta
+_BIN = np.dtype([(name, float) for name in (
+    "frequency_hz", "squeezing_r", "am_amplitude", "pm_amplitude", "loss_eta")])
 
 
 @dataclass(frozen=True)
 class SidebandPlan:
-    bins: tuple
+    """The analysis bins as one read-only record array of dtype _BIN, from such
+    an array or from (f, r, am, pm, eta) tuples; each column is checked once."""
+
+    bins: np.recarray
 
     def __post_init__(self):
-        bins = tuple(self.bins)
-        if not bins:
-            raise ValueError("plan needs at least one bin")
-        freqs = [b.frequency_hz for b in bins]
-        if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
-            raise ValueError("bin frequencies must be strictly increasing")
+        bins = np.array(self.bins, dtype=_BIN).view(np.recarray)
+        if bins.ndim != 1 or not bins.size:
+            raise ValueError("plan needs at least one bin, as a 1-D sequence")
+        for name in _BIN.names:
+            bad = bins[name][~np.isfinite(bins[name])]
+            if bad.size:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
+        bad = bins.loss_eta[(bins.loss_eta < 0.0) | (bins.loss_eta > 1.0)]
+        if bad.size:
+            raise ValueError(f"loss_eta must be in [0, 1], got {bad[0]}")
+        if bins.frequency_hz[0] <= 0 or (np.diff(bins.frequency_hz) <= 0).any():
+            raise ValueError("bin frequencies must be positive and strictly increasing")
+        bins.flags.writeable = False
         object.__setattr__(self, "bins", bins)
 
 
@@ -160,8 +153,8 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     if n_samples < 0 or n_samples == 1:
         raise ValueError(f"n_samples must be 0 or >= 2, got {n_samples}")
     bins = plan.bins
-    am, pm = np.array([(b.am_amplitude, b.pm_amplitude) for b in bins]).T[:, :, None]
-    keys = [(b.squeezing_r, b.loss_eta) for b in bins]
+    am, pm = bins.am_amplitude[:, None], bins.pm_amplitude[:, None]
+    keys = list(zip(bins.squeezing_r.tolist(), bins.loss_eta.tolist()))
     links = {k: j for j, k in enumerate(dict.fromkeys(keys))}  # distinct (r, eta) -> index
     eprs = {r: build_epr(r) for r, _ in links}
     probes = np.array([[_moments(_homodyne_xp(eprs[r], 0, None))] + [
@@ -179,9 +172,9 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
         normal, chi2 = gen.standard_normal(shape), gen.chisquare(n - 1, shape)  # Z, then X
         moments[:, :, 0] += np.sqrt(moments[:, :, 1] / n) * normal
         moments[:, :, 1] *= chi2 / (n - 1)
-    mean, var = (moments[:, :, k].transpose(0, 2, 1).ravel().tolist() for k in (0, 1))
-    power = np.reshape([gaussian.noise_power_db(v + m * m) for m, v in zip(mean, var)], (3, 2, -1))
-    freq = np.array([b.frequency_hz for b in bins])
+    mean, var = (moments[:, :, k].transpose(0, 2, 1) for k in (0, 1))
+    power = _power_db(var + mean * mean)  # (receiver, x/p, bin)
+    freq = np.array(bins.frequency_hz)
     return {label: NoiseSpectrum(label, freq, *power[t])
             for t, label in enumerate(("shot", "epr", "bell"))}
 
@@ -198,18 +191,18 @@ def two_tone_plan(
 ):
     """AM tone at one bin, PM tone at another, quiet bins elsewhere.
 
-    Tone frequencies snap to the nearest bin of the linspace grid.
+    Tone frequencies snap to the nearest bin of the linspace grid; the plan's
+    columns are filled as arrays, each tone's amplitude in its one bin.
     """
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
     freqs = np.linspace(f_lo, f_hi, n_bins)
-    i_am = int(np.argmin(np.abs(freqs - am_frequency)))
-    i_pm = int(np.argmin(np.abs(freqs - pm_frequency)))
+    i_am, i_pm = (int(np.argmin(np.abs(freqs - f))) for f in (am_frequency, pm_frequency))
     if i_am == i_pm:
         raise ValueError("AM and PM tones landed on the same bin")
-    bins = tuple(SidebandBin(float(f), r, amplitude if i == i_am else 0.0,
-                             amplitude if i == i_pm else 0.0, loss_eta)
-                 for i, f in enumerate(freqs))
+    bins = np.zeros(n_bins, _BIN)
+    bins["frequency_hz"], bins["squeezing_r"], bins["loss_eta"] = freqs, r, loss_eta
+    bins["am_amplitude"][i_am] = bins["pm_amplitude"][i_pm] = amplitude
     return SidebandPlan(bins)
 
 
@@ -231,9 +224,14 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
         state = gaussian.squeezed_vacuum(r, 0.0)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
-    power = np.array([gaussian.noise_power_db(gaussian.homodyne(state, 0, th).variance)
-                      for th in lo_phases])
+    power = _power_db(np.array([gaussian.homodyne(state, 0, th).variance for th in lo_phases]))
     return PhaseSweepTrace(state_kind, lo_phases, power)
+
+
+def _power_db(power):
+    """gaussian.noise_power_db per value, bit for bit (np.log10 can differ in the last bit)."""
+    ratio = (power / gaussian.VACUUM_VAR).ravel().tolist()
+    return 10.0 * np.fromiter(map(math.log10, ratio), float, len(ratio)).reshape(power.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +242,7 @@ def _formatter():
     """artifacts.numbers memoised per array object: traces that share one axis
     array (as run_spectrum's and phase_sweep's do) format it once."""
     done = {}
-
-    def text(array):
-        if id(array) not in done:
-            done[id(array)] = artifacts.numbers(array)
-        return done[id(array)]
-    return text
+    return lambda a: done[id(a)] if id(a) in done else done.setdefault(id(a), artifacts.numbers(a))
 
 
 def write_spectra(spectra, out):
@@ -259,10 +252,9 @@ def write_spectra(spectra, out):
     traces = {lab: {"label": s.label, "frequency_hz": text(s.frequency_hz),
                     "x_power_db": text(s.x_power_db), "p_power_db": text(s.p_power_db)}
               for lab, s in spectra.items()}
-    header, columns = ["frequency_hz"], [next(iter(traces.values()))["frequency_hz"]]
-    for lab, t in traces.items():
-        header += [f"{lab}_x_db", f"{lab}_p_db"]
-        columns += [t["x_power_db"], t["p_power_db"]]
+    header = ["frequency_hz"] + [f"{lab}_{q}_db" for lab in traces for q in "xp"]
+    columns = [next(iter(traces.values()))["frequency_hz"]] + [
+        t[f"{q}_power_db"] for t in traces.values() for q in "xp"]
     artifacts.write_csv(out / "spectra.csv", header, columns)
     artifacts.write_json(out / "spectra.json", {"traces": list(traces.values())})
 

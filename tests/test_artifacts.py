@@ -139,6 +139,56 @@ def test_non_finite_column_leaves_no_file(col, bad, data):
         assert not path.exists()
 
 
+@st.composite
+def repeated_columns(draw):
+    """float64, float32 or int64 columns whose entries come from a pool of at
+    most four values: signed zeros, subnormals and the largest finite values
+    among them, at lengths 1 to 40 and 1025."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    if dtype == np.int64:
+        values = st.integers(-2 ** 63, 2 ** 63 - 1)
+    else:
+        info = np.finfo(dtype)
+        tiny, big = float(info.smallest_subnormal), 1e308 if dtype == np.float64 else float(info.max)
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False, width=info.bits),
+                           st.sampled_from([0.0, -0.0, tiny, -tiny, big, -big]))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=4)), dtype)
+    n_rows = draw(st.one_of(st.integers(1, 40), st.just(1025)))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(len(pool), size=n_rows)
+    return pool[picks]
+
+
+@ORACLE
+@given(repeated_columns())
+def test_numbers_formats_each_distinct_value_once(col):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    with mock.patch.object(artifacts, "repr", counting_repr, create=True):
+        text = artifacts.numbers(col)
+    assert text == list(map(repr, col.tolist()))
+    # one repr per distinct bit pattern, so -0.0 and 0.0 each get their own
+    assert len(calls) == len({v.tobytes() for v in col})
+    event(f"{col.dtype}, {len(calls)} distinct of {len(col)}")
+    assert artifacts.encode_json({"c": text}) == reference_json({"c": col.tolist()})
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([["c"]] + [[cell] for cell in map(repr, col.tolist())])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        artifacts.write_csv(path, ["c"], [text])
+        assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_numbers_keeps_negative_zero_apart_from_zero(dtype):
+    # equal as floats, so a float-keyed np.unique would merge them; their reprs differ
+    col = np.array([0.0, -0.0, -0.0, 0.0, 1.0], dtype)
+    assert artifacts.numbers(col) == ["0.0", "-0.0", "-0.0", "0.0", "1.0"]
+
+
 @pytest.mark.parametrize("array", [
     np.array([True, False]), np.array([1 + 2j]), np.array(["1.0"]), np.array([None]),
     np.zeros((2, 2)), np.float64(1.0),

@@ -56,6 +56,33 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main builds its parser once per process; each call in a mixed sequence
+    # returns the exit code and output that a freshly built parser gives
+    spectrum = str(SCENARIO_DIR / "dense_coding_spectrum.json")
+    calls = [["run", spectrum, "--output-dir", "{}/first"], ["describe", "cipd-histogram"],
+             ["list"], ["frobnicate"], ["run", spectrum, "--output-dir", "{}/second"]]
+
+    def run_all(base, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            code = cli.main([arg.format(base) for arg in argv])
+            out, err = capsys.readouterr()
+            results.append((code, out.replace(str(base), "<base>"), err.replace(str(base), "<base>")))
+        return results
+
+    expected = run_all(tmp_path / "fresh", fresh=True)
+    cli._parser.cache_clear()
+    assert run_all(tmp_path / "reused", fresh=False) == expected
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in expected] == [0, 0, 0, 1, 0]
+    for name in ("first", "second"):
+        assert ((tmp_path / "reused" / name / "manifest.json").read_bytes()
+                == (tmp_path / "fresh" / name / "manifest.json").read_bytes())
+
+
 @pytest.mark.parametrize("path", BUNDLED, ids=lambda p: p.stem)
 def test_bundled_scenarios_run(path, tmp_path):
     out = tmp_path / "out"

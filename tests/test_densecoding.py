@@ -75,15 +75,17 @@ def test_two_tone_plan_layout():
 
 
 def test_plan_validation():
-    b = dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.0)
+    b = (1e6, dc.DEFAULT_R, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         dc.SidebandPlan(())
     with pytest.raises(ValueError):
         dc.SidebandPlan((b, b))  # not strictly increasing
     with pytest.raises(ValueError):
-        dc.SidebandBin(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.4)
+        dc.SidebandPlan([(1e6, dc.DEFAULT_R, 0.0, 0.0, 1.4)])
     with pytest.raises(ValueError, match="am_amplitude"):
-        dc.SidebandBin(1e6, dc.DEFAULT_R, math.nan, 0.0, 1.0)
+        dc.SidebandPlan([(1e6, dc.DEFAULT_R, math.nan, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        dc.SidebandPlan([(0.0, dc.DEFAULT_R, 0.0, 0.0, 1.0), b])  # not positive
 
 
 def test_spectrum_analytic():
@@ -198,9 +200,9 @@ def mixed_plans(draw):
     """Hand-built plans whose bins draw r and eta from a few values each."""
     rs = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3))
     etas = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
-    bins = tuple(dc.SidebandBin(1e6 + 1e3 * i, draw(st.sampled_from(rs)), draw(tones),
-                                draw(tones), draw(st.sampled_from(etas)))
-                 for i in range(draw(st.integers(1, 12))))
+    bins = [(1e6 + 1e3 * i, draw(st.sampled_from(rs)), draw(tones), draw(tones),
+             draw(st.sampled_from(etas)))
+            for i in range(draw(st.integers(1, 12)))]
     return dc.SidebandPlan(bins)
 
 
@@ -252,9 +254,8 @@ def test_sampled_moments_follow_the_law_of_explicit_samples():
 def test_spectrum_at_a_huge_sample_count_is_finite_and_near_analytic():
     # the cost does not grow with n_samples: 10**12 samples per bin, three bins
     n = 10 ** 12
-    plan = dc.SidebandPlan(tuple(dc.SidebandBin(1e6 + 1e3 * i, dc.DEFAULT_R, am, pm, 0.9)
-                                 for i, (am, pm) in enumerate(((0.0, 0.0), (2.5, 0.0),
-                                                               (0.0, 2.5)))))
+    plan = dc.SidebandPlan([(1e6 + 1e3 * i, dc.DEFAULT_R, am, pm, 0.9)
+                            for i, (am, pm) in enumerate(((0.0, 0.0), (2.5, 0.0), (0.0, 2.5)))])
     got = as_array(dc.run_spectrum(plan, n_samples=n, seed=5))
     want = as_array(dc.run_spectrum(plan))
     assert np.isfinite(got).all()
