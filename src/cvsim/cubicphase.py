@@ -61,6 +61,9 @@ class CubicGateConfig:
             value = getattr(self, name)
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if abs(self.squeezing_r) > 10.0:  # fock.tmsv's limit, named before any work
+            raise ValueError(f"squeezing_r must satisfy |squeezing_r| <= 10, "
+                             f"got {self.squeezing_r!r}")
         if self.dim < 8:
             raise ValueError("dim >= 8 is required for a meaningful gate run")
         if self.homodyne_which not in ("ancilla", "target"):
@@ -153,7 +156,7 @@ def homodyne_density(joint, config):
     transpose); the density is its squared norm over the other mode.
     """
     grid = fock.default_grid(config.dim, n_points=config.grid_points)
-    basis = fock.hermite_functions(config.dim, grid)
+    basis = fock._hermite_table(config.dim, grid)
     c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
     proj = c @ basis  # (dim_other, n_grid); rows indexed by the kept mode
     return grid, np.einsum("kg,kg->g", proj.conj(), proj).real
@@ -189,7 +192,7 @@ def fit_cubic_phase(target_in, target_out):
     grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
     # one Hermite table for both states; fock.quadrature_wavefunction's
     # coverage check would fire on this deliberately narrow window
-    basis = fock.hermite_functions(max(target_in.dim, target_out.dim), grid)
+    basis = fock._hermite_table(max(target_in.dim, target_out.dim), grid)
     psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
     keep = w > 0.0
@@ -208,7 +211,7 @@ def cubic_reference_overlap(target_in, target_out, gamma):
     by the homodyne sampler's trapezoid rule."""
     dim = max(target_in.dim, target_out.dim)
     grid = fock.default_grid(dim)
-    basis = fock.hermite_functions(dim, grid)
+    basis = fock._hermite_table(dim, grid)
     psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
     ov, n_in, n_out = (fock._grid_integral(grid, f)[-1] for f in (
         psi_out.conj() * np.exp(1j * gamma * grid**3) * psi_in,

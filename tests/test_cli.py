@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cvsim import cli
+from cvsim import cli, fock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -157,6 +157,7 @@ def test_malformed_json_reports_line(tmp_path, capsys):
      "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
     (dict(kind="dense-coding-spectrum", parameters={"n_bins": 3}),
      "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
+    (dict(kind="cubic-phase-run", parameters={"squeezing_r": 20.0}), "squeezing_r"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -226,6 +227,47 @@ def test_coarse_homodyne_grid_is_a_truncation(tmp_path, capsys):
     assert cli.main(["run", str(path), "--output-dir", str(out), "--strict"]) == 2
     assert "grid of 16 points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("params, needle", [
+    ({"dim": 16, "correction_s": 50.0}, "squeeze s=50.0"),
+    ({"grid_points": 3}, "grid of 3 points"),
+])
+def test_strict_escalates_every_run_in_a_process(tmp_path, capsys, params, needle):
+    # the truncation checks run outside fock's caches, so a second run in the
+    # same process warns and exits 2 like the first
+    path = scenario_file(tmp_path, kind="cubic-phase-run", parameters=params)
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert cli.main(["run", str(path), "--output-dir", str(out), "--strict"]) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _clear_fock_caches():
+    for cached in (fock._cached_hermite_table, fock._quadrature_eigh, fock._qnd_gram_defect,
+                   fock._squeeze_unitary):
+        cached.cache_clear()
+
+
+def test_gate_runs_match_cold_caches(tmp_path):
+    # each gate_run.json of a sequence run in one process is byte-identical to
+    # the same scenario run with every fock cache emptied first
+    sequence = [{"dim": 16}, {"dim": 32}, {"dim": 16}, {"dim": 16, "grid_points": 2048},
+                {"dim": 16, "grid_points": 1024}, {"dim": 16, "homodyne_which": "target"},
+                {"dim": 16, "qnd_pad": 0}, {"dim": 16, "correction_s": 0.0},
+                {"dim": 16, "correction_s": -0.0}]
+
+    def gate_json(name, params):
+        path = scenario_file(tmp_path, f"{name}.json", kind="cubic-phase-run", seed=9,
+                             parameters=params)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "gate_run.json").read_bytes()
+
+    warm = [gate_json(f"warm{i}", params) for i, params in enumerate(sequence)]
+    for i, params in enumerate(sequence):
+        _clear_fock_caches()
+        assert gate_json(f"cold{i}", params) == warm[i], params
 
 
 def test_interrupted_run_leaves_nothing(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Tests for the measurement-induced cubic phase gate pipeline."""
 
+import dataclasses
 import json
 import warnings
 
@@ -39,6 +40,8 @@ def test_config_validation():
         cp.run_gate(cp.CubicGateConfig(coupling_g=float("nan")))
     with pytest.raises(ValueError, match="displacement_alpha"):
         cp.CubicGateConfig(displacement_alpha=complex(0.5, float("inf")))
+    with pytest.raises(ValueError, match="squeezing_r"):
+        cp.CubicGateConfig(squeezing_r=-20.0)
     # sizes are refused on construction, before any dim^3 work
     with pytest.raises(ValueError, match="dim \\+ qnd_pad"):
         cp.CubicGateConfig(dim=200)
@@ -109,6 +112,40 @@ def test_forced_count_run_reproduces():
     assert rec.homodyne_x == pytest.approx(REF3_HOMODYNE_X, rel=1e-12)
     assert rec.diagnostics["gamma_fit"] == pytest.approx(REF3_GAMMA_FIT, rel=1e-9)
     assert rec.diagnostics["phase_residual"] == pytest.approx(REF3_PHASE_RESIDUAL, rel=1e-9)
+
+
+def test_references_reproduce_after_a_dim32_run():
+    cp.run_gate(cp.CubicGateConfig(dim=32), seed=1)
+    test_reference_run_reproduces()
+    test_forced_count_run_reproduces()
+
+
+def test_second_gate_run_rebuilds_only_the_displacement(monkeypatch):
+    # what depends only on (dim, grid, workspace, s) is built once per
+    # process: a second run with a new alpha and r diagonalises only its
+    # displacement and tabulates Hermite functions only at the outcome x_m
+    cfg = cp.CubicGateConfig(dim=32)
+    cp.run_gate(cfg, seed=1)
+    eighs, tables = [], []
+    eigh, hermite = np.linalg.eigh, fock.hermite_functions
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: eighs.append(h) or eigh(h))
+    monkeypatch.setattr(fock, "hermite_functions",
+                        lambda n, x: tables.append(np.size(x)) or hermite(n, x))
+    alpha = 0.3 - 0.8j
+    cp.run_gate(dataclasses.replace(cfg, displacement_alpha=alpha, squeezing_r=0.4), seed=2)
+    a = fock.annihilation(cfg.dim)
+    assert len(eighs) == 1
+    assert np.array_equal(eighs[0], 1j * (alpha * a.conj().T - alpha.conjugate() * a))
+    assert tables == [1]
+
+
+def test_table_cache_stays_at_its_bound():
+    info = fock._cached_hermite_table.cache_info
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", fock.TruncationWarning)  # the small cutoffs
+        for dim in range(8, 9 + info().maxsize):
+            cp.run_gate(cp.CubicGateConfig(dim=dim), seed=1)
+    assert info().currsize == info().maxsize
 
 
 def test_run_gate_deterministic():

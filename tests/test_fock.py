@@ -196,8 +196,21 @@ def test_squeeze_op_variances():
 
 
 def test_squeeze_warning_small_dim():
-    with pytest.warns(fock.TruncationWarning):
-        fock.squeeze_op(2.5, 10)
+    # the check runs on every call, outside the operator cache
+    for s, dim in ((2.5, 10), (50.0, 16), (50.0, 16)):
+        with pytest.warns(fock.TruncationWarning):
+            fock.squeeze_op(s, dim)
+
+
+def test_cached_arrays_refuse_writes():
+    grid = fock.default_grid(16)
+    table = fock._hermite_table(16, grid)
+    assert fock._hermite_table(16, grid.copy()) is table  # keyed on the grid's contents
+    assert np.array_equal(table, fock.hermite_functions(16, grid))
+    for a in (table, *fock._quadrature_eigh(24), fock.qnd_coupling_op(1.0, 16).x_rows,
+              fock.squeeze_op(0.15, 16).matrix):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_unitaries_preserve_norm():
