@@ -1,30 +1,62 @@
 """The artifact format: every CSV and JSON file a run writes goes through here.
 
-CSV: a header row, then one row per index of equal-length columns; floats as
-repr(float) (the shortest string that reads back to the same double), integers
-as int, "\\r\\n" line ends.  JSON: sorted keys, two-space indent, a trailing
-newline; the bytes are those of json.dumps(payload, indent=2, sort_keys=True).
-Both writers refuse NaN and +-Infinity with ValueError before the file is
-opened, so a refused artifact leaves no file behind.
+CSV: a UTF-8 header row, then one row per index of equal-length columns;
+floats as repr(float) (the shortest string that reads back to the same double),
+integers as int, "\\r\\n" line ends.  JSON: sorted keys, two-space indent, a
+trailing newline; the bytes are those of json.dumps(payload, indent=2,
+sort_keys=True).  Both writers refuse NaN and +-Infinity with ValueError before
+the file is opened, so a refused artifact leaves no file behind.
 
 numbers(array) checks a column and returns its repr strings as Numbers, each
 distinct value formatted once; write_csv and encode_json emit Numbers as they
 stand.  For finite floats and ints repr is what json writes, so a scenario's
 CSV and JSON can share one formatted column.
+
+write_csv encodes array columns in numpy, with the bytes repr would give and
+no repr per value.  A float's shortest digits come from exact arithmetic:
+Dekker's two-product gives the 17-digit candidate, and each shorter one is
+kept while it reads back, which one correctly rounded division of exact
+doubles decides (Clinger's fast path).  Digits become text through a table of
+4-digit groups.  What that path leaves out goes to repr: floats below 1e-4 or
+from 1e16 up (where repr uses an exponent), ties, 16-digit candidates of 2**53
+or more (which the division cannot check), and ints with |x| >= 10**18.  About
+4% of a detector run's charges take repr.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 
 import numpy as np
 
-# rows formatted per write of an unformatted column: bounds the Python objects
-# alive at once (about 0.2 MB for four columns; 8192 rows raised a 1e5-pulse
-# run's peak RSS by 0.9 MB with no measurable gain in speed)
-_CHUNK_ROWS = 1024
+# rows encoded per write of a chunk that holds an array column: bounds the
+# temporaries (1.1 MB at 8192 rows, 2.2 MB at 16384, which was not measurably
+# faster; a 1e5-pulse benchmark pass peaks at 66.2-66.5 MB RSS, against
+# 65.8-66.0 MB with the per-value repr writer)
+_CHUNK_ROWS = 8192
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+
+
+@functools.cache  # built on first use: runs that write no array column skip it
+def _digit_table():
+    """Entry k * 10**4 + v: the last k ASCII digits of 0 <= v < 10**4 (k = 0 .. 4)
+    after 4 - k NULs, as one 4-byte word: a number's text, 4 digits per divmod."""
+    digits = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1).reshape(10 ** 4, 4) + np.uint8(48)
+    table = np.zeros((5, 10 ** 4, 4), np.uint8)
+    for k in range(1, 5):
+        table[k, :, 4 - k:] = digits[:, 4 - k:]
+    table = table.view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+_VELTKAMP = 134217729.0  # 2**27 + 1
 
 
 class Numbers(list):
@@ -37,7 +69,7 @@ class Numbers(list):
 def _checked(array):
     """`array` as a 1-D int or float array; ValueError otherwise or on NaN/+-Infinity."""
     a = np.asarray(array)
-    if a.ndim != 1 or a.dtype.kind not in "iuf":
+    if a.ndim != 1 or a.dtype.kind not in "iuf" or a.itemsize > 8:
         raise ValueError(f"need a 1-D int or float array, got {a.ndim}-D {a.dtype}")
     if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError("holds a non-finite number")
@@ -55,11 +87,162 @@ def numbers(array):
     return Numbers(map(text.__getitem__, index.tolist()))
 
 
+def _times_pow10(a, q):
+    """a * 10**q exactly, as hi + lo: Dekker's two-product with Veltkamp splits."""
+    p = _POW10[q]
+    hi = a * p
+    c = _VELTKAMP * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _VELTKAMP * p
+    ph = c - (c - p)
+    pl = p - ph
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _round_off(d17, rest, s):
+    """The integer nearest to (d17 + rest) / 10**s, for int64 d17, |rest| < 1/2
+    and s >= 0, and where that is a tie."""
+    p = _POW10_INT[s]
+    head = d17 // p
+    excess = 2 * (d17 - head * p) - p  # the sign of the dropped part minus p / 2
+    return head + ((excess > 0) | ((excess == 0) & (rest > 0))), (excess == 0) & (rest == 0)
+
+
+def _shortest(a):
+    """(digits, places, fast) for float64 a >= 0: where fast, repr(a) is the
+    positional text of digits / 10**places, its shortest round-trip digits.
+
+    fast holds for 1e-4 <= a < 1e16 (where repr is positional) but not for
+    the few values whose 17- or 16-digit candidate is a tie or too wide to
+    check exactly.  The nearest candidate of a length reads back if any of
+    that length does, as a's rounding interval is symmetric; the powers of two
+    in range, whose interval is not, are decimals of at most 16 digits, which
+    the descent reaches exactly.
+    """
+    fast = (a >= 1e-4) & (a < 1e16)
+    a = np.where(fast, a, 1.0000000000000002)  # a stand-in that needs 17 digits
+    # places puts 17 digits before the point: 1e16 <= a * 10**places < 1e17
+    places = 16 - np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, places)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    if (below | above).any():  # log10 rounded across a power of ten
+        places += below.astype(np.int64) - above
+        hi, lo = _times_pow10(a, places)
+    # hi is an integer, so the nearest integer to a * 10**places is hi + rint(lo)
+    step = np.rint(lo)
+    d17 = hi.astype(np.int64) + step.astype(np.int64)
+    rest = lo - step  # exact: a * 10**places - d17
+    fast &= np.abs(rest) != 0.5
+    # drop digits while the nearest candidate reads back as a, which holds iff
+    # it over 10**q is a: one correctly rounded division of exact doubles
+    # (Clinger's fast path, candidate < 2**53)
+    cut = np.zeros(len(a), np.int64)
+    live = fast.copy()
+    for s in range(1, 17):
+        d, tie = _round_off(d17, rest, s)
+        wide = d >= 2 ** 53
+        good = live & ~tie & ~wide & (d / _POW10[np.maximum(places - s, 0)] == a)
+        if s == 1:  # unchecked: repr may have 16 digits
+            fast &= ~(tie | wide)
+        np.copyto(cut, s, where=good)
+        live = good & (places > s)
+        if not live.any():
+            break
+    return _round_off(d17, rest, cut)[0], places - cut, fast
+
+
+def _digits(x, keep):
+    """(n, 4g) uint8: the last `keep` decimal digits of each int64 x >= 0,
+    zero-padded and right-aligned, NUL before them."""
+    g = max(-(-int(keep.max(initial=1)) // 4), 1)
+    # index of group j, counted from the left: (digits kept in it) * 10**4 + its value
+    index = np.clip(keep[:, None] - np.arange(4 * g - 4, -1, -4), 0, 4) * 10 ** 4
+    for j in range(g - 1, -1, -1):
+        head = x // 10 ** 4
+        index[:, j] += x - head * 10 ** 4
+        x = head
+    return _digit_table()[index].view(np.uint8)
+
+
+def _width(x):
+    """The number of decimal digits of each int64 x >= 0."""
+    width = np.ones(len(x), np.int64)
+    for p in _POW10_INT[1:_POW10_INT.searchsorted(x.max(initial=0), side="right")]:
+        width += x >= p
+    return width
+
+
+def _column(byte, rows):
+    """A one-byte block: `byte` where rows, else NUL."""
+    return (rows * np.uint8(byte))[:, None]
+
+
+def _spill(fast):
+    """`fast` with some fast rows sent to repr as well, so that no row or at
+    least 128 (or all) take repr.  numpy pools freed blocks under 1 KiB by
+    size, and arrays of repr rows sized by the data would leave blocks of ever
+    new sizes across the heap (a 1e5-pulse detector pass grew its peak RSS by
+    2.5 MB that way)."""
+    short = min(128, len(fast)) - np.count_nonzero(~fast)
+    if 0 < short < min(128, len(fast)):
+        fast = fast & (np.cumsum(fast) > short)
+    return fast
+
+
+def _cell(col):
+    """(blocks, slow, text): uint8 blocks whose non-NUL bytes, row by row, are
+    the repr of each value of `col` (an array, or a slice of Numbers), save at
+    rows `slow`, where the blocks are NUL and the text is in the S array `text`."""
+    if isinstance(col, list):
+        return [], np.arange(len(col)), np.array(col, dtype="S")
+    if col.dtype.kind == "f":
+        v = col.astype(np.float64, copy=False)
+        digits, places, fast = _shortest(np.abs(v))
+        fast = _spill(fast)
+        whole, part = np.divmod(digits, _POW10_INT[np.minimum(places, 18)])
+        blocks = [_column(ord("-"), fast & (v < 0)), _digits(whole, _width(whole) * fast),
+                  _column(ord("."), fast), _digits(part, np.maximum(places, 1) * fast)]
+    else:
+        fast = _spill((col < 10 ** 18) & ((col > -10 ** 18) if col.dtype.kind == "i" else True))
+        x = np.where(fast, col, 0).astype(np.int64)
+        whole = np.abs(x)
+        blocks = [_digits(whole, _width(whole) * fast)]
+        if x.min(initial=0) < 0:
+            blocks.insert(0, _column(ord("-"), x < 0))
+    slow = np.flatnonzero(~fast)
+    # 24 bytes hold the repr of any 8-byte number, e.g. "-2.2250738585072014e-308"
+    return blocks, slow, np.array(list(map(repr, col[slow].tolist())), dtype="S24")
+
+
+def _encode_rows(cells):
+    """The CSV data rows of equal-length cells (arrays or slices of Numbers) as
+    a uint8 array: the bytes of ",".join(map(repr, row)) + "\\r\\n" for each row."""
+    n = len(cells[0])
+    blocks, patches, at = [], [], 0
+    for end, cell in zip([b","] * (len(cells) - 1) + [b"\r\n"], cells):
+        parts, slow, text = _cell(cell)
+        width = sum(b.shape[1] for b in parts)
+        if len(slow):  # room for the text, written over the NUL'd blocks
+            parts.append(np.zeros((n, max(text.itemsize - width, 0)), np.uint8))
+            patches.append((slow, at, text.view(np.uint8).reshape(len(slow), text.itemsize)))
+            width = max(width, text.itemsize)
+        blocks += parts + [np.broadcast_to(np.frombuffer(end, np.uint8), (n, len(end)))]
+        at += width + len(end)
+    table = np.concatenate(blocks, axis=1)
+    del blocks
+    for slow, start, text in patches:
+        table[slow, start:start + text.shape[1]] = text
+    return table[table != 0]
+
+
 def write_csv(path, header, columns):
     """Write equal-length columns under `header`, one row per index.
 
-    A column is Numbers, written as it stands, or a 1-D int or float array,
-    formatted _CHUNK_ROWS rows at a time.
+    A column is Numbers, written as it stands, or a 1-D int or float array.
+    Rows go out _CHUNK_ROWS at a time: a chunk of Numbers alone is joined as
+    text, any other is encoded by _encode_rows.
     """
     if len(header) != len(columns):
         raise ValueError(f"{path}: need one column per header field")
@@ -71,13 +254,18 @@ def write_csv(path, header, columns):
             raise ValueError(f"{path}: column {name} {exc}") from None
     if len({len(c) for c in checked}) != 1:
         raise ValueError(f"{path}: columns differ in length")
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    head = io.StringIO(newline="")
+    csv.writer(head).writerow(header)
+    text_only = all(isinstance(c, Numbers) for c in checked)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
         # numbers never need CSV quoting, so data rows are joined directly
         for start in range(0, len(checked[0]), _CHUNK_ROWS):
-            cells = [c[start:start + _CHUNK_ROWS] if isinstance(c, Numbers)
-                     else map(repr, c[start:start + _CHUNK_ROWS].tolist()) for c in checked]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            cells = [c[start:start + _CHUNK_ROWS] for c in checked]
+            if text_only:
+                fh.write(("\r\n".join(map(",".join, zip(*cells))) + "\r\n").encode())
+            else:
+                fh.write(_encode_rows(cells))
 
 
 def _encode(value, newline, step):

@@ -3,14 +3,19 @@
 encode_json must give exactly the text of json.dumps(indent=2, sort_keys=True,
 allow_nan=False), with columns formatted by artifacts.numbers standing in for
 the lists they were made from; write_csv must give exactly what csv.writer
-writes for the repr of every cell.  NaN and +-Infinity anywhere raise
-ValueError, and a refused CSV leaves no file behind.
+writes for the repr of every cell, which for array columns checks the numpy
+encoder against repr on every dtype, both of its paths and chunk boundaries.
+NaN and +-Infinity anywhere raise ValueError, and a refused CSV leaves no file
+behind.
 """
 
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -192,7 +197,9 @@ def test_numbers_keeps_negative_zero_apart_from_zero(dtype):
 @pytest.mark.parametrize("array", [
     np.array([True, False]), np.array([1 + 2j]), np.array(["1.0"]), np.array([None]),
     np.zeros((2, 2)), np.float64(1.0),
-], ids=["bool", "complex", "str", "object", "2-D", "0-D"])
+    pytest.param(np.array([1.1], np.longdouble), marks=pytest.mark.skipif(
+        np.dtype(np.longdouble).itemsize == 8, reason="long double is double here")),
+], ids=["bool", "complex", "str", "object", "2-D", "0-D", "longdouble"])
 def test_numbers_refuses_all_but_1d_int_and_float(array, tmp_path):
     with pytest.raises(ValueError):
         artifacts.numbers(array)
@@ -206,3 +213,133 @@ def test_one_line_form_is_json_dumps():
     payload = {"b": [1.5, -0.0, None], "a": {"z": True, "y": "é"}}
     assert artifacts.encode_json(payload, indent=None) == json.dumps(
         payload, sort_keys=True, allow_nan=False)
+
+
+# --- the numpy encoder of array columns against repr ----------------------
+
+def reference_rows(*cols):
+    """The data rows csv.writer writes for the repr of every cell."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in zip(*(c.tolist() for c in cols))).encode()
+
+
+def written_rows(tmp_path, *cols):
+    path = tmp_path / "t.csv"
+    artifacts.write_csv(path, [f"c{k}" for k in range(len(cols))], list(cols))
+    return path.read_bytes().split(b"\r\n", 1)[1]
+
+
+def count_paths(col):
+    """event() whether a float column took the encoder's fast path, repr, or both."""
+    fast = artifacts._shortest(np.abs(col.astype(np.float64)))[2]
+    for name, hit in (("fast path", fast.any()), ("repr fallback", (~fast).any())):
+        if hit:
+            event(name)
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+fast_domain = signed(st.floats(1e-4, 1e16, exclude_max=True))
+
+
+@ORACLE
+@given(st.one_of(hnp.arrays(np.float64, st.integers(0, 40), elements=finite_floats),
+                 hnp.arrays(np.float64, st.integers(0, 40), elements=fast_domain),
+                 hnp.arrays(np.float32, st.integers(0, 40),
+                            elements=st.floats(allow_nan=False, allow_infinity=False, width=32))))
+def test_float_cells_match_repr(col):
+    count_paths(col)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert written_rows(Path(tmp), col) == reference_rows(col)
+
+
+def edge_floats():
+    up, down = (lambda x: np.nextafter(x, np.inf)), (lambda x: np.nextafter(x, -np.inf))
+    # powers of ten and their neighbours: log10 rounds up just below some
+    bounds = [10.0 ** k for k in range(-4, 17)]
+    values = bounds + [f(b) for b in bounds for f in (up, down)]
+    values += [2.0 ** k for k in range(-1074, 1024, 7)] + [2.0 ** k for k in range(-14, 54)]
+    values += [float(2 ** 53 + k) for k in range(-4, 5)] + [float(2 ** 52 + k) for k in range(-4, 5)]
+    # exact halves: candidates that land half-way at some length
+    values += [2.5, 1.5, 12.5, 0.375, 0.0001220703125, 1e15 + 0.5, 1e15 + 0.25, 1e15 + 0.75,
+               2.0 ** 52 - 0.5, 999999999999999.5, 0.5 + 2.0 ** -30]
+    values += [0.0, 5e-324, 2.2250738585072014e-308, up(2.2250738585072014e-308),
+               down(2.2250738585072014e-308), 1.7976931348623157e308, 0.1, 0.2, 0.3, 1 / 3,
+               9007199254740993.0, 9999999999999998.0, 123456789012345680.0, 1e-5, 1e-7]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_float_edge_cells_match_repr(dtype, tmp_path):
+    with np.errstate(over="ignore"):
+        col = edge_floats().astype(dtype)
+    col = col[np.isfinite(col)]
+    assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+def test_float_sweep_matches_repr(tmp_path):
+    # 1.2M fixed-seed doubles; both paths must be taken many times over
+    rng = np.random.default_rng(20)
+    n = 200_000
+    bits = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64)
+    parts = [
+        rng.uniform(-100.0, 100.0, n),
+        np.exp(rng.uniform(np.log(1e-6), np.log(1e17), n)) * rng.choice([-1.0, 1.0], n),
+        bits[np.isfinite(bits)],
+        np.round(rng.uniform(0.0, 1e4, n), 3),
+        rng.integers(-2 ** 53, 2 ** 53, n).astype(np.float64),
+        rng.normal(20.0, 8.0, n),
+    ]
+    col = np.concatenate(parts)
+    fast = artifacts._shortest(np.abs(col))[2]
+    assert 0.5 < fast.mean() < 0.95
+    assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+int_dtypes = st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                              np.uint8, np.uint16, np.uint32, np.uint64])
+
+
+@ORACLE
+@given(int_dtypes.flatmap(lambda dt: hnp.arrays(dt, st.integers(0, 30))))
+def test_int_cells_match_repr(col):
+    event(f"{col.dtype}")
+    with tempfile.TemporaryDirectory() as tmp:
+        assert written_rows(Path(tmp), col) == reference_rows(col)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, None])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_int_extremes_across_chunks(chunk, offset, tmp_path):
+    chunk = chunk or artifacts._CHUNK_ROWS
+    n_rows = chunk + offset if chunk > 5 else 3 * chunk + offset
+    extremes = np.array([-2 ** 63, 2 ** 63 - 1, -10 ** 18, 10 ** 18, 10 ** 18 - 1,
+                         1 - 10 ** 18, 0, -1, 9999, 10000, -10000])
+    rng = np.random.default_rng(chunk + offset)
+    signed_col = np.concatenate([extremes, rng.integers(-2 ** 63, 2 ** 63, n_rows, dtype=np.int64)])
+    unsigned_col = np.concatenate([np.array([2 ** 64 - 1, 2 ** 63, 10 ** 19, 10 ** 18, 0], np.uint64),
+                                   rng.integers(0, 2 ** 64, n_rows, dtype=np.uint64)])
+    floats = rng.normal(0.0, 30.0, n_rows)
+    cols = [c[:n_rows] for c in (signed_col, unsigned_col, floats)]
+    with mock.patch.object(artifacts, "_CHUNK_ROWS", chunk):
+        assert written_rows(tmp_path, *cols) == reference_rows(*cols)
+
+
+def test_empty_columns_write_the_header_only(tmp_path):
+    path = tmp_path / "t.csv"
+    artifacts.write_csv(path, ["a", "b"], [np.array([], np.int64), np.array([], np.float64)])
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def test_header_is_utf8_whatever_the_locale(tmp_path):
+    # a process whose locale encoding is ASCII; text-mode open() would follow it
+    path = tmp_path / "t.csv"
+    code = ("import sys, numpy as np; from cvsim import artifacts; "
+            "artifacts.write_csv(sys.argv[1], ['\\u00e9', 'x,y'], [np.arange(2), np.ones(2)])")
+    env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+    assert path.read_bytes() == 'é,"x,y"\r\n0,1.0\r\n1,1.0\r\n'.encode("utf-8")

@@ -111,6 +111,29 @@ def test_rerun_is_byte_identical(name, tmp_path):
         assert (a / entry["name"]).read_bytes() == (b / entry["name"]).read_bytes()
 
 
+# manifest.json sha256 of two detector runs, as the per-value repr writer made
+# them: the manifest hashes every artifact, so these pin records.csv's bytes
+FROZEN_MANIFESTS = {
+    "bundled": (SCENARIO_DIR / "cipd_histogram.json",
+                "15d1d83a659eedd9c9b143c39de40cdc4597198ead53e16fa44d221cbe44c3dc"),
+    "1e5-pulses": ({"kind": "cipd-histogram", "seed": 12345, "parameters": {
+        "n_pulses": 100000, "source_mean": 2.5, "gain_dispersion": 0.1}},
+                   "913e1e2337d271fd263b22aacea0ebc028629d7d0b153e42d75e24c18595bf57"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MANIFESTS))
+def test_detector_manifest_is_frozen(name, tmp_path):
+    scenario, digest = FROZEN_MANIFESTS[name]
+    if isinstance(scenario, dict):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        scenario = path
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--output-dir", str(out)]) == 0
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
+
+
 def test_different_seed_changes_artifacts(tmp_path):
     s1 = scenario_file(tmp_path, "s1.json", seed=5)
     s2 = scenario_file(tmp_path, "s2.json", seed=6)
