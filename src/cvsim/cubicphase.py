@@ -31,8 +31,9 @@ from . import artifacts, fock
 
 # Most homodyne grid points a gate run may ask for: eight times the default
 # 2048, which already oversamples phi_{dim-1} at every cutoff the QND workspace
-# allows (dim 85 needs about 135 points).  The readout peaks at about 40 bytes
-# per basis state and grid point, so the cap keeps it under 90 MB at dim 128.
+# allows (dim 85 needs about 135 points).  The readout peaks at about 24 bytes
+# per basis state and grid point (the real table, then the real and imaginary
+# projections), so the cap keeps it near 51 MB at dim 128.
 MAX_GRID_POINTS = 16384
 
 FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
@@ -152,14 +153,17 @@ def couple(target, ancilla, config):
 def homodyne_density(joint, config):
     """Position density of the homodyned mode: p(x) = sum_k |proj_k(x)|^2.
 
-    Projecting mode `which` onto <x| leaves sum_b C[:, b] phi_b(x) (or the
-    transpose); the density is its squared norm over the other mode.
+    Projecting mode `which` onto <x| leaves proj_k(x) = sum_b C[k, b] phi_b(x)
+    (C transposed when the target is homodyned); the density is its squared
+    norm over the kept mode k.  phi_b is real, so that norm is
+    ||Re(C) phi(x)||^2 + ||Im(C) phi(x)||^2: one real product and a sum of
+    squares, which cannot go negative.
     """
     grid = fock.default_grid(config.dim, n_points=config.grid_points)
     basis = fock._hermite_table(config.dim, grid)
     c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
-    proj = c @ basis  # (dim_other, n_grid); rows indexed by the kept mode
-    return grid, np.einsum("kg,kg->g", proj.conj(), proj).real
+    proj = np.concatenate([c.real, c.imag]) @ basis  # (2 dim_kept, n_grid)
+    return grid, np.einsum("kg,kg->g", proj, proj)
 
 
 def readout_and_condition(joint, config, rng=None, fixed_x=None):
@@ -190,10 +194,9 @@ def fit_cubic_phase(target_in, target_out):
     residual).
     """
     grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
-    # one Hermite table for both states; fock.quadrature_wavefunction's
-    # coverage check would fire on this deliberately narrow window
     basis = fock._hermite_table(max(target_in.dim, target_out.dim), grid)
-    psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
+    psi_in, psi_out = (fock._wavefunction(s.normalized().amps, basis)
+                       for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
     keep = w > 0.0
     grid, psi_in, psi_out, w = grid[keep], psi_in[keep], psi_out[keep], w[keep] / w.max()
@@ -212,7 +215,8 @@ def cubic_reference_overlap(target_in, target_out, gamma):
     dim = max(target_in.dim, target_out.dim)
     grid = fock.default_grid(dim)
     basis = fock._hermite_table(dim, grid)
-    psi_in, psi_out = (s.normalized().amps @ basis[: s.dim] for s in (target_in, target_out))
+    psi_in, psi_out = (fock._wavefunction(s.normalized().amps, basis)
+                       for s in (target_in, target_out))
     ov, n_in, n_out = (fock._grid_integral(grid, f)[-1] for f in (
         psi_out.conj() * np.exp(1j * gamma * grid**3) * psi_in,
         np.abs(psi_in) ** 2, np.abs(psi_out) ** 2))

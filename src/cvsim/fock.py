@@ -26,10 +26,12 @@ Truncation trouble is reported through TruncationWarning, never silently.
 What a gate run rebuilds unchanged from run to run is built once per process,
 in small LRU caches, and shared read-only: Hermite tables per (nmax, grid
 contents), the QND workspace's eigenbasis per workspace and its Gram defect
-per (dim, workspace), and the squeeze operator per (s, dim).  A dim-32 gate
-run retains about 1.4 MB; the table cache's bound keeps it under about 90 MB
-at its worst case (four 16384-point tables at dim 85).  Every warning check
-runs outside the caches, on each call.
+per (dim, workspace), and the squeeze operator per (s, dim).  Hermite tables
+are real (float64), and complex amplitudes meet them through real products
+only.  A dim-32 gate run retains about 0.85 MB; the table cache's bound keeps
+it under about 67 MB at its worst case (four 16384-point tables at dim 128,
+which qnd_pad 0 allows).  Every warning check runs outside the caches, on
+each call.
 """
 
 from __future__ import annotations
@@ -469,19 +471,28 @@ def hermite_functions(nmax, x):
 
 
 def _hermite_table(nmax, x):
-    """hermite_functions(nmax, x) as a read-only complex table, the form that
-    multiplies complex amplitudes without a cast.  Built once per process for
-    each of the 4 most recently used (nmax, grid contents): a gate run reads
-    two (three off the default grid_points), about 1.4 MB at dim 32, and four
-    16384-point tables at dim 85 hold about 90 MB."""
+    """hermite_functions(nmax, x) as a read-only float64 table.  Built once per
+    process for each of the 4 most recently used (nmax, grid contents): a gate
+    run reads two (three off the default grid_points), 0.73 MB at dim 32, and
+    four 16384-point tables at dim 128 hold 67 MB."""
     return _cached_hermite_table(nmax, np.asarray(x, dtype=float).tobytes())
 
 
 @functools.lru_cache(maxsize=4)
 def _cached_hermite_table(nmax, grid_bytes):
-    table = hermite_functions(nmax, np.frombuffer(grid_bytes)).astype(complex)
+    table = hermite_functions(nmax, np.frombuffer(grid_bytes))
     table.setflags(write=False)
     return table
+
+
+def _wavefunction(amps, table):
+    """psi(x) = sum_n amps[n] phi_n(x) on a real Hermite table's grid, for an
+    amplitude vector (or a stack of them) with at most the table's levels.
+    One real product: the table meets the real and imaginary parts side by
+    side, and the (grid, 2) result is read as complex without a copy."""
+    amps = np.asarray(amps)
+    basis = table[: amps.shape[-1]].T
+    return (basis @ np.stack([amps.real, amps.imag], axis=-1)).view(complex)[..., 0]
 
 
 def default_grid(dim, n_points=2048, margin=3.0):
@@ -501,22 +512,6 @@ def default_grid(dim, n_points=2048, margin=3.0):
             TruncationWarning,
         )
     return np.linspace(-half, half, n_points)
-
-
-def quadrature_wavefunction(state, x):
-    """psi(x) = sum_n c_n phi_n(x) for a one-mode state."""
-    if state.num_modes != 1:
-        raise ValueError("quadrature_wavefunction expects a one-mode state")
-    x = np.asarray(x, dtype=float)
-    if x.size and np.abs(x).max() < math.sqrt(2.0 * state.dim):
-        warnings.warn(
-            f"grid reaches only |x| <= {np.abs(x).max():.2f} but the cutoff "
-            f"supports structure out to {math.sqrt(2.0 * state.dim):.2f}; "
-            "norms on this grid will come up short",
-            TruncationWarning,
-        )
-    basis = hermite_functions(state.dim, x)
-    return state.amps @ basis
 
 
 def _grid_integral(grid, f):

