@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ DEFAULT_BIN_WIDTH_E = 1.0
 # histogram artifacts at that size: about 120 MB, 0.4 GB peak memory).
 MAX_HISTOGRAM_BINS = 1_000_000
 
+# Most pulses a run may simulate: ten times a 1e6-pulse run (records.csv 26 MB).
+MAX_PULSES = 10_000_000
+
 
 @dataclass(frozen=True)
 class CipdConfig:
@@ -54,31 +57,72 @@ class CipdConfig:
     gain_dispersion: float = 0.0
 
     def __post_init__(self):
-        for name in ("eta", "gain", "dark_rate", "readout_noise", "sample_rate",
-                     "integration_window", "gain_dispersion"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):  # a run config's float fields too
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name}: must be finite, got {value}")
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
+            raise ValueError(f"eta: must be in [0, 1], got {self.eta}")
         if self.gain < 1.0:
-            raise ValueError("gain must be >= 1")
+            raise ValueError(f"gain: must be >= 1, got {self.gain}")
         if self.dark_rate < 0.0:
-            raise ValueError("dark_rate must be nonnegative")
+            raise ValueError(f"dark_rate: must be nonnegative, got {self.dark_rate}")
         if self.readout_noise < 0.0:
-            raise ValueError("readout_noise must be nonnegative")
+            raise ValueError(f"readout_noise: must be nonnegative, got {self.readout_noise}")
         if self.sample_rate <= 0.0:
-            raise ValueError("sample_rate must be positive")
+            raise ValueError(f"sample_rate: must be positive, got {self.sample_rate}")
         if self.gain_dispersion < 0.0:
-            raise ValueError("gain_dispersion must be nonnegative")
+            raise ValueError(f"gain_dispersion: must be nonnegative, got {self.gain_dispersion}")
         if self.integration_window is None:
             object.__setattr__(self, "integration_window", 1.0 / self.sample_rate)
         elif self.integration_window <= 0.0:
-            raise ValueError("integration_window must be positive")
+            raise ValueError(f"integration_window: must be positive, got {self.integration_window}")
 
     @property
     def dark_per_window(self):
         return self.dark_rate * self.integration_window
+
+
+@dataclass(frozen=True)
+class HistogramConfig(CipdConfig):
+    """A cipd-histogram run: 1 to MAX_PULSES pulses from a Poisson source of mean
+    source_mean, or from source_pmf when given, histogrammed at bin_width."""
+
+    source_mean: float = 2.0
+    source_pmf: tuple = None
+    n_pulses: int = 2000
+    bin_width: float = DEFAULT_BIN_WIDTH_E
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.source_mean < 0.0:
+            raise ValueError(f"source_mean: must be nonnegative, got {self.source_mean}")
+        if self.source_pmf is not None:
+            pmf = np.asarray(self.source_pmf, dtype=float)
+            if pmf.ndim != 1 or (pmf < 0).any() or not math.isclose(pmf.sum(), 1, abs_tol=1e-9):
+                raise ValueError(f"source_pmf: must be a pmf, got {self.source_pmf}")
+            object.__setattr__(self, "source_pmf", tuple(pmf.tolist()))
+        if not 1 <= self.n_pulses <= MAX_PULSES:
+            raise ValueError(f"n_pulses: must be in [1, {MAX_PULSES}], got {self.n_pulses}")
+        if self.bin_width <= 0.0:
+            raise ValueError(f"bin_width: must be positive, got {self.bin_width}")
+
+
+@dataclass(frozen=True)
+class ResolutionConfig(CipdConfig):
+    """A cipd-resolution run: the readout noise that reaches target_snr, and the dark
+    electrons over drift_duration_s, checked against drift_budget_e if given."""
+
+    target_snr: float = 4.0
+    drift_duration_s: float = 1.0
+    drift_budget_e: float = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.target_snr <= 0.0:
+            raise ValueError(f"target_snr: must be positive, got {self.target_snr}")
+        if self.drift_duration_s < 0.0:
+            raise ValueError(f"drift_duration_s: must be nonnegative, got {self.drift_duration_s}")
 
 
 class PulseRecords:
@@ -138,12 +182,6 @@ class DarkDriftReport:
     exceeded: bool = None
 
 
-def _charges(records):
-    if isinstance(records, PulseRecords):
-        return records.output_charge
-    return np.asarray(records, dtype=float)
-
-
 def simulate_pulses(config, source, n_pulses, rng=None):
     """Run the pulse chain.  source is either a Poisson mean (LED light) or a
     photon-number pmf indexed from 0 (e.g. [0, 1] for a deterministic
@@ -190,7 +228,8 @@ def analytic_moments(config, source_mean):
 
 def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
     """Bin output charges with edges offset half a width off the origin."""
-    charges = _charges(records)
+    charges = (records.output_charge if isinstance(records, PulseRecords)
+               else np.asarray(records, dtype=float))
     if charges.size == 0:
         raise ValueError("no records to histogram")
     if bin_width <= 0:
@@ -277,8 +316,6 @@ def detect_peaks(hist, gain):
 
 def resolution_metric(config):
     """Charge separation of adjacent photon numbers over RMS readout noise."""
-    if config.gain <= 0:
-        raise ValueError("gain must be positive")
     if config.readout_noise == 0.0:
         warnings.warn("infinite resolution: readout noise is zero", RuntimeWarning)
         return math.inf

@@ -92,7 +92,7 @@ def _check_param(name, spec_kind, value):
 
 
 def parse_scenario(data):
-    """Validate a decoded scenario dict; returns (kind, seed, output_dir, params)."""
+    """Validate a decoded scenario dict; returns (kind, seed, output_dir, config)."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = set(data) - {"kind", "seed", "output_dir", "parameters"}
@@ -117,15 +117,20 @@ def parse_scenario(data):
         raise ScenarioError(
             f"parameters: unknown for {kind}: {', '.join(sorted(bad))}; "
             f"valid: {', '.join(schema)}")
-    params = {name: _check_param(name, spec_kind, raw[name]) if name in raw else default
-              for name, (spec_kind, default, _) in schema.items()}
-    return kind, seed, out, params
+    params = {name: _check_param(name, schema[name][0], value) for name, value in raw.items()}
+    try:
+        return kind, seed, out, _KINDS[kind].config(**params)
+    except ValueError as exc:
+        raise ScenarioError(_refusal(kind, exc) or str(exc)) from None
 
 
-def _config(config_cls, params):
-    """config_cls from the parameters named like its fields; the rest keep their defaults."""
-    return config_cls(**{f.name: params[f.name] for f in dataclasses.fields(config_cls)
-                         if f.name in params})
+def _refusal(kind, exc):
+    """A ValueError 'field[, field]: why' as 'parameters.field[, parameters.field]:
+    why' when every leading name is a parameter of `kind`; None otherwise."""
+    names, sep, why = str(exc).partition(": ")
+    if sep and set(names.split(", ")) <= _KINDS[kind].schema.keys():
+        return "parameters." + names.replace(", ", ", parameters.") + sep + why
+    return None
 
 
 def _resolution(config):
@@ -133,68 +138,36 @@ def _resolution(config):
     return None if config.readout_noise == 0.0 else cipd.resolution_metric(config)
 
 
-def _run_dense_coding_spectrum(params, seed, out):
-    if params["n_samples"] < 0 or params["n_samples"] == 1:
-        raise ScenarioError(
-            f"parameters.n_samples: must be 0 or >= 2, got {params['n_samples']}")
-    if params["n_samples"] > sys.float_info.max:  # run_spectrum takes n as a float
-        raise ScenarioError("parameters.n_samples: must convert to a finite float, got "
-                            f"an integer of {len(str(params['n_samples']))} digits")
-    f_lo, f_hi, n_bins = params["f_lo_hz"], params["f_hi_hz"], params["n_bins"]
-    if f_hi <= f_lo:
-        raise ScenarioError(f"parameters.f_hi_hz: must exceed f_lo_hz {f_lo!r}, got {f_hi!r}")
-    if not math.isfinite(f_hi - f_lo):
-        raise ScenarioError("parameters.f_lo_hz, parameters.f_hi_hz: the band width "
-                            f"{f_hi!r} - {f_lo!r} is not a finite float")
-    if f_lo <= 0:
-        raise ScenarioError(f"parameters.f_lo_hz: must be > 0, got {f_lo!r}")
-    if n_bins < 2:
-        raise ScenarioError(f"parameters.n_bins: must be >= 2, got {n_bins}")
-    # two_tone_plan's snapping rule: each tone goes to the nearest bin
-    freqs = np.linspace(f_lo, f_hi, n_bins)
-    i_am, i_pm = (int(np.argmin(np.abs(freqs - params[f"{tone}_frequency_hz"])))
-                  for tone in ("am", "pm"))
-    if i_am == i_pm:
-        raise ScenarioError("parameters.am_frequency_hz, parameters.pm_frequency_hz: both "
-                            f"tones snap to bin {i_am} of {n_bins}; they need distinct bins")
-    plan = densecoding.two_tone_plan(
-        n_bins=n_bins, f_lo=f_lo, f_hi=f_hi, r=params["squeezing_r"],
-        am_frequency=params["am_frequency_hz"], pm_frequency=params["pm_frequency_hz"],
-        amplitude=params["amplitude"], loss_eta=params["loss_eta"])
-    traces = densecoding.run_spectrum(
-        plan, n_samples=params["n_samples"], seed=seed,
-        mirror_transmittance=params["mirror_transmittance"])
-    densecoding.write_spectra(traces, out)
+def _run_dense_coding_spectrum(config, seed, out):
+    densecoding.write_spectra(densecoding.run_spectrum(
+        config.plan, n_samples=config.n_samples, seed=seed,
+        mirror_transmittance=config.mirror_transmittance), out)
 
 
-def _run_dense_coding_phase_sweep(params, seed, out):
-    if params["n_phases"] < 1:
-        raise ScenarioError(f"parameters.n_phases: must be >= 1, got {params['n_phases']}")
-    angles = np.linspace(0.0, np.pi, params["n_phases"], endpoint=False)
-    traces = [densecoding.phase_sweep(kind, angles, r=params["squeezing_r"])
+def _run_dense_coding_phase_sweep(config, seed, out):
+    angles = np.linspace(0.0, np.pi, config.n_phases, endpoint=False)
+    traces = [densecoding.phase_sweep(kind, angles, r=config.squeezing_r)
               for kind in ("shot", "epr", "squeezed")]
     densecoding.write_phase_sweep(traces, out)
 
 
-def _run_cubic_phase(params, seed, out):
-    record = cubicphase.run_gate(_config(cubicphase.CubicGateConfig, params), seed=seed)
-    (out / "gate_run.json").write_text(record.to_json())
+def _run_cubic_phase(config, seed, out):
+    (out / "gate_run.json").write_text(cubicphase.run_gate(config, seed=seed).to_json())
 
 
-def _run_cipd_histogram(params, seed, out):
-    config = _config(cipd.CipdConfig, params)
-    source = params["source_pmf"] if params["source_pmf"] is not None else params["source_mean"]
-    records = cipd.simulate_pulses(config, source, params["n_pulses"], rng=seed)
-    hist = cipd.histogram(records, bin_width=params["bin_width"])
+def _run_cipd_histogram(config, seed, out):
+    source = config.source_pmf if config.source_pmf is not None else config.source_mean
+    records = cipd.simulate_pulses(config, source, config.n_pulses, rng=seed)
+    hist = cipd.histogram(records, bin_width=config.bin_width)
     referred = hist.scaled(1.0 / config.gain)
     peaks = cipd.detect_peaks(hist, config.gain)
     cipd.write_records_csv(records, out / "records.csv")
     cipd.write_histogram(hist, out, "histogram_charge", "output charge (e)")
     cipd.write_histogram(referred, out, "histogram_pe", "input-referred photoelectrons")
-    mean, var = (cipd.analytic_moments(config, params["source_mean"])
-                 if params["source_pmf"] is None else (None, None))
+    mean, var = (cipd.analytic_moments(config, config.source_mean)
+                 if config.source_pmf is None else (None, None))
     write_json(out / "report.json", {
-        "n_pulses": params["n_pulses"],
+        "n_pulses": config.n_pulses,
         "resolution": _resolution(config),
         "detected_peaks_e": [float(p) for p in peaks],
         "mean_charge_e": float(records.output_charge.mean()),
@@ -204,18 +177,17 @@ def _run_cipd_histogram(params, seed, out):
     })
 
 
-def _run_cipd_resolution(params, seed, out):
-    config = _config(cipd.CipdConfig, params)
+def _run_cipd_resolution(config, seed, out):
     resolution = _resolution(config)
-    drift = cipd.dark_drift(config, params["drift_duration_s"], params["drift_budget_e"])
+    drift = cipd.dark_drift(config, config.drift_duration_s, config.drift_budget_e)
     write_json(out / "resolution.json", {
         "resolution": resolution,
         "resolution_infinite": resolution is None,
-        "meets_target": resolution is None or resolution >= params["target_snr"],
-        "target_snr": params["target_snr"],
-        "required_noise_e": cipd.required_noise(config, params["target_snr"]),
+        "meets_target": resolution is None or resolution >= config.target_snr,
+        "target_snr": config.target_snr,
+        "required_noise_e": cipd.required_noise(config, config.target_snr),
         "dark_drift": {
-            "duration_s": params["drift_duration_s"],
+            "duration_s": config.drift_duration_s,
             "expected_electrons": drift.expected_electrons,
             "budget_electrons": drift.budget,
             "exceeded": drift.exceeded,
@@ -225,89 +197,74 @@ def _run_cipd_resolution(params, seed, out):
 
 class _Kind(NamedTuple):
     summary: str
-    run: Callable  # (params, seed, output_dir); writes the artifacts
-    # parameter name -> (type, default, help); type in {int, float, str, pair,
-    # pmf, optional_int, optional_float}; defaults as the runner takes them
+    config: type  # frozen; refuses a bad value with a ValueError "field: why"
+    run: Callable  # (config, seed, output_dir); writes the artifacts
+    # name -> (type, the config's default, help); type in {int, float, str,
+    # pair, pmf, optional_int, optional_float}
     schema: dict
 
 
-def _config_fields(config_cls, **specs):
-    """Schema entries name=(type, help) for config_cls fields, with its defaults."""
+def _kind(summary, config_cls, run, **specs):
+    """A _Kind whose schema entries name=(type, help) take config_cls's defaults."""
     defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
-    return {name: (spec_kind, defaults[name], help_text)
-            for name, (spec_kind, help_text) in specs.items()}
+    return _Kind(summary, config_cls, run, {name: (spec_kind, defaults[name], help_text)
+                                            for name, (spec_kind, help_text) in specs.items()})
 
 
-_DETECTOR = _config_fields(
-    cipd.CipdConfig,
+_DETECTOR = dict(
     eta=("float", "quantum efficiency"),
     gain=("float", "mean avalanche gain (e/pe)"),
     dark_rate=("float", "dark electrons per second"),
     readout_noise=("float", "readout noise, electrons RMS"),
-    sample_rate=("float", "sampling rate, Hz"),
-)
+    sample_rate=("float", "sampling rate, Hz"))
 
 _KINDS = {
-    "dense-coding-spectrum": _Kind(
+    "dense-coding-spectrum": _kind(
         "sideband noise spectra of the two-tone dense-coding experiment",
-        _run_dense_coding_spectrum, {
-            "n_bins": ("int", 33, "sideband bins across the analysis band"),
-            "f_lo_hz": ("float", 0.8e6, "low edge of the band"),
-            "f_hi_hz": ("float", 1.6e6, "high edge of the band"),
-            "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter of the EPR source"),
-            "am_frequency_hz": ("float", densecoding.AM_FREQUENCY_HZ, "AM tone frequency"),
-            "pm_frequency_hz": ("float", densecoding.PM_FREQUENCY_HZ, "PM tone frequency"),
-            "amplitude": ("float", densecoding.DEFAULT_TONE_AMPLITUDE,
-                          "tone displacement amplitude"),
-            "loss_eta": ("float", 1.0, "transmission of the encoded beam"),
-            "n_samples": ("int", 0, "homodyne samples per bin; 0 = analytic, else >= 2"),
-            "mirror_transmittance": ("float", 0.0,
-                                     "encoding mirror transmittance; 0 = ideal displacement"),
-        }),
-    "dense-coding-phase-sweep": _Kind(
+        densecoding.SpectrumConfig, _run_dense_coding_spectrum,
+        n_bins=("int", "sideband bins across the analysis band"),
+        f_lo_hz=("float", "low edge of the band"),
+        f_hi_hz=("float", "high edge of the band"),
+        squeezing_r=("float", "squeezing parameter of the EPR source"),
+        am_frequency_hz=("float", "AM tone frequency"),
+        pm_frequency_hz=("float", "PM tone frequency"),
+        amplitude=("float", "tone displacement amplitude"),
+        loss_eta=("float", "transmission of the encoded beam"),
+        n_samples=("int", "homodyne samples per bin; 0 = analytic, else >= 2"),
+        mirror_transmittance=("float", "encoding mirror transmittance; 0 = ideal displacement")),
+    "dense-coding-phase-sweep": _kind(
         "noise power vs LO phase for shot, EPR, and squeezed inputs",
-        _run_dense_coding_phase_sweep, {
-            "squeezing_r": ("float", densecoding.DEFAULT_R, "squeezing parameter"),
-            "n_phases": ("int", 64, "LO angles spread over [0, pi)"),
-        }),
-    "cubic-phase-run": _Kind(
+        densecoding.SweepConfig, _run_dense_coding_phase_sweep,
+        squeezing_r=("float", "squeezing parameter"),
+        n_phases=("int", "LO angles spread over [0, pi)")),
+    "cubic-phase-run": _kind(
         "one measurement-induced cubic-gate execution with diagnostics",
-        _run_cubic_phase, _config_fields(
-            cubicphase.CubicGateConfig,
-            squeezing_r=("float", "resource squeezing"),
-            displacement_alpha=("pair", "[re, im] displacement of the counted arm"),
-            correction_s=("float", "ancilla squeeze correction"),
-            coupling_g=("float", "QND coupling strength"),
-            gamma_target=("float", "cubic strength aimed for (diagnostic)"),
-            dim=("int", "per-mode Fock cutoff"),
-            qnd_pad=("optional_int", "coupling workspace padding; default dim/2"),
-            post_select_n=("optional_int", "forced photon count; default sampled"),
-            homodyne_which=("str", "which coupled mode is homodyned"),
-            grid_points=("int", "quadrature grid resolution"),
-        )),
-    "cipd-histogram": _Kind(
+        cubicphase.CubicGateConfig, _run_cubic_phase,
+        squeezing_r=("float", "resource squeezing"),
+        displacement_alpha=("pair", "[re, im] displacement of the counted arm"),
+        correction_s=("float", "ancilla squeeze correction"),
+        coupling_g=("float", "QND coupling strength"),
+        gamma_target=("float", "cubic strength aimed for (diagnostic)"),
+        dim=("int", "per-mode Fock cutoff"),
+        qnd_pad=("optional_int", "coupling workspace padding; default dim/2"),
+        post_select_n=("optional_int", "forced photon count; default sampled"),
+        homodyne_which=("str", "which coupled mode is homodyned"),
+        grid_points=("int", "quadrature grid resolution")),
+    "cipd-histogram": _kind(
         "pulse Monte Carlo, charge histograms, and peak report",
-        _run_cipd_histogram, {
-            **_DETECTOR,
-            **_config_fields(
-                cipd.CipdConfig,
-                integration_window=("optional_float",
-                                    "integration window, s; default 1/sample_rate"),
-                gain_dispersion=("float", "fractional RMS gain noise; 0 = deterministic gain"),
-            ),
-            "source_mean": ("float", 2.0, "Poisson mean photons per pulse"),
-            "source_pmf": ("pmf", None, "explicit photon-number pmf; overrides source_mean"),
-            "n_pulses": ("int", 2000, "number of light pulses"),
-            "bin_width": ("float", cipd.DEFAULT_BIN_WIDTH_E, "histogram bin width, electrons"),
-        }),
-    "cipd-resolution": _Kind(
+        cipd.HistogramConfig, _run_cipd_histogram, **_DETECTOR,
+        integration_window=("optional_float", "integration window, s; default 1/sample_rate"),
+        gain_dispersion=("float", "fractional RMS gain noise; 0 = deterministic gain"),
+        source_mean=("float", "Poisson mean photons per pulse"),
+        source_pmf=("pmf", "explicit photon-number pmf; overrides source_mean"),
+        n_pulses=("int", "number of light pulses"),
+        bin_width=("float", "histogram bin width, electrons")),
+    "cipd-resolution": _kind(
         "detector resolution arithmetic and dark-drift report",
-        _run_cipd_resolution, {
-            **_DETECTOR,
-            "target_snr": ("float", 4.0, "resolution target for required_noise"),
-            "drift_duration_s": ("float", 1.0, "duration for the dark-drift estimate"),
-            "drift_budget_e": ("optional_float", None, "dark-drift budget, electrons"),
-        }),
+        cipd.ResolutionConfig, _run_cipd_resolution, **_DETECTOR,
+        target_snr=("float", "resolution target for required_noise"),
+        drift_duration_s=("float", "duration for the dark-drift estimate"),
+        drift_budget_e=("optional_float", "dark-drift budget, electrons")),
 }
 
 
@@ -327,12 +284,12 @@ def _error(message, code=1):
 def _cmd_run(args):
     path = Path(args.scenario)
     try:
-        kind, seed, out_field, params = parse_scenario(json.loads(path.read_text()))
+        kind, seed, out_field, config = parse_scenario(json.loads(path.read_text()))
     except (OSError, UnicodeDecodeError) as exc:
         return _error(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         return _error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except ScenarioError as exc:
+    except (ScenarioError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         return _error(f"{path}: {exc}")
     out_name = args.output_dir or out_field
     if out_name is None:
@@ -346,17 +303,18 @@ def _cmd_run(args):
     except OSError as exc:
         return _error(f"cannot create output directory {out}: {exc}")
     try:
-        return _run_into(staging, out, kind, seed, params, args.strict)
+        return _run_into(staging, out, kind, seed, config, args.strict)
     except Exception as exc:
-        return _error(f"scenario failed: {exc}")
+        named = isinstance(exc, ValueError) and _refusal(kind, exc)
+        return _error(f"{path}: {named}" if named else f"scenario failed: {exc}")
     finally:  # also on KeyboardInterrupt, which propagates
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _run_into(staging, out, kind, seed, params, strict):
+def _run_into(staging, out, kind, seed, config, strict):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _KINDS[kind].run(params, seed, staging)
+        _KINDS[kind].run(config, seed, staging)
     truncations = [w for w in caught if issubclass(w.category, TruncationWarning)]
     for w in truncations:
         print(f"warning: {w.message}", file=sys.stderr)

@@ -59,21 +59,20 @@ class CubicGateConfig:
     def __post_init__(self):
         for name in ("squeezing_r", "displacement_alpha", "correction_s", "coupling_g",
                      "gamma_target"):
-            value = getattr(self, name)
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
         if abs(self.squeezing_r) > 10.0:  # fock.tmsv's limit, named before any work
-            raise ValueError(f"squeezing_r must satisfy |squeezing_r| <= 10, "
-                             f"got {self.squeezing_r!r}")
+            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
         if self.dim < 8:
-            raise ValueError("dim >= 8 is required for a meaningful gate run")
+            raise ValueError(f"dim: must be >= 8 for a meaningful gate run, got {self.dim}")
         if self.homodyne_which not in ("ancilla", "target"):
-            raise ValueError("homodyne_which must be 'ancilla' or 'target'")
+            raise ValueError("homodyne_which: must be 'ancilla' or 'target', got "
+                             f"{self.homodyne_which!r}")
         if self.post_select_n is not None and not 0 <= self.post_select_n < self.dim:
-            raise ValueError("post_select_n outside the cutoff")
+            raise ValueError(f"post_select_n: must be in [0, {self.dim}), got {self.post_select_n}")
         fock._qnd_workspace(self.dim, self.qnd_pad)  # before any dim^3 work
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be in [2, {MAX_GRID_POINTS}], "
+            raise ValueError(f"grid_points: must be in [2, {MAX_GRID_POINTS}], "
                              f"got {self.grid_points}")
 
     def as_dict(self):
@@ -134,7 +133,10 @@ def prepare_ancilla(config):
 def post_select(state, outcome=None, rng=None):
     """Photon-count the displaced arm; returns the fock-layer count result
     whose `conditional` is the kept (non-Gaussian) ancilla arm."""
-    return fock.photon_count(state, mode=1, rng=rng, outcome=outcome)
+    try:
+        return fock.photon_count(state, mode=1, rng=rng, outcome=outcome)
+    except ValueError as exc:  # a forced outcome is the config's post_select_n
+        raise (exc if outcome is None else ValueError(f"post_select_n: {exc}")) from None
 
 
 def apply_correction(ancilla, config):

@@ -17,6 +17,7 @@ number formatted once for both files; cvsim.artifacts owns the file format.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ DEFAULT_TONE_AMPLITUDE = 2.5
 
 AM_FREQUENCY_HZ = 1.3e6
 PM_FREQUENCY_HZ = 1.1e6
+
+# most bins a spectrum, and LO angles a sweep, may have: 100x a 1001-bin spectrum
+MAX_BINS = 100_000
 
 # the 50:50 splitter that makes the EPR pair and recombines it in the receiver
 _BALANCED = gaussian.beamsplitter_op(2, 0, 1, 0.5)
@@ -79,6 +83,62 @@ class PhaseSweepTrace:
     label: str
     lo_phase_rad: np.ndarray
     power_db: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpectrumConfig:
+    """A two-tone spectrum run (see run_spectrum and encode for n_samples and
+    mirror_transmittance) on 2 to MAX_BINS bins from f_lo_hz > 0 to f_hi_hz.
+    Its `plan`, two_tone_plan(self), is built once, on construction."""
+
+    n_bins: int = 33
+    f_lo_hz: float = 0.8e6
+    f_hi_hz: float = 1.6e6
+    squeezing_r: float = DEFAULT_R
+    am_frequency_hz: float = AM_FREQUENCY_HZ
+    pm_frequency_hz: float = PM_FREQUENCY_HZ
+    amplitude: float = DEFAULT_TONE_AMPLITUDE
+    loss_eta: float = 1.0
+    n_samples: int = 0
+    mirror_transmittance: float = 0.0
+
+    def __post_init__(self):
+        for name in ("f_lo_hz", "f_hi_hz", "am_frequency_hz", "pm_frequency_hz", "amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+        if not (self.n_samples == 0 or 2 <= self.n_samples <= sys.float_info.max):
+            raise ValueError("n_samples: must be 0, or >= 2 and a finite float")
+        f_lo, f_hi = self.f_lo_hz, self.f_hi_hz
+        if f_hi <= f_lo:
+            raise ValueError(f"f_hi_hz: must exceed f_lo_hz {f_lo!r}, got {f_hi!r}")
+        if not math.isfinite(f_hi - f_lo):
+            raise ValueError(f"f_lo_hz, f_hi_hz: the band width {f_hi!r} - {f_lo!r} is not finite")
+        if f_lo <= 0:
+            raise ValueError(f"f_lo_hz: must be > 0, got {f_lo!r}")
+        if not 2 <= self.n_bins <= MAX_BINS:
+            raise ValueError(f"n_bins: must be in [2, {MAX_BINS}], got {self.n_bins}")
+        if not abs(self.squeezing_r) <= gaussian.MAX_SQUEEZING_R:  # build_epr's limit, 10
+            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
+        if not 0.0 <= self.loss_eta <= 1.0:
+            raise ValueError(f"loss_eta: must be in [0, 1], got {self.loss_eta!r}")
+        if not 0.0 <= self.mirror_transmittance < 1.0:
+            raise ValueError("mirror_transmittance: must be in [0, 1), got "
+                             f"{self.mirror_transmittance!r}")
+        object.__setattr__(self, "plan", two_tone_plan(self))
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A phase-sweep run: shot, EPR and squeezed traces at n_phases LO angles."""
+
+    squeezing_r: float = DEFAULT_R
+    n_phases: int = 64
+
+    def __post_init__(self):
+        if not abs(self.squeezing_r) <= gaussian.MAX_SQUEEZING_R:  # build_epr's limit, 10
+            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
+        if not 1 <= self.n_phases <= MAX_BINS:
+            raise ValueError(f"n_phases: must be in [1, {MAX_BINS}], got {self.n_phases}")
 
 
 def build_epr(r=DEFAULT_R):
@@ -179,30 +239,19 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
             for t, label in enumerate(("shot", "epr", "bell"))}
 
 
-def two_tone_plan(
-    n_bins=33,
-    f_lo=0.8e6,
-    f_hi=1.6e6,
-    r=DEFAULT_R,
-    am_frequency=AM_FREQUENCY_HZ,
-    pm_frequency=PM_FREQUENCY_HZ,
-    amplitude=DEFAULT_TONE_AMPLITUDE,
-    loss_eta=1.0,
-):
-    """AM tone at one bin, PM tone at another, quiet bins elsewhere.
-
-    Tone frequencies snap to the nearest bin of the linspace grid; the plan's
-    columns are filled as arrays, each tone's amplitude in its one bin.
-    """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    freqs = np.linspace(f_lo, f_hi, n_bins)
-    i_am, i_pm = (int(np.argmin(np.abs(freqs - f))) for f in (am_frequency, pm_frequency))
+def two_tone_plan(config):
+    """A SpectrumConfig's plan: each tone snaps to the nearest bin of the
+    linspace grid, two tones in one bin are refused, and the columns are
+    filled as arrays, each tone's amplitude in its one bin."""
+    freqs = np.linspace(config.f_lo_hz, config.f_hi_hz, config.n_bins)
+    i_am, i_pm = (int(np.argmin(np.abs(freqs - f)))
+                  for f in (config.am_frequency_hz, config.pm_frequency_hz))
     if i_am == i_pm:
-        raise ValueError("AM and PM tones landed on the same bin")
-    bins = np.zeros(n_bins, _BIN)
-    bins["frequency_hz"], bins["squeezing_r"], bins["loss_eta"] = freqs, r, loss_eta
-    bins["am_amplitude"][i_am] = bins["pm_amplitude"][i_pm] = amplitude
+        raise ValueError(f"am_frequency_hz, pm_frequency_hz: both tones snap to bin {i_am}")
+    bins = np.zeros(config.n_bins, _BIN)
+    bins["frequency_hz"], bins["squeezing_r"], bins["loss_eta"] = (
+        freqs, config.squeezing_r, config.loss_eta)
+    bins["am_amplitude"][i_am] = bins["pm_amplitude"][i_pm] = config.amplitude
     return SidebandPlan(bins)
 
 

@@ -388,10 +388,10 @@ def _qnd_workspace(dim, pad=None):
     if pad is None:
         pad = dim // 2
     if pad < 0:
-        raise ValueError(f"qnd_pad must be >= 0, got {pad}")
+        raise ValueError(f"qnd_pad: must be >= 0, got {pad}")
     if dim + pad > QND_WORKSPACE_LIMIT:
-        raise ValueError(f"QND workspace dim + qnd_pad = {dim} + {pad} per mode exceeds "
-                         f"the limit QND_WORKSPACE_LIMIT = {QND_WORKSPACE_LIMIT}")
+        raise ValueError(f"dim, qnd_pad: QND workspace dim + qnd_pad = {dim} + {pad} per mode "
+                         f"exceeds the limit QND_WORKSPACE_LIMIT = {QND_WORKSPACE_LIMIT}")
     return dim + pad
 
 

@@ -18,7 +18,7 @@ Mod. Phys. 84, 621 (2012)), computed by `_gaussian_map`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,33 +106,27 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class SymplecticOp:
-    """Affine Gaussian unitary: quadratures map as r -> S r + d.
+    """Gaussian unitary: quadratures map as r -> S r.
 
     S is checked against S^T Omega S = Omega on construction.
     """
 
     matrix: np.ndarray
-    displacement: np.ndarray = field(default=None)
 
     def __post_init__(self):
         s = _readonly(self.matrix)
         n = s.shape[0]
         if s.shape != (n, n) or n % 2 != 0:
             raise ValueError("symplectic matrix must be 2M x 2M")
-        d = self.displacement
-        d = np.zeros(n) if d is None else _readonly(d)
-        if d.shape != (n,):
-            raise ValueError("displacement must have length 2M")
         w = omega(n // 2)
         if np.abs(s.T @ w @ s - w).max() > _SYMPLECTIC_TOL:
             raise ValueError("matrix is not symplectic")
         object.__setattr__(self, "matrix", s)
-        object.__setattr__(self, "displacement", d)
 
     def apply(self, state):
         if state.mean.size != self.matrix.shape[0]:
             raise ValueError("operator and state mode counts differ")
-        return _gaussian_map(state, None, self.matrix, self.displacement)
+        return _gaussian_map(state, None, self.matrix)
 
 
 @dataclass(frozen=True)

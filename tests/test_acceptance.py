@@ -65,7 +65,7 @@ def test_criterion_02_epr_phase_independence():
 
 def test_criterion_03_dense_coding_decoding():
     t0 = time.perf_counter()
-    plan = densecoding.two_tone_plan()
+    plan = densecoding.two_tone_plan(densecoding.SpectrumConfig())
     traces = densecoding.run_spectrum(plan)
     bell = traces["bell"]
     freqs = np.array([b.frequency_hz for b in plan.bins])

@@ -1,5 +1,6 @@
 """Tests for the scenario-runner CLI."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -41,6 +42,15 @@ def test_describe_lists_parameters(capsys):
     out = capsys.readouterr().out
     for name in ("eta", "gain", "dark_rate", "readout_noise"):
         assert name in out
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_schema_agrees_with_config(kind):
+    # `cvsim describe` prints the schema; a run builds the config class
+    spec = cli._KINDS[kind]
+    assert set(spec.schema) <= {f.name for f in dataclasses.fields(spec.config)}
+    defaults = {name: default for name, (_, default, _) in spec.schema.items()}
+    assert spec.config(**defaults) == spec.config()
 
 
 def test_describe_unknown_kind(capsys):
@@ -112,13 +122,23 @@ def test_rerun_is_byte_identical(name, tmp_path):
 
 
 # manifest.json sha256 of two detector runs, as the per-value repr writer made
-# them: the manifest hashes every artifact, so these pin records.csv's bytes
+# them (the manifest hashes every artifact, so these pin records.csv's bytes),
+# and of the other non-gate bundled scenarios; the gate is pinned by the frozen
+# reference runs in test_cubicphase.py
 FROZEN_MANIFESTS = {
     "bundled": (SCENARIO_DIR / "cipd_histogram.json",
                 "15d1d83a659eedd9c9b143c39de40cdc4597198ead53e16fa44d221cbe44c3dc"),
     "1e5-pulses": ({"kind": "cipd-histogram", "seed": 12345, "parameters": {
         "n_pulses": 100000, "source_mean": 2.5, "gain_dispersion": 0.1}},
                    "913e1e2337d271fd263b22aacea0ebc028629d7d0b153e42d75e24c18595bf57"),
+    "cipd-resolution": (SCENARIO_DIR / "cipd_resolution.json",
+                        "b71da253ebcb8bcd9c6c9a8f5e2684379d8b2ecae56a2c1f1b5e606442dd2224"),
+    "dense-coding-phase-sweep": (
+        SCENARIO_DIR / "dense_coding_phase_sweep.json",
+        "0e666c257bfd46b92b8a62610f8d61a7e66302152070f79585c9eb63430749d6"),
+    "dense-coding-spectrum": (
+        SCENARIO_DIR / "dense_coding_spectrum.json",
+        "fcef12fe7fcc89db09a1ba4eda68138e21e5424b1c409ddb621780a2e9b29335"),
 }
 
 
@@ -152,6 +172,18 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oversized_integer_literal_exits_one(tmp_path, capsys):
+    # json.loads refuses an integer literal of over 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "cipd-histogram", "seed": 5, "parameters": {"n_pulses": 1'
+                    + "0" * 5000 + "}}")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mutate, needle", [
     (dict(kind="unknown-kind"), "kind"),
     (dict(seed=None), "seed"),
@@ -181,6 +213,24 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     (dict(kind="dense-coding-spectrum", parameters={"n_bins": 3}),
      "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
     (dict(kind="cubic-phase-run", parameters={"squeezing_r": 20.0}), "squeezing_r"),
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 20.0}),
+     "parameters.squeezing_r"),
+    (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 20.0}),
+     "parameters.squeezing_r"),
+    (dict(kind="dense-coding-spectrum", parameters={"mirror_transmittance": -0.1}),
+     "parameters.mirror_transmittance"),
+    (dict(kind="dense-coding-spectrum", parameters={"mirror_transmittance": 1.0}),
+     "parameters.mirror_transmittance"),
+    (dict(kind="cipd-resolution", parameters={"drift_duration_s": -1.0}),
+     "parameters.drift_duration_s"),
+    (dict(parameters={"source_mean": -1.0}), "parameters.source_mean"),
+    (dict(parameters={"source_pmf": [0.5, 0.6]}), "parameters.source_pmf"),
+    (dict(parameters={"eta": 2.0}), "parameters.eta"),
+    (dict(kind="cubic-phase-run", parameters={"dim": 4}), "parameters.dim"),
+    # a count of 1 that the undisplaced vacuum resource cannot produce
+    (dict(kind="cubic-phase-run", parameters={
+        "squeezing_r": 0.0, "displacement_alpha": [0.0, 0.0], "post_select_n": 1}),
+     "parameters.post_select_n"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)

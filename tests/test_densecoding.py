@@ -65,7 +65,7 @@ def test_bell_measure_rejects_single_mode():
 
 
 def test_two_tone_plan_layout():
-    plan = dc.two_tone_plan()
+    plan = dc.two_tone_plan(dc.SpectrumConfig())
     freqs = np.array([b.frequency_hz for b in plan.bins])
     assert freqs.size == 33 and freqs[0] == 0.8e6 and freqs[-1] == 1.6e6
     am = [b for b in plan.bins if b.am_amplitude > 0]
@@ -89,7 +89,7 @@ def test_plan_validation():
 
 
 def test_spectrum_analytic():
-    spectra = dc.run_spectrum(dc.two_tone_plan())
+    spectra = dc.run_spectrum(dc.two_tone_plan(dc.SpectrumConfig()))
     shot, epr, bell = spectra["shot"], spectra["epr"], spectra["bell"]
     # shot trace is 0 dB everywhere by construction
     assert np.abs(shot.x_power_db).max() == 0.0
@@ -135,7 +135,7 @@ def test_floor_rises_with_loss():
 
 
 def test_spectrum_monte_carlo_within_4_sigma():
-    plan = dc.two_tone_plan(n_bins=5)
+    plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=5))
     n = 40_000
     analytic = dc.run_spectrum(plan)
     sampled = dc.run_spectrum(plan, n_samples=n, seed=99)
@@ -207,8 +207,8 @@ def mixed_plans(draw):
 
 
 two_tone_plans = st.builds(
-    dc.two_tone_plan, n_bins=st.integers(5, 60), r=st.floats(-1.5, 1.5),
-    amplitude=tones, loss_eta=st.floats(0.0, 1.0))
+    dc.SpectrumConfig, n_bins=st.integers(5, 60), squeezing_r=st.floats(-1.5, 1.5),
+    amplitude=tones, loss_eta=st.floats(0.0, 1.0)).map(dc.two_tone_plan)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -266,7 +266,7 @@ def test_spectrum_at_a_huge_sample_count_is_finite_and_near_analytic():
 
 @pytest.mark.parametrize("n_samples", [-1, 1])
 def test_spectrum_rejects_unusable_sample_counts(n_samples):
-    plan = dc.two_tone_plan(n_bins=5)
+    plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=5))
     with pytest.raises(ValueError, match="n_samples"):
         dc.run_spectrum(plan, n_samples=n_samples, seed=1)
 
@@ -281,7 +281,7 @@ def test_states_built_do_not_grow_with_bins(monkeypatch):
     monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting)
     counts = []
     for n_bins in (33, 1001):
-        plan = dc.two_tone_plan(n_bins)
+        plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=n_bins))
         built.clear()
         dc.run_spectrum(plan)
         counts.append(len(built))
@@ -289,8 +289,24 @@ def test_states_built_do_not_grow_with_bins(monkeypatch):
     assert counts[0] == counts[1] < 33
 
 
+def test_spectrum_run_builds_its_grid_once(monkeypatch, tmp_path):
+    # the config builds its plan, and with it the bin grid, once per run
+    grids, linspace = [], np.linspace
+
+    def counting(*args, **kwargs):
+        grids.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counting)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": "dense-coding-spectrum", "seed": 1,
+                                "parameters": {"n_bins": 501}}))
+    assert cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(grids) == 1
+
+
 def test_spectrum_monte_carlo_deterministic():
-    plan = dc.two_tone_plan(n_bins=4)
+    plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=4))
     a = dc.run_spectrum(plan, n_samples=500, seed=7)
     b = dc.run_spectrum(plan, n_samples=500, seed=7)
     c = dc.run_spectrum(plan, n_samples=500, seed=8)
@@ -312,7 +328,7 @@ def test_sampled_spectrum_draws_from_one_generator(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-    plan, n = dc.two_tone_plan(n_bins=1001), 20_000
+    plan, n = dc.two_tone_plan(dc.SpectrumConfig(n_bins=1001)), 20_000
     got = as_array(dc.run_spectrum(plan, n_samples=n, seed=3))
     assert len(generators) == 1 and spawned == []
     want = as_array(dc.run_spectrum(plan))
@@ -351,7 +367,7 @@ def test_phase_sweep_traces():
 
 
 def test_csv_and_json_outputs(tmp_path):
-    plan = dc.two_tone_plan(n_bins=5)
+    plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=5))
     spectra = dc.run_spectrum(plan)
     dc.write_spectra(spectra, tmp_path)
     csv_path = tmp_path / "spectra.csv"

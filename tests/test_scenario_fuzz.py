@@ -3,7 +3,9 @@
 Any parameters a scenario file can hold -- well-typed, ill-typed, NaN or
 +-Infinity, any subset of a kind's fields -- must end in exit 0 with finite
 artifacts that match the manifest, or in exit 1/2 with no output directory
-(nor any staging directory); `cli.main` must never raise.  A detector run
+(nor any staging directory); `cli.main` must never raise, and an exit 1
+names the refused `parameters.` field unless the failure is on the result
+side.  A detector run
 without readout noise must not report a negative charge.  Size- and scale-like fields are drawn small so
 one example costs a few ms and a few MB; for the detector these include every
 field that sets the charge range, and with it the histogram's bin count.
@@ -129,23 +131,31 @@ def assert_finite(name, text):
 
 
 def run_scenario(tmp, kind, seed, params, strict=False):
-    """cli.main on tmp/scenario.json with output to tmp/out: (exit code, out)."""
+    """cli.main on tmp/scenario.json with output to tmp/out: (exit code, out, stderr)."""
     path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
     # json.dumps writes NaN / Infinity literals, which json.loads accepts
     path.write_text(json.dumps({"kind": kind, "seed": seed, "parameters": params}))
     argv = ["run", str(path), "--output-dir", str(out)] + ["--strict"] * strict
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv), out
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(argv), out, err.getvalue()
+
+
+# the exit-1 failures that name no parameter: a non-finite number bound for an
+# artifact, and the histogram's bin cap (its message names bin_width)
+RESULT_SIDE = ("non-finite", "not JSON compliant", "MAX_HISTOGRAM_BINS")
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(scenarios())
 def test_any_scenario_ends_cleanly(scenario):
     with tempfile.TemporaryDirectory() as tmp:
-        code, out = run_scenario(tmp, *scenario)
+        code, out, err = run_scenario(tmp, *scenario)
         event(f"{scenario[0]}: exit {code}")
         assert code in (0, 1, 2)
         left = sorted(p.name for p in Path(tmp).iterdir())
+        if code == 1:
+            assert "parameters." in err or any(s in err for s in RESULT_SIDE), err
         if code:
             assert left == ["scenario.json"], "files left by a failed run"
             return
@@ -170,7 +180,7 @@ def test_noiseless_detector_charges_are_nonnegative(params, seed):
     # where a drawn gain is
     params = dict(params, readout_noise=0.0, gain_dispersion=params.get("gain_dispersion", 1.0))
     with tempfile.TemporaryDirectory() as tmp:
-        code, out = run_scenario(tmp, "cipd-histogram", seed, params)
+        code, out, _ = run_scenario(tmp, "cipd-histogram", seed, params)
         if code == 0:
             rows = (out / "records.csv").read_text().splitlines()[1:]
             assert min(float(row.rsplit(",", 1)[1]) for row in rows) >= 0.0
