@@ -13,11 +13,12 @@ On top of those, `densecoding` models sideband dense coding with EPR beams
 and Bell measurement, `cubicphase` the measurement-induced cubic gate
 circuit, and `cipd` the charge-integration photon detector signal chain.
 `cli` runs scenario files into reproducible data artifacts, all written
-through `artifacts`, which owns the CSV and JSON format.
+through `artifacts`, which owns the CSV and JSON format.  Each kind's config
+declares its fields once, with `declare.param`; `cli` reads its schema there.
 """
 
 # not `cli`: imported here, it makes `python -m cvsim.cli` print a runpy warning
-from . import artifacts, cipd, cubicphase, densecoding, fock, gaussian
+from . import artifacts, cipd, cubicphase, declare, densecoding, fock, gaussian
 from .fock import TruncationWarning
 
 __version__ = "0.1.0"
@@ -27,6 +28,7 @@ __all__ = [
     "cipd",
     "cli",
     "cubicphase",
+    "declare",
     "densecoding",
     "fock",
     "gaussian",

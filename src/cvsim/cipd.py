@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import artifacts
+from .declare import check, param
 
 # Peak detection operating constants, tuned once against simulated histograms
 # at the default operating point (2000 pulses): the smoothing kernel suppresses
@@ -48,35 +49,20 @@ class CipdConfig:
     hook, off by default: each pulse's gain is drawn as g * Gamma(shape 1/d^2,
     scale d^2), which has mean g and fractional RMS d and is never negative."""
 
-    eta: float = 0.6
-    gain: float = 10.0
-    dark_rate: float = 1.0
-    readout_noise: float = 7.0
-    sample_rate: float = 20.0
-    integration_window: float = None
-    gain_dispersion: float = 0.0
+    eta: float = param(0.6, "quantum efficiency", ge=0.0, le=1.0)
+    gain: float = param(10.0, "mean avalanche gain (e/pe)", ge=1.0)
+    dark_rate: float = param(1.0, "dark electrons per second", ge=0.0)
+    readout_noise: float = param(7.0, "readout noise, electrons RMS", ge=0.0)
+    sample_rate: float = param(20.0, "sampling rate, Hz", gt=0.0)
+    integration_window: float = param(
+        None, "integration window, s; default 1/sample_rate", gt=0.0)
+    gain_dispersion: float = param(
+        0.0, "fractional RMS gain noise; 0 = deterministic gain", ge=0.0)
 
     def __post_init__(self):
-        for f in fields(self):  # a run config's float fields too
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name}: must be finite, got {value}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta: must be in [0, 1], got {self.eta}")
-        if self.gain < 1.0:
-            raise ValueError(f"gain: must be >= 1, got {self.gain}")
-        if self.dark_rate < 0.0:
-            raise ValueError(f"dark_rate: must be nonnegative, got {self.dark_rate}")
-        if self.readout_noise < 0.0:
-            raise ValueError(f"readout_noise: must be nonnegative, got {self.readout_noise}")
-        if self.sample_rate <= 0.0:
-            raise ValueError(f"sample_rate: must be positive, got {self.sample_rate}")
-        if self.gain_dispersion < 0.0:
-            raise ValueError(f"gain_dispersion: must be nonnegative, got {self.gain_dispersion}")
+        check(self)  # a run config's fields too
         if self.integration_window is None:
             object.__setattr__(self, "integration_window", 1.0 / self.sample_rate)
-        elif self.integration_window <= 0.0:
-            raise ValueError(f"integration_window: must be positive, got {self.integration_window}")
 
     @property
     def dark_per_window(self):
@@ -85,44 +71,34 @@ class CipdConfig:
 
 @dataclass(frozen=True)
 class HistogramConfig(CipdConfig):
-    """A cipd-histogram run: 1 to MAX_PULSES pulses from a Poisson source of mean
+    """A cipd-histogram run: n_pulses pulses from a Poisson source of mean
     source_mean, or from source_pmf when given, histogrammed at bin_width."""
 
-    source_mean: float = 2.0
-    source_pmf: tuple = None
-    n_pulses: int = 2000
-    bin_width: float = DEFAULT_BIN_WIDTH_E
+    source_mean: float = param(2.0, "Poisson mean photons per pulse", ge=0.0)
+    source_pmf: tuple = param(None, "explicit photon-number pmf; overrides source_mean")
+    n_pulses: int = param(2000, "number of light pulses", ge=1, le=MAX_PULSES)
+    bin_width: float = param(DEFAULT_BIN_WIDTH_E, "histogram bin width, electrons", gt=0.0)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.source_mean < 0.0:
-            raise ValueError(f"source_mean: must be nonnegative, got {self.source_mean}")
         if self.source_pmf is not None:
             pmf = np.asarray(self.source_pmf, dtype=float)
             if pmf.ndim != 1 or (pmf < 0).any() or not math.isclose(pmf.sum(), 1, abs_tol=1e-9):
                 raise ValueError(f"source_pmf: must be a pmf, got {self.source_pmf}")
             object.__setattr__(self, "source_pmf", tuple(pmf.tolist()))
-        if not 1 <= self.n_pulses <= MAX_PULSES:
-            raise ValueError(f"n_pulses: must be in [1, {MAX_PULSES}], got {self.n_pulses}")
-        if self.bin_width <= 0.0:
-            raise ValueError(f"bin_width: must be positive, got {self.bin_width}")
 
 
 @dataclass(frozen=True)
 class ResolutionConfig(CipdConfig):
     """A cipd-resolution run: the readout noise that reaches target_snr, and the dark
-    electrons over drift_duration_s, checked against drift_budget_e if given."""
+    electrons over drift_duration_s, checked against drift_budget_e if given.
+    The kind does not take the HIDDEN fields: its runs keep their defaults."""
 
-    target_snr: float = 4.0
-    drift_duration_s: float = 1.0
-    drift_budget_e: float = None
+    HIDDEN = ("integration_window", "gain_dispersion")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.target_snr <= 0.0:
-            raise ValueError(f"target_snr: must be positive, got {self.target_snr}")
-        if self.drift_duration_s < 0.0:
-            raise ValueError(f"drift_duration_s: must be nonnegative, got {self.drift_duration_s}")
+    target_snr: float = param(4.0, "resolution target for required_noise", gt=0.0)
+    drift_duration_s: float = param(1.0, "duration for the dark-drift estimate", ge=0.0)
+    drift_budget_e: float = param(None, "dark-drift budget, electrons")
 
 
 class PulseRecords:

@@ -21,7 +21,6 @@ a failed or interrupted run leaves no output directory.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -35,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import cipd, cubicphase, densecoding
+from . import cipd, cubicphase, declare, densecoding
 from .artifacts import write_json
 from .fock import TruncationWarning
 
@@ -199,73 +198,22 @@ class _Kind(NamedTuple):
     summary: str
     config: type  # frozen; refuses a bad value with a ValueError "field: why"
     run: Callable  # (config, seed, output_dir); writes the artifacts
-    # name -> (type, the config's default, help); type in {int, float, str,
-    # pair, pmf, optional_int, optional_float}
-    schema: dict
+    schema: dict  # declare.schema(config): name -> (type, default, help)
 
 
-def _kind(summary, config_cls, run, **specs):
-    """A _Kind whose schema entries name=(type, help) take config_cls's defaults."""
-    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
-    return _Kind(summary, config_cls, run, {name: (spec_kind, defaults[name], help_text)
-                                            for name, (spec_kind, help_text) in specs.items()})
-
-
-_DETECTOR = dict(
-    eta=("float", "quantum efficiency"),
-    gain=("float", "mean avalanche gain (e/pe)"),
-    dark_rate=("float", "dark electrons per second"),
-    readout_noise=("float", "readout noise, electrons RMS"),
-    sample_rate=("float", "sampling rate, Hz"))
-
-_KINDS = {
-    "dense-coding-spectrum": _kind(
-        "sideband noise spectra of the two-tone dense-coding experiment",
-        densecoding.SpectrumConfig, _run_dense_coding_spectrum,
-        n_bins=("int", "sideband bins across the analysis band"),
-        f_lo_hz=("float", "low edge of the band"),
-        f_hi_hz=("float", "high edge of the band"),
-        squeezing_r=("float", "squeezing parameter of the EPR source"),
-        am_frequency_hz=("float", "AM tone frequency"),
-        pm_frequency_hz=("float", "PM tone frequency"),
-        amplitude=("float", "tone displacement amplitude"),
-        loss_eta=("float", "transmission of the encoded beam"),
-        n_samples=("int", "homodyne samples per bin; 0 = analytic, else >= 2"),
-        mirror_transmittance=("float", "encoding mirror transmittance; 0 = ideal displacement")),
-    "dense-coding-phase-sweep": _kind(
-        "noise power vs LO phase for shot, EPR, and squeezed inputs",
-        densecoding.SweepConfig, _run_dense_coding_phase_sweep,
-        squeezing_r=("float", "squeezing parameter"),
-        n_phases=("int", "LO angles spread over [0, pi)")),
-    "cubic-phase-run": _kind(
-        "one measurement-induced cubic-gate execution with diagnostics",
-        cubicphase.CubicGateConfig, _run_cubic_phase,
-        squeezing_r=("float", "resource squeezing"),
-        displacement_alpha=("pair", "[re, im] displacement of the counted arm"),
-        correction_s=("float", "ancilla squeeze correction"),
-        coupling_g=("float", "QND coupling strength"),
-        gamma_target=("float", "cubic strength aimed for (diagnostic)"),
-        dim=("int", "per-mode Fock cutoff"),
-        qnd_pad=("optional_int", "coupling workspace padding; default dim/2"),
-        post_select_n=("optional_int", "forced photon count; default sampled"),
-        homodyne_which=("str", "which coupled mode is homodyned"),
-        grid_points=("int", "quadrature grid resolution")),
-    "cipd-histogram": _kind(
-        "pulse Monte Carlo, charge histograms, and peak report",
-        cipd.HistogramConfig, _run_cipd_histogram, **_DETECTOR,
-        integration_window=("optional_float", "integration window, s; default 1/sample_rate"),
-        gain_dispersion=("float", "fractional RMS gain noise; 0 = deterministic gain"),
-        source_mean=("float", "Poisson mean photons per pulse"),
-        source_pmf=("pmf", "explicit photon-number pmf; overrides source_mean"),
-        n_pulses=("int", "number of light pulses"),
-        bin_width=("float", "histogram bin width, electrons")),
-    "cipd-resolution": _kind(
-        "detector resolution arithmetic and dark-drift report",
-        cipd.ResolutionConfig, _run_cipd_resolution, **_DETECTOR,
-        target_snr=("float", "resolution target for required_noise"),
-        drift_duration_s=("float", "duration for the dark-drift estimate"),
-        drift_budget_e=("optional_float", "dark-drift budget, electrons")),
-}
+_KINDS = {kind: _Kind(summary, config, run, declare.schema(config))
+          for kind, summary, config, run in (
+    ("dense-coding-spectrum", "sideband noise spectra of the two-tone dense-coding experiment",
+     densecoding.SpectrumConfig, _run_dense_coding_spectrum),
+    ("dense-coding-phase-sweep", "noise power vs LO phase for shot, EPR, and squeezed inputs",
+     densecoding.SweepConfig, _run_dense_coding_phase_sweep),
+    ("cubic-phase-run", "one measurement-induced cubic-gate execution with diagnostics",
+     cubicphase.CubicGateConfig, _run_cubic_phase),
+    ("cipd-histogram", "pulse Monte Carlo, charge histograms, and peak report",
+     cipd.HistogramConfig, _run_cipd_histogram),
+    ("cipd-resolution", "detector resolution arithmetic and dark-drift report",
+     cipd.ResolutionConfig, _run_cipd_resolution),
+)}
 
 
 def _sha256(path):

@@ -20,7 +20,6 @@ reference run.
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts, fock
+from .declare import check, param
 
 # Most homodyne grid points a gate run may ask for: eight times the default
 # 2048, which already oversamples phi_{dim-1} at every cutoff the QND workspace
@@ -41,39 +41,28 @@ FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
 
 @dataclass(frozen=True)
 class CubicGateConfig:
-    """Knobs of the gate run.  dim is the per-mode Fock cutoff (>= 8); dim +
-    qnd_pad may not exceed fock.QND_WORKSPACE_LIMIT, and grid_points lies in
-    [2, MAX_GRID_POINTS]."""
+    """Knobs of the gate run; dim + qnd_pad may not exceed fock.QND_WORKSPACE_LIMIT."""
 
-    squeezing_r: float = 0.25
-    displacement_alpha: complex = 0.5 + 1.0j
-    correction_s: float = 0.15
-    coupling_g: float = 1.0
-    gamma_target: float = 0.05
-    dim: int = 16
-    qnd_pad: int = None
-    post_select_n: int = None
-    homodyne_which: str = "ancilla"
-    grid_points: int = 2048
+    squeezing_r: float = param(0.25, "resource squeezing", ge=-fock.MAX_SQUEEZING_R,
+                               le=fock.MAX_SQUEEZING_R)  # tmsv's, refused before any work
+    displacement_alpha: complex = param(0.5 + 1.0j, "[re, im] displacement of the counted arm")
+    correction_s: float = param(0.15, "ancilla squeeze correction")
+    coupling_g: float = param(1.0, "QND coupling strength")
+    gamma_target: float = param(0.05, "cubic strength aimed for (diagnostic)")
+    dim: int = param(16, "per-mode Fock cutoff", ge=8)
+    qnd_pad: int = param(None, "coupling workspace padding; default dim/2")
+    post_select_n: int = param(None, "forced photon count; default sampled")
+    homodyne_which: str = param("ancilla", "which coupled mode is homodyned")
+    grid_points: int = param(2048, "quadrature grid resolution", ge=2, le=MAX_GRID_POINTS)
 
     def __post_init__(self):
-        for name in ("squeezing_r", "displacement_alpha", "correction_s", "coupling_g",
-                     "gamma_target"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
-        if abs(self.squeezing_r) > 10.0:  # fock.tmsv's limit, named before any work
-            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
-        if self.dim < 8:
-            raise ValueError(f"dim: must be >= 8 for a meaningful gate run, got {self.dim}")
+        check(self)
         if self.homodyne_which not in ("ancilla", "target"):
             raise ValueError("homodyne_which: must be 'ancilla' or 'target', got "
                              f"{self.homodyne_which!r}")
         if self.post_select_n is not None and not 0 <= self.post_select_n < self.dim:
             raise ValueError(f"post_select_n: must be in [0, {self.dim}), got {self.post_select_n}")
         fock._qnd_workspace(self.dim, self.qnd_pad)  # before any dim^3 work
-        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points: must be in [2, {MAX_GRID_POINTS}], "
-                             f"got {self.grid_points}")
 
     def as_dict(self):
         a = complex(self.displacement_alpha)

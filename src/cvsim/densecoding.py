@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts, gaussian
+from .declare import check, param
 from .gaussian import r_for_noise_db
 
 DEFAULT_R = r_for_noise_db(2.0)
@@ -35,6 +36,13 @@ PM_FREQUENCY_HZ = 1.1e6
 
 # most bins a spectrum, and LO angles a sweep, may have: 100x a 1001-bin spectrum
 MAX_BINS = 100_000
+
+# Largest |r| a spectrum may ask for: the largest half-integer at which every
+# quiet Bell bin stays within 0.01 dB of the exact floor -20 r / ln 10 (9 bins,
+# eta 1, T 0: 2.5e-3 dB off at 7.5, 0.039 dB at 8).  The Bell variance
+# e^{-2r}/2 is a difference of terms of size e^{2r}, so it loses its digits,
+# and from about r 9 the probe covariances fail the uncertainty check.
+MAX_SPECTRUM_R = 7.5
 
 # the 50:50 splitter that makes the EPR pair and recombines it in the receiver
 _BALANCED = gaussian.beamsplitter_op(2, 0, 1, 0.5)
@@ -88,24 +96,24 @@ class PhaseSweepTrace:
 @dataclass(frozen=True)
 class SpectrumConfig:
     """A two-tone spectrum run (see run_spectrum and encode for n_samples and
-    mirror_transmittance) on 2 to MAX_BINS bins from f_lo_hz > 0 to f_hi_hz.
-    Its `plan`, two_tone_plan(self), is built once, on construction."""
+    mirror_transmittance) on the band from f_lo_hz > 0 to f_hi_hz.  Its
+    `plan`, two_tone_plan(self), is built once, on construction."""
 
-    n_bins: int = 33
-    f_lo_hz: float = 0.8e6
-    f_hi_hz: float = 1.6e6
-    squeezing_r: float = DEFAULT_R
-    am_frequency_hz: float = AM_FREQUENCY_HZ
-    pm_frequency_hz: float = PM_FREQUENCY_HZ
-    amplitude: float = DEFAULT_TONE_AMPLITUDE
-    loss_eta: float = 1.0
-    n_samples: int = 0
-    mirror_transmittance: float = 0.0
+    n_bins: int = param(33, "sideband bins across the analysis band", ge=2, le=MAX_BINS)
+    f_lo_hz: float = param(0.8e6, "low edge of the band")
+    f_hi_hz: float = param(1.6e6, "high edge of the band")
+    squeezing_r: float = param(DEFAULT_R, "squeezing parameter of the EPR source",
+                               ge=-MAX_SPECTRUM_R, le=MAX_SPECTRUM_R)
+    am_frequency_hz: float = param(AM_FREQUENCY_HZ, "AM tone frequency")
+    pm_frequency_hz: float = param(PM_FREQUENCY_HZ, "PM tone frequency")
+    amplitude: float = param(DEFAULT_TONE_AMPLITUDE, "tone displacement amplitude")
+    loss_eta: float = param(1.0, "transmission of the encoded beam", ge=0.0, le=1.0)
+    n_samples: int = param(0, "homodyne samples per bin; 0 = analytic, else >= 2")
+    mirror_transmittance: float = param(
+        0.0, "encoding mirror transmittance; 0 = ideal displacement", ge=0.0, lt=1.0)
 
     def __post_init__(self):
-        for name in ("f_lo_hz", "f_hi_hz", "am_frequency_hz", "pm_frequency_hz", "amplitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite, got {getattr(self, name)!r}")
+        check(self)
         if not (self.n_samples == 0 or 2 <= self.n_samples <= sys.float_info.max):
             raise ValueError("n_samples: must be 0, or >= 2 and a finite float")
         f_lo, f_hi = self.f_lo_hz, self.f_hi_hz
@@ -115,15 +123,6 @@ class SpectrumConfig:
             raise ValueError(f"f_lo_hz, f_hi_hz: the band width {f_hi!r} - {f_lo!r} is not finite")
         if f_lo <= 0:
             raise ValueError(f"f_lo_hz: must be > 0, got {f_lo!r}")
-        if not 2 <= self.n_bins <= MAX_BINS:
-            raise ValueError(f"n_bins: must be in [2, {MAX_BINS}], got {self.n_bins}")
-        if not abs(self.squeezing_r) <= gaussian.MAX_SQUEEZING_R:  # build_epr's limit, 10
-            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
-        if not 0.0 <= self.loss_eta <= 1.0:
-            raise ValueError(f"loss_eta: must be in [0, 1], got {self.loss_eta!r}")
-        if not 0.0 <= self.mirror_transmittance < 1.0:
-            raise ValueError("mirror_transmittance: must be in [0, 1), got "
-                             f"{self.mirror_transmittance!r}")
         object.__setattr__(self, "plan", two_tone_plan(self))
 
 
@@ -131,14 +130,11 @@ class SpectrumConfig:
 class SweepConfig:
     """A phase-sweep run: shot, EPR and squeezed traces at n_phases LO angles."""
 
-    squeezing_r: float = DEFAULT_R
-    n_phases: int = 64
+    squeezing_r: float = param(DEFAULT_R, "squeezing parameter", ge=-gaussian.MAX_SQUEEZING_R,
+                               le=gaussian.MAX_SQUEEZING_R)
+    n_phases: int = param(64, "LO angles spread over [0, pi)", ge=1, le=MAX_BINS)
 
-    def __post_init__(self):
-        if not abs(self.squeezing_r) <= gaussian.MAX_SQUEEZING_R:  # build_epr's limit, 10
-            raise ValueError(f"squeezing_r: |r| must be <= 10, got {self.squeezing_r!r}")
-        if not 1 <= self.n_phases <= MAX_BINS:
-            raise ValueError(f"n_phases: must be in [1, {MAX_BINS}], got {self.n_phases}")
+    __post_init__ = check
 
 
 def build_epr(r=DEFAULT_R):

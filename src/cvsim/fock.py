@@ -54,6 +54,9 @@ class TruncationWarning(UserWarning):
 # demand and the residual's workspace^3 array of conjugated blocks.
 QND_WORKSPACE_LIMIT = 128
 
+# largest |r| tmsv accepts
+MAX_SQUEEZING_R = 10.0
+
 # phase-aliasing guard for the cubic gate: the phase slope at the edge of the
 # truncated position range grows like gamma * dim^{3/2}
 CUBIC_ALIAS_LIMIT = 10.0
@@ -230,8 +233,8 @@ def tmsv(r, dim):
     The discarded tail carries weight tanh(r)^{2 dim}; a TruncationWarning is
     raised when that exceeds 1e-10.
     """
-    if abs(r) > 10.0:
-        raise ValueError(f"|r| > 10 is not supported (got r={r})")
+    if abs(r) > MAX_SQUEEZING_R:
+        raise ValueError(f"|r| > {MAX_SQUEEZING_R} is not supported (got r={r})")
     lam = math.tanh(r)
     tail = abs(lam) ** (2 * dim)
     if tail > 1e-10:

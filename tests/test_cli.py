@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,65 @@ def test_schema_agrees_with_config(kind):
     assert set(spec.schema) <= {f.name for f in dataclasses.fields(spec.config)}
     defaults = {name: default for name, (_, default, _) in spec.schema.items()}
     assert spec.config(**defaults) == spec.config()
+
+
+# sha256 of the stdout of `cvsim list` and of each `cvsim describe <kind>`
+LISTING_SHA256 = {
+    "list": "99535684a95719ef74c86df23b7dc90fe39d339df2af696a61531e4dbf3622f4",
+    "describe cipd-histogram": "b092ed0da9bb8c9e855c46eb555e5f7fa2fc6f24b805761eb3c5bc3cbfc38e97",
+    "describe cipd-resolution": "931227001d8e3f9ea607a808572f9b3cb8121f11f93472232b8d0611f5757c40",
+    "describe cubic-phase-run": "f65747375b6cf8cb8f1c9c355971352c98bc6212543d3cabfede6397d0be6a47",
+    "describe dense-coding-phase-sweep":
+        "4132324faeb1b346f692ae1f83017529c61f8311c62b1ba00f22fa52c505d06f",
+    "describe dense-coding-spectrum":
+        "c9d4797fa96ddaf6e3c9ce4772934c9edf5bddbd5c60e6b64fc1f6db6843ae3e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LISTING_SHA256))
+def test_list_and_describe_output_is_pinned(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[command], out
+
+
+def _declared(predicate):
+    """(kind, field) for every field of every kind's config that meets predicate."""
+    return [(kind, f) for kind in sorted(cli._KINDS)
+            for f in dataclasses.fields(cli._KINDS[kind].config) if predicate(f)]
+
+
+def _refused(kind, name, value):
+    """The refusal of a config with `name` set to `value`, as the CLI reports it:
+    parameters.<name> for a kind's parameter, the bare name for a field it hides."""
+    with pytest.raises(ValueError) as info:
+        cli._KINDS[kind].config(**{name: value})
+    prefix = "parameters." if name in cli._KINDS[kind].schema else ""
+    return cli._refusal(kind, info.value) or str(info.value), prefix + name + ": "
+
+
+@pytest.mark.parametrize("kind, f", _declared(lambda f: "interval" in f.metadata),
+                         ids=lambda v: getattr(v, "name", v))
+def test_every_declared_interval_holds_at_its_ends(kind, f):
+    left, lo, hi, right = f.metadata["interval"]
+    step = (lambda x, d: x + d) if f.type == "int" else (lambda x, d: math.nextafter(x, x + d))
+    ends = [(end, closed, outward) for end, closed, outward in (
+        (lo, left == "[", -1), (hi, right == "]", +1)) if math.isfinite(end)]
+    assert ends
+    for end, closed, outward in ends:
+        inside, outside = (end, step(end, outward)) if closed else (step(end, -outward), end)
+        cli._KINDS[kind].config(**{f.name: inside})
+        message, prefix = _refused(kind, f.name, outside)
+        assert message.startswith(prefix + "must be in "), message
+
+
+@pytest.mark.parametrize("kind, f", _declared(lambda f: f.type in ("float", "complex")),
+                         ids=lambda v: getattr(v, "name", v))
+def test_every_float_field_refuses_non_finite_values(kind, f):
+    for value in (math.nan, math.inf, -math.inf):
+        value = complex(0.0, value) if f.type == "complex" else value
+        message, prefix = _refused(kind, f.name, value)
+        assert message.startswith(prefix + "must be finite"), message
 
 
 def test_describe_unknown_kind(capsys):
@@ -214,6 +274,11 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
      "parameters.am_frequency_hz, parameters.pm_frequency_hz"),
     (dict(kind="cubic-phase-run", parameters={"squeezing_r": 20.0}), "squeezing_r"),
     (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 20.0}),
+     "parameters.squeezing_r"),
+    # the spectrum model loses its digits above dc.MAX_SPECTRUM_R
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 9.0}),
+     "parameters.squeezing_r"),
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 10.0}),
      "parameters.squeezing_r"),
     (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 20.0}),
      "parameters.squeezing_r"),

@@ -111,6 +111,19 @@ def test_spectrum_analytic():
     assert abs(bell.x_power_db[i_pm] + 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("r", [dc.MAX_SPECTRUM_R, -dc.MAX_SPECTRUM_R])
+def test_quiet_bins_hold_the_exact_floor_at_the_squeezing_cap(r):
+    # the Bell variance e^{-2r}/2 loses digits as r grows; at the cap every
+    # quiet bin is still within the benchmark's 0.01 dB of -20 r / ln 10
+    bell = dc.run_spectrum(dc.SpectrumConfig(n_bins=9, squeezing_r=r).plan)["bell"]
+    quiet = np.ones(bell.frequency_hz.size, bool)
+    quiet[[int(np.argmin(np.abs(bell.frequency_hz - f)))
+           for f in (dc.AM_FREQUENCY_HZ, dc.PM_FREQUENCY_HZ)]] = False
+    floor = -20.0 * r / math.log(10.0)
+    for power in (bell.x_power_db, bell.p_power_db):
+        assert np.abs(power[quiet] - floor).max() < 0.01
+
+
 def test_crosstalk_below_minus_80_db():
     sent = dc.encode(dc.build_epr(), 2.5, 0.0, transmittance=0.0)
     x_minus, p_plus = dc.bell_measure(sent)
