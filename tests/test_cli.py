@@ -275,11 +275,6 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(kind="cubic-phase-run", parameters={"squeezing_r": 20.0}), "squeezing_r"),
     (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 20.0}),
      "parameters.squeezing_r"),
-    # the spectrum model loses its digits above dc.MAX_SPECTRUM_R
-    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 9.0}),
-     "parameters.squeezing_r"),
-    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 10.0}),
-     "parameters.squeezing_r"),
     (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 20.0}),
      "parameters.squeezing_r"),
     (dict(kind="dense-coding-spectrum", parameters={"mirror_transmittance": -0.1}),
@@ -296,6 +291,11 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(kind="cubic-phase-run", parameters={
         "squeezing_r": 0.0, "displacement_alpha": [0.0, 0.0], "post_select_n": 1}),
      "parameters.post_select_n"),
+    # the spectrum model loses its digits above dc.MAX_SPECTRUM_R
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 9.0}),
+     "parameters.squeezing_r"),
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 10.0}),
+     "parameters.squeezing_r"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
