@@ -41,6 +41,18 @@ MAX_HISTOGRAM_BINS = 1_000_000
 # Most pulses a run may simulate: ten times a 1e6-pulse run (records.csv 26 MB).
 MAX_PULSES = 10_000_000
 
+# Largest Poisson mean a run draws (source_mean, dark electrons per window):
+# numpy refuses means above about 9.2e18, and at 1e18 photoelectrons plus dark
+# electrons still sum well inside int64.
+MAX_POISSON_MEAN = 1e18
+
+# Largest fractional RMS gain noise: an excess noise factor 1 + d^2 of 101, far
+# past any avalanche stage (a few); at d ~ 1e154, d^2 overflows.
+MAX_GAIN_DISPERSION = 10.0
+
+# Widest histogram bin: keeps the peak finder's kernel variance (0.225 gain / bin_width)^2 normal
+MAX_BIN_WIDTH_E = 1e150
+
 
 @dataclass(frozen=True)
 class CipdConfig:
@@ -57,12 +69,15 @@ class CipdConfig:
     integration_window: float = param(
         None, "integration window, s; default 1/sample_rate", gt=0.0)
     gain_dispersion: float = param(
-        0.0, "fractional RMS gain noise; 0 = deterministic gain", ge=0.0)
+        0.0, "fractional RMS gain noise; 0 = deterministic gain", ge=0.0, le=MAX_GAIN_DISPERSION)
+
+    window_from = "integration_window"  # the field that set integration_window
 
     def __post_init__(self):
         check(self)  # a run config's fields too
         if self.integration_window is None:
             object.__setattr__(self, "integration_window", 1.0 / self.sample_rate)
+            object.__setattr__(self, "window_from", "sample_rate")
 
     @property
     def dark_per_window(self):
@@ -74,18 +89,17 @@ class HistogramConfig(CipdConfig):
     """A cipd-histogram run: n_pulses pulses from a Poisson source of mean
     source_mean, or from source_pmf when given, histogrammed at bin_width."""
 
-    source_mean: float = param(2.0, "Poisson mean photons per pulse", ge=0.0)
+    source_mean: float = param(2.0, "Poisson mean photons per pulse", ge=0.0, le=MAX_POISSON_MEAN)
     source_pmf: tuple = param(None, "explicit photon-number pmf; overrides source_mean")
     n_pulses: int = param(2000, "number of light pulses", ge=1, le=MAX_PULSES)
-    bin_width: float = param(DEFAULT_BIN_WIDTH_E, "histogram bin width, electrons", gt=0.0)
+    bin_width: float = param(DEFAULT_BIN_WIDTH_E, "histogram bin width, electrons", gt=0.0,
+                             le=MAX_BIN_WIDTH_E)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.source_pmf is not None:
-            pmf = np.asarray(self.source_pmf, dtype=float)
-            if pmf.ndim != 1 or (pmf < 0).any() or not math.isclose(pmf.sum(), 1, abs_tol=1e-9):
-                raise ValueError(f"source_pmf: must be a pmf, got {self.source_pmf}")
-            object.__setattr__(self, "source_pmf", tuple(pmf.tolist()))
+        pmf = self.source_pmf
+        if pmf is not None and (min(pmf) < 0 or not math.isclose(np.sum(pmf), 1, abs_tol=1e-9)):
+            raise ValueError(f"source_pmf: must be a pmf, got {pmf}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +178,9 @@ def simulate_pulses(config, source, n_pulses, rng=None):
     one-photon source)."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
+    if not config.dark_per_window <= MAX_POISSON_MEAN:  # also 0 e/s over an infinite window
+        raise ValueError(f"dark_rate, {config.window_from}: {config.dark_rate!r} e/s over "
+                         f"{config.integration_window!r} s exceeds {MAX_POISSON_MEAN!r} electrons")
     gen = np.random.default_rng(rng)
     if np.isscalar(source):
         if source < 0:
@@ -213,9 +230,11 @@ def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
     lo, hi = np.floor(np.array([charges.min(), charges.max()]) / bin_width + 0.5)
     # hi - lo + 1 bins; `not <` also refuses an overflow to inf and a NaN width
     if not hi - lo < MAX_HISTOGRAM_BINS:
-        raise ValueError(f"bin_width {bin_width!r} splits the charge range into more "
+        raise ValueError(f"bin_width: {bin_width!r} splits the charge range into more "
                          f"than MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS} bins")
-    edges = (np.arange(int(lo), int(hi) + 2) - 0.5) * bin_width
+    edges = (np.arange(hi - lo + 2) + (lo - 0.5)) * bin_width
+    if not (np.diff(edges) > 0).all():  # charges too far out, or bins too fine, for doubles
+        raise ValueError(f"bin_width: edges {bin_width!r} apart are not distinct doubles")
     counts, _ = np.histogram(charges, bins=edges)
     return Histogram(edges, counts, int(charges.size))
 
@@ -281,10 +300,14 @@ def detect_peaks(hist, gain):
     height, then distance, then prominence.  The distance filter keeps the
     highest peak first; equal heights are taken in np.argsort's order.  The
     smoothing and the peak rules reproduce scipy's gaussian_filter1d and
-    find_peaks bit for bit, without importing scipy.
+    find_peaks bit for bit, without importing scipy.  A kernel radius of
+    MAX_HISTOGRAM_BINS bins or more is refused.
     """
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
-    smooth = _gaussian_smooth(hist.probability, PEAK_SMOOTHING_GAIN_FRACTION * gain / width)
+    sigma = PEAK_SMOOTHING_GAIN_FRACTION * gain / width
+    if not 4.0 * sigma < MAX_HISTOGRAM_BINS:  # the kernel's radius, in bins; also inf
+        raise ValueError("gain, bin_width: the peak kernel is wider than MAX_HISTOGRAM_BINS")
+    smooth = _gaussian_smooth(hist.probability, sigma)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()
     distance = max(1, int(round(0.5 * gain / width)))
     return hist.centers[_find_peaks(smooth, floor, distance)]
@@ -302,6 +325,8 @@ def required_noise(config, target_snr):
     """Readout noise (e RMS) needed to reach a target resolution."""
     if target_snr <= 0:
         raise ValueError("target_snr must be positive")
+    if config.gain / target_snr == math.inf:
+        raise ValueError(f"gain, target_snr: {config.gain!r} / {target_snr!r} overflows")
     return config.gain / target_snr
 
 

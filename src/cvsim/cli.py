@@ -43,53 +43,6 @@ class ScenarioError(Exception):
     """Configuration problem; message carries the offending field."""
 
 
-def _is_number(v):
-    return not isinstance(v, bool) and isinstance(v, (int, float))
-
-
-def _finite(name, value):
-    """A number (or list of numbers) as float(s), rejecting NaN, +-Infinity and
-    integers too large for a float -- json.loads yields all three."""
-    values = value if isinstance(value, (list, tuple)) else [value]
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:
-        floats = [math.inf]
-    if not all(math.isfinite(v) for v in floats):
-        raise ScenarioError(f"parameters.{name}: expected finite numbers, got {value!r}")
-    return floats if values is value else floats[0]
-
-
-def _check_param(name, spec_kind, value):
-    if spec_kind.startswith("optional_"):
-        return None if value is None else _check_param(
-            name, spec_kind.removeprefix("optional_"), value)
-    if spec_kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"parameters.{name}: expected an integer")
-        return value
-    if spec_kind == "float":
-        if not _is_number(value):
-            raise ScenarioError(f"parameters.{name}: expected a number")
-        return _finite(name, value)
-    if spec_kind == "str":
-        if not isinstance(value, str):
-            raise ScenarioError(f"parameters.{name}: expected a string")
-        return value
-    if spec_kind == "pair":
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or not all(_is_number(v) for v in value)):
-            raise ScenarioError(f"parameters.{name}: expected [re, im]")
-        return complex(*_finite(name, value))
-    if spec_kind == "pmf":
-        if value is None:
-            return None
-        if not isinstance(value, list) or not value or not all(_is_number(v) for v in value):
-            raise ScenarioError(f"parameters.{name}: expected a list of probabilities")
-        return _finite(name, value)
-    raise AssertionError(spec_kind)
-
-
 def parse_scenario(data):
     """Validate a decoded scenario dict; returns (kind, seed, output_dir, config)."""
     if not isinstance(data, dict):
@@ -116,9 +69,8 @@ def parse_scenario(data):
         raise ScenarioError(
             f"parameters: unknown for {kind}: {', '.join(sorted(bad))}; "
             f"valid: {', '.join(schema)}")
-    params = {name: _check_param(name, schema[name][0], value) for name, value in raw.items()}
     try:
-        return kind, seed, out, _KINDS[kind].config(**params)
+        return kind, seed, out, _KINDS[kind].config(**raw)
     except ValueError as exc:
         raise ScenarioError(_refusal(kind, exc) or str(exc)) from None
 
@@ -133,8 +85,9 @@ def _refusal(kind, exc):
 
 
 def _resolution(config):
-    """cipd.resolution_metric, None where zero readout noise makes it infinite."""
-    return None if config.readout_noise == 0.0 else cipd.resolution_metric(config)
+    """cipd.resolution_metric, None where it is infinite (no noise, or gain / noise overflows)."""
+    resolution = math.inf if config.readout_noise == 0.0 else cipd.resolution_metric(config)
+    return None if resolution == math.inf else resolution
 
 
 def _run_dense_coding_spectrum(config, seed, out):
@@ -158,8 +111,8 @@ def _run_cipd_histogram(config, seed, out):
     source = config.source_pmf if config.source_pmf is not None else config.source_mean
     records = cipd.simulate_pulses(config, source, config.n_pulses, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
-    referred = hist.scaled(1.0 / config.gain)
-    peaks = cipd.detect_peaks(hist, config.gain)
+    peaks = cipd.detect_peaks(hist, config.gain)  # first: it refuses the gain / bin_width
+    referred = hist.scaled(1.0 / config.gain)  # ratios at which these edges would collide
     cipd.write_records_csv(records, out / "records.csv")
     cipd.write_histogram(hist, out, "histogram_charge", "output charge (e)")
     cipd.write_histogram(referred, out, "histogram_pe", "input-referred photoelectrons")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,19 +65,8 @@ class CubicGateConfig:
         fock._qnd_workspace(self.dim, self.qnd_pad)  # before any dim^3 work
 
     def as_dict(self):
-        a = complex(self.displacement_alpha)
-        return {
-            "squeezing_r": float(self.squeezing_r),
-            "displacement_alpha": [a.real, a.imag],
-            "correction_s": float(self.correction_s),
-            "coupling_g": float(self.coupling_g),
-            "gamma_target": float(self.gamma_target),
-            "dim": int(self.dim),
-            "qnd_pad": None if self.qnd_pad is None else int(self.qnd_pad),
-            "post_select_n": None if self.post_select_n is None else int(self.post_select_n),
-            "homodyne_which": self.homodyne_which,
-            "grid_points": int(self.grid_points),
-        }
+        return {f.name: [v.real, v.imag] if isinstance(v, complex) else v
+                for f in fields(self) for v in [getattr(self, f.name)]}
 
     def digest(self):
         """Stable hash of the configuration, for pinning reference runs."""

@@ -1,17 +1,46 @@
 """One declaration per scenario parameter: `name: type = param(default, help,
 ge=..., gt=..., le=..., lt=...)` gives a config field its default, the help line
 `cvsim describe` prints and its interval (an end left out is unbounded).  A
-config's __post_init__ calls `check(self)`; cli reads each kind's `schema`.
+config's __post_init__ calls `check(self)`, which holds every field to its
+annotated type; cli reads each kind's `schema` and passes a scenario's
+parameters to the config as they are.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import field, fields
 
-# a field annotation -> the scenario JSON type cli checks; other names map to themselves
-_JSON_TYPES = {"complex": "pair", "tuple": "pmf"}
+
+def _coerce(v, kind=numbers.Real, cast=float):
+    """cast(v) for a non-bool `kind`, else TypeError; past the float range, inf (not finite)."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise TypeError
+    try:
+        return cast(v)
+    except OverflowError:
+        return math.inf
+
+
+def _floats(v, n=None):
+    """A non-empty list or tuple of reals (n of them, if given) as floats."""
+    if not isinstance(v, (list, tuple)) or not v or n not in (None, len(v)):
+        raise TypeError
+    return tuple(map(_coerce, v))
+
+
+# a field's annotation (a string, under `from __future__ import annotations`) -> (the JSON
+# type `cvsim describe` prints, what a refusal expects, the coercion to the stored value)
+_TYPES = {
+    "int": ("int", "an integer", lambda v: _coerce(v, numbers.Integral, int)),
+    "float": ("float", "a number", _coerce),
+    "complex": ("pair", "[re, im]", lambda v: complex(*_floats(v, 2))
+                if isinstance(v, (list, tuple)) else _coerce(v, numbers.Complex, complex)),
+    "str": ("str", "a string", lambda v: _coerce(v, str, str)),
+    "tuple": ("pmf", "a list of probabilities", _floats),
+}
 
 
 def param(default, help, *, ge=None, gt=None, le=None, lt=None):
@@ -24,13 +53,22 @@ def param(default, help, *, ge=None, gt=None, le=None, lt=None):
 
 
 def check(config):
-    """Refuse, as a ValueError 'field: why', a non-finite float or complex field
-    and a declared field outside its interval (None is left to the config)."""
+    """Store each field of config as its annotation holds it (None, where that is the
+    default, is left to the config); refuse, as a ValueError 'field: why', a value of
+    another type, a non-finite number and a declared field outside its interval."""
     for f in fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        if value is None and f.default is None:
+            continue
+        try:
+            value = _TYPES[f.type][2](value)
+        except TypeError:
+            raise ValueError(f"{f.name}: expected {_TYPES[f.type][1]}") from None
+        object.__setattr__(config, f.name, value)
+        if isinstance(value, (float, complex, tuple)) and not all(
+                map(cmath.isfinite, value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{f.name}: must be finite, got {value!r}")
-        if value is None or "interval" not in f.metadata:
+        if "interval" not in f.metadata:
             continue
         left, lo, hi, right = f.metadata["interval"]
         if not ((lo < value if left == "(" else lo <= value)
@@ -39,16 +77,9 @@ def check(config):
 
 
 def schema(config_cls):
-    """name -> (JSON type, default, help) for every declared field of config_cls
-    but those it lists in `HIDDEN`; the type is one of int, float, str, pair,
-    pmf, optional_int and optional_float, read off the annotation (a string:
-    the config modules import `annotations` from `__future__`)."""
-    out = {}
-    for f in fields(config_cls):
-        if f.name in getattr(config_cls, "HIDDEN", ()):
-            continue
-        kind = _JSON_TYPES.get(f.type, f.type)
-        if f.default is None and kind in ("int", "float"):
-            kind = "optional_" + kind
-        out[f.name] = (kind, f.default, f.metadata["help"])
-    return out
+    """name -> (JSON type, default, help) for every field of config_cls but those it
+    lists in `HIDDEN`: int, float, str, pair, pmf, optional_int or optional_float.  An
+    annotation _TYPES lacks raises KeyError here, as cli builds its table on import."""
+    return {f.name: (("optional_" if f.default is None and f.type in ("int", "float") else "")
+                     + _TYPES[f.type][0], f.default, f.metadata["help"])
+            for f in fields(config_cls) if f.name not in getattr(config_cls, "HIDDEN", ())}

@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cvsim import cli, fock
+from cvsim import cli, cubicphase, declare, fock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -93,7 +94,9 @@ def _refused(kind, name, value):
                          ids=lambda v: getattr(v, "name", v))
 def test_every_declared_interval_holds_at_its_ends(kind, f):
     left, lo, hi, right = f.metadata["interval"]
-    step = (lambda x, d: x + d) if f.type == "int" else (lambda x, d: math.nextafter(x, x + d))
+    # the next int, or the next float toward d (nextafter(x, x + d) stays put past 2**53)
+    step = (lambda x, d: x + d) if f.type == "int" else (
+        lambda x, d: math.nextafter(x, math.copysign(math.inf, d)))
     ends = [(end, closed, outward) for end, closed, outward in (
         (lo, left == "[", -1), (hi, right == "]", +1)) if math.isfinite(end)]
     assert ends
@@ -111,6 +114,30 @@ def test_every_float_field_refuses_non_finite_values(kind, f):
         value = complex(0.0, value) if f.type == "complex" else value
         message, prefix = _refused(kind, f.name, value)
         assert message.startswith(prefix + "must be finite"), message
+
+
+@pytest.mark.parametrize("kind, f", _declared(lambda f: True), ids=lambda v: getattr(v, "name", v))
+def test_every_field_refuses_other_types(kind, f):
+    wrong = [True, {"x": 1}] + ["text"] * (f.type != "str") + [16.0] * (f.type == "int")
+    for value in wrong + [None] * (f.default is not None):
+        message, prefix = _refused(kind, f.name, value)
+        assert message.startswith(prefix + "expected "), (value, message)
+
+
+def test_configs_store_values_as_their_annotations_hold_them():
+    gate = cubicphase.CubicGateConfig(dim=np.int64(16), squeezing_r=1)
+    assert type(gate.dim) is int and type(gate.squeezing_r) is float
+    assert gate.digest() == cubicphase.CubicGateConfig(squeezing_r=1.0).digest()
+    assert cubicphase.CubicGateConfig(displacement_alpha=[0.5, 1.0]).displacement_alpha == 0.5 + 1j
+
+
+def test_schema_refuses_an_annotation_it_has_no_type_for():
+    @dataclasses.dataclass
+    class Listed:
+        values: "list" = declare.param(None, "a list field")
+
+    with pytest.raises(KeyError, match="list"):
+        declare.schema(Listed)
 
 
 def test_describe_unknown_kind(capsys):
@@ -296,6 +323,21 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
      "parameters.squeezing_r"),
     (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 10.0}),
      "parameters.squeezing_r"),
+    # detector values past what numpy can draw or a double can hold
+    (dict(parameters={"source_mean": 1e300}), "parameters.source_mean"),
+    (dict(parameters={"dark_rate": 1e300}), "parameters.dark_rate, parameters.sample_rate"),
+    (dict(parameters={"sample_rate": 1e-320}), "parameters.dark_rate, parameters.sample_rate"),
+    (dict(parameters={"integration_window": 1e300}),
+     "parameters.dark_rate, parameters.integration_window"),
+    (dict(parameters={"gain_dispersion": 1e300}), "parameters.gain_dispersion"),
+    (dict(parameters={"bin_width": 1e300}), "parameters.bin_width"),
+    (dict(kind="cipd-resolution", parameters={"target_snr": 1e-320}),
+     "parameters.gain, parameters.target_snr"),
+    # a charge near 1e300 e, whose 1 e bin edges are one double; and a peak
+    # kernel of about 1e299 bins over noise-only charges
+    (dict(parameters={"readout_noise": 1e300, "n_pulses": 1}), "parameters.bin_width"),
+    (dict(parameters={"gain": 1e300, "eta": 0.0, "dark_rate": 0.0}),
+     "parameters.gain, parameters.bin_width"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -332,6 +374,19 @@ def test_histogram_bin_cap_names_bin_width(tmp_path, capsys, params):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert "bin_width" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["cipd-histogram", "cipd-resolution"])
+def test_overflowing_resolution_is_infinite(tmp_path, capsys, kind):
+    # gain / 1e-320 overflows to inf: reported as the zero-noise case; exit 0
+    # means every artifact was finite, as the writers refuse NaN and Infinity
+    path = scenario_file(tmp_path, kind=kind, parameters={"readout_noise": 1e-320})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    report = json.loads((out / ("report.json" if kind == "cipd-histogram"
+                                else "resolution.json")).read_text())
+    assert report["resolution"] is None
+    assert report.get("resolution_infinite", True) is True
 
 
 def test_non_finite_result_exits_one(tmp_path, capsys):

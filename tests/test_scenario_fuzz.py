@@ -34,9 +34,10 @@ def floats(lo, hi):
 
 
 def positive(lo, hi):
-    """In [lo, hi], or one of the invalid 0 and -1 (no tiny positive values:
-    they are scale-like and would blow up a run)."""
-    return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0]))
+    """In [lo, hi], or one of 0, -1, 1e-320 and +-1e300: values at or past the
+    ends of a scale-like field, which a run must refuse by name or carry
+    through to finite artifacts."""
+    return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0, 1e-320, 1e300, -1e300]))
 
 
 def mostly(valid, wide):
