@@ -53,35 +53,33 @@ MAX_GAIN_DISPERSION = 10.0
 # Widest histogram bin: keeps the peak finder's kernel variance (0.225 gain / bin_width)^2 normal
 MAX_BIN_WIDTH_E = 1e150
 
+# Largest readout noise: a standard normal draw is below 14 in size, so noise plus gain x
+# electrons (below 1e175 once the peak kernel fits: gain < 1.2e6 bin_width) stays finite
+MAX_READOUT_NOISE_E = 1e300
+
 
 @dataclass(frozen=True)
 class CipdConfig:
-    """Detector operating point.  integration_window defaults to one sample
-    period (1 / sample_rate).  gain_dispersion d is an optional gain-noise
-    hook, off by default: each pulse's gain is drawn as g * Gamma(shape 1/d^2,
-    scale d^2), which has mean g and fractional RMS d and is never negative."""
+    """Detector operating point.  Charge integrates over one sample period,
+    1 / sample_rate.  gain_dispersion d is an optional gain-noise hook, off by
+    default: each pulse's gain is drawn as g * Gamma(shape 1/d^2, scale d^2),
+    which has mean g and fractional RMS d and is never negative."""
 
     eta: float = param(0.6, "quantum efficiency", ge=0.0, le=1.0)
     gain: float = param(10.0, "mean avalanche gain (e/pe)", ge=1.0)
     dark_rate: float = param(1.0, "dark electrons per second", ge=0.0)
-    readout_noise: float = param(7.0, "readout noise, electrons RMS", ge=0.0)
+    readout_noise: float = param(7.0, "readout noise, electrons RMS", ge=0.0,
+                                 le=MAX_READOUT_NOISE_E)
     sample_rate: float = param(20.0, "sampling rate, Hz", gt=0.0)
-    integration_window: float = param(
-        None, "integration window, s; default 1/sample_rate", gt=0.0)
     gain_dispersion: float = param(
         0.0, "fractional RMS gain noise; 0 = deterministic gain", ge=0.0, le=MAX_GAIN_DISPERSION)
 
-    window_from = "integration_window"  # the field that set integration_window
-
     def __post_init__(self):
         check(self)  # a run config's fields too
-        if self.integration_window is None:
-            object.__setattr__(self, "integration_window", 1.0 / self.sample_rate)
-            object.__setattr__(self, "window_from", "sample_rate")
 
     @property
     def dark_per_window(self):
-        return self.dark_rate * self.integration_window
+        return self.dark_rate * (1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,9 @@ class HistogramConfig(CipdConfig):
 class ResolutionConfig(CipdConfig):
     """A cipd-resolution run: the readout noise that reaches target_snr, and the dark
     electrons over drift_duration_s, checked against drift_budget_e if given.
-    The kind does not take the HIDDEN fields: its runs keep their defaults."""
+    The kind does not take the HIDDEN fields, which no byte of its report reads."""
 
-    HIDDEN = ("integration_window", "gain_dispersion")
+    HIDDEN = ("eta", "sample_rate", "gain_dispersion")
 
     target_snr: float = param(4.0, "resolution target for required_noise", gt=0.0)
     drift_duration_s: float = param(1.0, "duration for the dark-drift estimate", ge=0.0)
@@ -179,8 +177,8 @@ def simulate_pulses(config, source, n_pulses, rng=None):
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     if not config.dark_per_window <= MAX_POISSON_MEAN:  # also 0 e/s over an infinite window
-        raise ValueError(f"dark_rate, {config.window_from}: {config.dark_rate!r} e/s over "
-                         f"{config.integration_window!r} s exceeds {MAX_POISSON_MEAN!r} electrons")
+        raise ValueError(f"dark_rate, sample_rate: {config.dark_rate!r} e/s over "
+                         f"1/{config.sample_rate!r} s exceeds {MAX_POISSON_MEAN!r} electrons")
     gen = np.random.default_rng(rng)
     if np.isscalar(source):
         if source < 0:
@@ -209,13 +207,17 @@ def analytic_moments(config, source_mean):
 
     pe + dark is Poisson with rate lam = eta * mu + dark_rate * window, so
     mean = g * lam and var = g^2 * lam + readout^2, plus the gain-dispersion
-    term g^2 * d^2 * E[(pe+dark)^2] when the hook is on.
+    term g^2 * d^2 * E[(pe+dark)^2] when the hook is on.  A moment past the
+    float range is inf.
     """
     lam = config.eta * source_mean + config.dark_per_window
     mean = config.gain * lam
-    var = config.gain**2 * lam + config.readout_noise**2
-    if config.gain_dispersion > 0.0:
-        var += config.gain**2 * config.gain_dispersion**2 * (lam + lam**2)
+    try:
+        var = config.gain**2 * lam + config.readout_noise**2
+        if config.gain_dispersion > 0.0:
+            var += config.gain**2 * config.gain_dispersion**2 * (lam + lam**2)
+    except OverflowError:  # a float's ** raises where * gives inf
+        var = math.inf
     return mean, var
 
 
@@ -290,6 +292,15 @@ def _find_peaks(s, floor, distance):
     return peaks[prominence >= floor]
 
 
+def peak_kernel_sigma(gain, bin_width):
+    """The peak finder's smoothing width, in bins; a kernel radius of
+    MAX_HISTOGRAM_BINS bins or more is refused."""
+    sigma = PEAK_SMOOTHING_GAIN_FRACTION * gain / bin_width
+    if not 4.0 * sigma < MAX_HISTOGRAM_BINS:  # the kernel's radius, in bins; also inf
+        raise ValueError("gain, bin_width: the peak kernel is wider than MAX_HISTOGRAM_BINS")
+    return sigma
+
+
 def detect_peaks(hist, gain):
     """Charge positions of resolved photon-number peaks.
 
@@ -304,9 +315,7 @@ def detect_peaks(hist, gain):
     MAX_HISTOGRAM_BINS bins or more is refused.
     """
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
-    sigma = PEAK_SMOOTHING_GAIN_FRACTION * gain / width
-    if not 4.0 * sigma < MAX_HISTOGRAM_BINS:  # the kernel's radius, in bins; also inf
-        raise ValueError("gain, bin_width: the peak kernel is wider than MAX_HISTOGRAM_BINS")
+    sigma = peak_kernel_sigma(gain, width)
     smooth = _gaussian_smooth(hist.probability, sigma)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()
     distance = max(1, int(round(0.5 * gain / width)))

@@ -84,10 +84,10 @@ def _refusal(kind, exc):
     return None
 
 
-def _resolution(config):
-    """cipd.resolution_metric, None where it is infinite (no noise, or gain / noise overflows)."""
-    resolution = math.inf if config.readout_noise == 0.0 else cipd.resolution_metric(config)
-    return None if resolution == math.inf else resolution
+def _finite(x):
+    """x, or None (JSON null) where x is None or not finite: a report's figure past the
+    float range, or an infinite resolution (no noise, or gain / noise overflows)."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _run_dense_coding_spectrum(config, seed, out):
@@ -108,6 +108,8 @@ def _run_cubic_phase(config, seed, out):
 
 
 def _run_cipd_histogram(config, seed, out):
+    # the peak kernel bounds gain well below any charge overflow: refuse it before drawing
+    cipd.peak_kernel_sigma(config.gain, config.bin_width)
     source = config.source_pmf if config.source_pmf is not None else config.source_mean
     records = cipd.simulate_pulses(config, source, config.n_pulses, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
@@ -120,17 +122,17 @@ def _run_cipd_histogram(config, seed, out):
                  if config.source_pmf is None else (None, None))
     write_json(out / "report.json", {
         "n_pulses": config.n_pulses,
-        "resolution": _resolution(config),
+        "resolution": _finite(cipd.resolution_metric(config)),
         "detected_peaks_e": [float(p) for p in peaks],
         "mean_charge_e": float(records.output_charge.mean()),
-        "var_charge_e2": float(records.output_charge.var()),
+        "var_charge_e2": _finite(float(records.output_charge.var())),
         "analytic_mean_e": mean,
-        "analytic_var_e2": var,
+        "analytic_var_e2": _finite(var),
     })
 
 
 def _run_cipd_resolution(config, seed, out):
-    resolution = _resolution(config)
+    resolution = _finite(cipd.resolution_metric(config))
     drift = cipd.dark_drift(config, config.drift_duration_s, config.drift_budget_e)
     write_json(out / "resolution.json", {
         "resolution": resolution,
@@ -140,7 +142,7 @@ def _run_cipd_resolution(config, seed, out):
         "required_noise_e": cipd.required_noise(config, config.target_snr),
         "dark_drift": {
             "duration_s": config.drift_duration_s,
-            "expected_electrons": drift.expected_electrons,
+            "expected_electrons": _finite(drift.expected_electrons),
             "budget_electrons": drift.budget,
             "exceeded": drift.exceeded,
         },

@@ -36,6 +36,10 @@ from .declare import check, param
 # projections), so the cap keeps it near 51 MB at dim 128.
 MAX_GRID_POINTS = 16384
 
+# Largest |displacement_alpha|: past it the counted arm's mean photon number |alpha|^2
+# exceeds every cutoff the QND workspace allows (and from |alpha| ~ 1e154 it overflows)
+MAX_DISPLACEMENT = math.sqrt(fock.QND_WORKSPACE_LIMIT)
+
 FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
 
 
@@ -45,7 +49,8 @@ class CubicGateConfig:
 
     squeezing_r: float = param(0.25, "resource squeezing", ge=-fock.MAX_SQUEEZING_R,
                                le=fock.MAX_SQUEEZING_R)  # tmsv's, refused before any work
-    displacement_alpha: complex = param(0.5 + 1.0j, "[re, im] displacement of the counted arm")
+    displacement_alpha: complex = param(0.5 + 1.0j, "[re, im] displacement of the counted arm",
+                                        le=MAX_DISPLACEMENT)  # its modulus
     correction_s: float = param(0.15, "ancilla squeeze correction")
     coupling_g: float = param(1.0, "QND coupling strength")
     gamma_target: float = param(0.05, "cubic strength aimed for (diagnostic)")
@@ -254,18 +259,3 @@ def count_distribution(config):
     """Photon-count pmf of the displaced arm (before any post-selection)."""
     return prepare_ancilla(config).probabilities(1)
 
-
-def precision_check(n, delta_n, precision_factor=0.1):
-    """Is a counter of resolution delta_n precise enough at photon number n?
-
-    The induced-phase error stays perturbative when delta_n is small against
-    n^{1/3}; with the default factor 0.1 this demands delta_n < 0.1 * n^{1/3}.
-    Returns (ok, margin) with margin = delta_n / (factor * n^{1/3}).
-    """
-    if n < 0 or delta_n < 0:
-        raise ValueError("photon number and resolution must be nonnegative")
-    bound = precision_factor * n ** (1.0 / 3.0) if n > 0 else 0.0
-    if bound == 0.0:
-        return (delta_n == 0.0), math.inf if delta_n > 0 else 0.0
-    margin = delta_n / bound
-    return margin < 1.0, margin

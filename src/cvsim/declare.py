@@ -1,6 +1,7 @@
 """One declaration per scenario parameter: `name: type = param(default, help,
 ge=..., gt=..., le=..., lt=...)` gives a config field its default, the help line
-`cvsim describe` prints and its interval (an end left out is unbounded).  A
+`cvsim describe` prints and its interval (an end left out is unbounded; a pair's
+interval holds its modulus).  A
 config's __post_init__ calls `check(self)`, which holds every field to its
 annotated type; cli reads each kind's `schema` and passes a scenario's
 parameters to the config as they are.
@@ -71,8 +72,9 @@ def check(config):
         if "interval" not in f.metadata:
             continue
         left, lo, hi, right = f.metadata["interval"]
-        if not ((lo < value if left == "(" else lo <= value)
-                and (value < hi if right == ")" else value <= hi)):
+        size = abs(value) if isinstance(value, complex) else value
+        if not ((lo < size if left == "(" else lo <= size)
+                and (size < hi if right == ")" else size <= hi)):
             raise ValueError(f"{f.name}: must be in {left}{lo}, {hi}{right}, got {value!r}")
 
 

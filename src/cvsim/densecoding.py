@@ -229,7 +229,7 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
         moments[:, :, 0] += np.sqrt(moments[:, :, 1] / n) * normal
         moments[:, :, 1] *= chi2 / (n - 1)
     mean, var = (moments[:, :, k].transpose(0, 2, 1) for k in (0, 1))
-    power = _power_db(var + mean * mean)  # (receiver, x/p, bin)
+    power = gaussian.noise_power_db(var + mean * mean)  # (receiver, x/p, bin)
     freq = np.array(bins.frequency_hz)
     return {label: NoiseSpectrum(label, freq, *power[t])
             for t, label in enumerate(("shot", "epr", "bell"))}
@@ -269,14 +269,8 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
         state = gaussian.squeezed_vacuum(r, 0.0)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
-    power = _power_db(np.array([gaussian.homodyne(state, 0, th).variance for th in lo_phases]))
+    power = gaussian.noise_power_db([gaussian.homodyne(state, 0, th).variance for th in lo_phases])
     return PhaseSweepTrace(state_kind, lo_phases, power)
-
-
-def _power_db(power):
-    """gaussian.noise_power_db per value, bit for bit (np.log10 can differ in the last bit)."""
-    ratio = (power / gaussian.VACUUM_VAR).ravel().tolist()
-    return 10.0 * np.fromiter(map(math.log10, ratio), float, len(ratio)).reshape(power.shape)
 
 
 # ---------------------------------------------------------------------------

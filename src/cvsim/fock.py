@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussian import MAX_SQUEEZING_R
+
 
 class TruncationWarning(UserWarning):
     """Raised (as a warning) when a cutoff is too small for the requested op/state."""
@@ -53,9 +55,6 @@ class TruncationWarning(UserWarning):
 # workspace^2); the limit bounds the dense (dim^2) x (dim^2) `.matrix` built on
 # demand and the residual's workspace^3 array of conjugated blocks.
 QND_WORKSPACE_LIMIT = 128
-
-# largest |r| tmsv accepts
-MAX_SQUEEZING_R = 10.0
 
 # phase-aliasing guard for the cubic gate: the phase slope at the edge of the
 # truncated position range grows like gamma * dim^{3/2}
@@ -498,14 +497,14 @@ def _wavefunction(amps, table):
     return (basis @ np.stack([amps.real, amps.imag], axis=-1)).view(complex)[..., 0]
 
 
-def default_grid(dim, n_points=2048, margin=3.0):
+def default_grid(dim, n_points=2048):
     """Position grid wide enough for every basis state below the cutoff
-    (classical turning point sqrt(2*dim) plus a Gaussian tail margin).
+    (classical turning point sqrt(2*dim) plus a Gaussian tail margin of 3).
 
     phi_{dim-1} oscillates with wavenumber up to about sqrt(2*dim), so a
     spacing above pi/sqrt(2*dim) cannot resolve it: such a grid raises a
     TruncationWarning."""
-    half = math.sqrt(2.0 * dim) + margin
+    half = math.sqrt(2.0 * dim) + 3.0
     spacing = 2.0 * half / (n_points - 1) if n_points > 1 else math.inf
     if spacing > math.pi / math.sqrt(2.0 * dim):
         warnings.warn(

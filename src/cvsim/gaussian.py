@@ -24,8 +24,8 @@ import numpy as np
 
 VACUUM_VAR = 0.5
 
-# Guard against absurd squeezing inputs (e^{2r} overflows any sensible use well
-# before this; a typo like r=23 instead of 0.23 should fail loudly).
+# Largest |r| squeezed_vacuum, fock.tmsv, the gate and the phase sweep accept: e^{2r}
+# overflows any sensible use well before this, and a typo like r=23 for 0.23 fails loudly.
 MAX_SQUEEZING_R = 10.0
 
 _SYMMETRY_TOL = 1e-10
@@ -137,7 +137,6 @@ class HomodyneResult:
     `samples` is None for the analytic branch.
     """
 
-    angle: float
     mean: float
     variance: float
     samples: np.ndarray = None
@@ -285,7 +284,7 @@ def homodyne(state, mode, angle=0.0, n_samples=0, rng=None):
     if n_samples:
         gen = np.random.default_rng(rng)
         samples = gen.normal(mu, math.sqrt(var), size=int(n_samples))
-    return HomodyneResult(angle=float(angle), mean=mu, variance=var, samples=samples)
+    return HomodyneResult(mean=mu, variance=var, samples=samples)
 
 
 def condition_on_homodyne(state, mode, angle, outcome):
@@ -316,6 +315,9 @@ def condition_on_homodyne(state, mode, angle, outcome):
 
 
 def noise_power_db(variance):
-    """Noise power relative to shot noise: 10*log10(V / 0.5)."""
-    return 10.0 * math.log10(variance / VACUUM_VAR)
+    """Noise power relative to shot noise, 10*log10(V / 0.5), of a number or of each
+    value of an array, with math.log10 per value (np.log10 can differ in the last bit)."""
+    ratio = np.asarray(variance, dtype=float) / VACUUM_VAR
+    db = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size)
+    return 10.0 * db.reshape(ratio.shape)
 

@@ -19,13 +19,11 @@ def test_config_defaults_and_validation():
     assert cfg.gain == 10.0
     assert cfg.dark_rate == 1.0
     assert cfg.readout_noise == 7.0
-    assert cfg.integration_window == pytest.approx(0.05)
-    assert cfg.dark_per_window == pytest.approx(0.05)
-    assert cipd.CipdConfig(integration_window=0.2).integration_window == 0.2
+    assert cfg.dark_per_window == pytest.approx(0.05)  # over one 1/sample_rate window
+    assert cipd.CipdConfig(sample_rate=5.0).dark_per_window == 0.2
     for bad in (dict(eta=1.2), dict(eta=-0.1), dict(gain=0.5), dict(dark_rate=-1),
                 dict(readout_noise=-1), dict(sample_rate=0), dict(gain_dispersion=-0.1),
-                dict(integration_window=0.0), dict(gain=math.nan), dict(readout_noise=math.inf),
-                dict(integration_window=math.nan)):
+                dict(gain=math.nan), dict(readout_noise=math.inf), dict(sample_rate=math.nan)):
         with pytest.raises(ValueError):
             cipd.CipdConfig(**bad)
 
@@ -221,7 +219,7 @@ def test_dark_drift():
     cfg = cipd.CipdConfig()
     assert cipd.dark_drift(cfg, 1.0).expected_electrons == 1.0
     assert cipd.dark_drift(cipd.CipdConfig(dark_rate=0.0), 5.0).expected_electrons == 0.0
-    assert cipd.dark_drift(cfg, cfg.integration_window).expected_electrons == pytest.approx(0.05)
+    assert cipd.dark_drift(cfg, 1.0 / cfg.sample_rate).expected_electrons == pytest.approx(0.05)
     report = cipd.dark_drift(cfg, 2.0, budget=1.0)
     assert report.exceeded is True
     assert cipd.dark_drift(cfg, 0.5, budget=1.0).exceeded is False

@@ -55,11 +55,49 @@ def test_schema_agrees_with_config(kind):
     assert spec.config(**defaults) == spec.config()
 
 
+# each kind at the fuzz test's small sizes, and another valid value for every parameter
+SMALL = {"dense-coding-spectrum": {"n_bins": 9}, "dense-coding-phase-sweep": {"n_phases": 8},
+         "cubic-phase-run": {}, "cipd-histogram": {"n_pulses": 200}, "cipd-resolution": {}}
+MOVED = {
+    "n_bins": 11, "f_lo_hz": 0.7e6, "f_hi_hz": 1.7e6, "squeezing_r": 0.5, "am_frequency_hz": 1.4e6,
+    "pm_frequency_hz": 1.0e6, "amplitude": 1.0, "loss_eta": 0.9, "n_samples": 100,
+    "mirror_transmittance": 0.5, "n_phases": 6, "displacement_alpha": [0.8, 0.2],
+    "correction_s": 0.1, "coupling_g": 0.8, "gamma_target": 0.1, "dim": 20, "qnd_pad": 0,
+    "post_select_n": 1, "homodyne_which": "target", "grid_points": 1024, "eta": 0.8, "gain": 12.0,
+    "dark_rate": 3.0, "readout_noise": 5.0, "sample_rate": 2.0, "gain_dispersion": 0.1,
+    "source_mean": 3.0, "source_pmf": [0.5, 0.5], "n_pulses": 150, "bin_width": 2.0,
+    "target_snr": 2.0, "drift_duration_s": 3.0, "drift_budget_e": 0.5,
+}
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in sorted(cli._KINDS)
+                                        for name in cli._KINDS[kind].schema])
+def test_every_parameter_reaches_an_artifact(kind, name, tmp_path):
+    # a scenario parameter whose value no artifact reads is a dead knob.  gate_run.json
+    # echoes the config, so the gate's results are compared without that echo; only
+    # gamma_target, which no gate figure reads yet, reaches an artifact through the echo alone
+    echo_only = name == "gamma_target"
+
+    def artifacts(label, params):
+        path = scenario_file(tmp_path, f"{label}.json", kind=kind, parameters=params)
+        assert cli.main(["run", str(path), "--output-dir", str(tmp_path / label)]) == 0
+        files = {p.name: p.read_bytes() for p in (tmp_path / label).iterdir()
+                 if p.name != "manifest.json"}
+        if "gate_run.json" in files and not echo_only:
+            doc = json.loads(files["gate_run.json"])
+            del doc["config"]
+            files["gate_run.json"] = json.dumps(doc).encode()
+        return files
+
+    base = artifacts("base", SMALL[kind])
+    assert artifacts("moved", dict(SMALL[kind], **{name: MOVED[name]})) != base
+
+
 # sha256 of the stdout of `cvsim list` and of each `cvsim describe <kind>`
 LISTING_SHA256 = {
     "list": "99535684a95719ef74c86df23b7dc90fe39d339df2af696a61531e4dbf3622f4",
-    "describe cipd-histogram": "b092ed0da9bb8c9e855c46eb555e5f7fa2fc6f24b805761eb3c5bc3cbfc38e97",
-    "describe cipd-resolution": "931227001d8e3f9ea607a808572f9b3cb8121f11f93472232b8d0611f5757c40",
+    "describe cipd-histogram": "69815d2c4c78d6637776138320d9d210e0fb42b693af61dc748cab8e3fd4da64",
+    "describe cipd-resolution": "2ff9e0d5829610b7ca92ab5569dc3598a3a5c1fc7cf23d5a454f2dbf87ee2de0",
     "describe cubic-phase-run": "f65747375b6cf8cb8f1c9c355971352c98bc6212543d3cabfede6397d0be6a47",
     "describe dense-coding-phase-sweep":
         "4132324faeb1b346f692ae1f83017529c61f8311c62b1ba00f22fa52c505d06f",
@@ -327,8 +365,9 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(parameters={"source_mean": 1e300}), "parameters.source_mean"),
     (dict(parameters={"dark_rate": 1e300}), "parameters.dark_rate, parameters.sample_rate"),
     (dict(parameters={"sample_rate": 1e-320}), "parameters.dark_rate, parameters.sample_rate"),
+    # the integration window is one sample period; no parameter sets it apart
     (dict(parameters={"integration_window": 1e300}),
-     "parameters.dark_rate, parameters.integration_window"),
+     "unknown for cipd-histogram: integration_window"),
     (dict(parameters={"gain_dispersion": 1e300}), "parameters.gain_dispersion"),
     (dict(parameters={"bin_width": 1e300}), "parameters.bin_width"),
     (dict(kind="cipd-resolution", parameters={"target_snr": 1e-320}),
@@ -338,6 +377,14 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(parameters={"readout_noise": 1e300, "n_pulses": 1}), "parameters.bin_width"),
     (dict(parameters={"gain": 1e300, "eta": 0.0, "dark_rate": 0.0}),
      "parameters.gain, parameters.bin_width"),
+    # charges and a displacement past the float range: no gain that overflows a
+    # charge fits the peak kernel, which is refused before any draw
+    (dict(parameters={"gain": 1e308}), "parameters.gain, parameters.bin_width"),
+    (dict(parameters={"readout_noise": 1e308}), "parameters.readout_noise"),
+    (dict(parameters={"gain": 1e300, "source_mean": 1e10, "n_pulses": 10}),
+     "parameters.gain, parameters.bin_width"),
+    (dict(kind="cubic-phase-run", parameters={"displacement_alpha": [1e300, 0.0]}),
+     "parameters.displacement_alpha"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -352,7 +399,7 @@ def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     ("dense-coding-spectrum", {"squeezing_r": float("inf")}, "parameters.squeezing_r"),
     ("cubic-phase-run", {"displacement_alpha": [0.5, float("-inf")]},
      "parameters.displacement_alpha"),
-    ("cipd-histogram", {"integration_window": float("nan")}, "parameters.integration_window"),
+    ("cipd-histogram", {"sample_rate": float("nan")}, "parameters.sample_rate"),
     ("cipd-histogram", {"source_pmf": [0.5, float("nan"), 0.5]}, "parameters.source_pmf"),
     ("cipd-histogram", {"gain": 10 ** 400}, "parameters.gain"),
 ])
@@ -387,6 +434,32 @@ def test_overflowing_resolution_is_infinite(tmp_path, capsys, kind):
                                 else "resolution.json")).read_text())
     assert report["resolution"] is None
     assert report.get("resolution_infinite", True) is True
+
+
+@pytest.mark.parametrize("kind, params, nulls", [
+    # readout_noise**2 overflows: the analytic variance is past the float range
+    ("cipd-histogram", {"readout_noise": 1e160, "bin_width": 1e150, "n_pulses": 1},
+     ["analytic_var_e2"]),
+    # so is the charges' own variance once there are two of them
+    ("cipd-histogram", {"readout_noise": 1e155, "bin_width": 1e150, "n_pulses": 10},
+     ["analytic_var_e2", "var_charge_e2"]),
+    # gain**2 overflows over noise-only charges
+    ("cipd-histogram",
+     {"gain": 1e155, "bin_width": 1e150, "eta": 0.0, "dark_rate": 0.0, "n_pulses": 10},
+     ["analytic_var_e2"]),
+    # dark_rate x drift_duration_s overflows
+    ("cipd-resolution", {"dark_rate": 1e308, "drift_duration_s": 10.0, "drift_budget_e": 1.0},
+     ["dark_drift.expected_electrons"]),
+])
+def test_report_figures_past_the_float_range_are_null(tmp_path, kind, params, nulls):
+    # exit 0 means every artifact was finite, as the writers refuse NaN and Infinity
+    path = scenario_file(tmp_path, kind=kind, parameters=params)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    report = json.loads((out / ("report.json" if kind == "cipd-histogram"
+                                else "resolution.json")).read_text())
+    figures = dict(report, **{f"dark_drift.{k}": v for k, v in report.get("dark_drift", {}).items()})
+    assert sorted(key for key, value in figures.items() if value is None) == nulls
 
 
 def test_non_finite_result_exits_one(tmp_path, capsys):

@@ -371,21 +371,6 @@ def test_diagnostics_match_simpson_on_the_default_grid():
     assert abs(d["ancilla_excess_kurtosis"] - _simpson_kurtosis(ancilla)) <= 1e-12
 
 
-def test_precision_check():
-    ok, margin = cp.precision_check(1000, 0.9)
-    assert ok and margin == pytest.approx(0.9)
-    ok, margin = cp.precision_check(1000, 1.1)
-    assert not ok and margin == pytest.approx(1.1)
-    ok, margin = cp.precision_check(0, 0.0)
-    assert ok and margin == 0.0
-    ok, _ = cp.precision_check(0, 0.5)
-    assert not ok
-    with pytest.raises(ValueError):
-        cp.precision_check(-1, 0.1)
-    with pytest.raises(ValueError):
-        cp.precision_check(10, -0.1)
-
-
 def test_homodyne_target_switch():
     # homodyning the target instead leaves a conditioned ancilla output
     cfg = cp.CubicGateConfig(homodyne_which="target", post_select_n=1)

@@ -34,10 +34,10 @@ def floats(lo, hi):
 
 
 def positive(lo, hi):
-    """In [lo, hi], or one of 0, -1, 1e-320 and +-1e300: values at or past the
-    ends of a scale-like field, which a run must refuse by name or carry
+    """In [lo, hi], or one of 0, -1, 1e-320, +-1e300 and 1e308: values at or past
+    the ends of a scale-like field, which a run must refuse by name or carry
     through to finite artifacts."""
-    return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0, 1e-320, 1e300, -1e300]))
+    return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0, 1e-320, 1e300, -1e300, 1e308]))
 
 
 def mostly(valid, wide):
@@ -75,7 +75,7 @@ WELL_TYPED = {
     # the resource and correction tails below 1e-10, a grid that resolves
     # phi_{dim-1}, and a count that the resource can produce
     "displacement_alpha": mostly(st.lists(floats(-1.0, 1.0), min_size=2, max_size=2),
-                                 st.lists(floats(-2.0, 2.0), min_size=2, max_size=2)),
+                                 st.lists(positive(-2.0, 2.0), min_size=2, max_size=2)),
     "correction_s": mostly(floats(-0.05, 0.05), floats(-1.0, 1.0)),
     "coupling_g": floats(-3.0, 3.0),
     "gamma_target": floats(-1.0, 1.0),
@@ -93,7 +93,6 @@ WELL_TYPED = {
     "dark_rate": detector_positive(0.0, 5.0),
     "readout_noise": detector_positive(0.0, 30.0),
     "sample_rate": detector_positive(0.5, 50.0),
-    "integration_window": st.one_of(st.none(), detector_positive(0.01, 1.0)),
     "gain_dispersion": detector_positive(0.0, 3.0),
     "source_mean": detector_positive(0.0, 10.0),
     "source_pmf": st.one_of(
