@@ -268,9 +268,9 @@ def write_csv(path, header, columns):
                 fh.write(_encode_rows(cells))
 
 
-def _encode(value, newline, step):
+def _encode(value, newline):
     """JSON text of `value` nested at `newline` ("\\n" and the current indent),
-    as json.dumps(indent=len(step), sort_keys=True, allow_nan=False) writes it."""
+    as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it."""
     kind = type(value)
     if kind is float:  # scalars first: they are most of the calls
         if not math.isfinite(value):
@@ -283,28 +283,23 @@ def _encode(value, newline, step):
             return "{}"
         if not all(type(k) is str for k in value):
             raise TypeError("artifact JSON keys must be str")
-        inner = newline + step
+        inner = newline + "  "
         return "{" + inner + ("," + inner).join(
-            [json.dumps(k) + ": " + _encode(value[k], inner, step) for k in sorted(value)]
+            [json.dumps(k) + ": " + _encode(value[k], inner) for k in sorted(value)]
         ) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = newline + step
-        items = value if isinstance(value, Numbers) else [_encode(v, inner, step) for v in value]
+        inner = newline + "  "
+        items = value if isinstance(value, Numbers) else [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(value, allow_nan=False)  # str, bool, None, subclasses of float/int
 
 
-def encode_json(payload, indent=2):
-    """JSON text of `payload` with sorted keys; ValueError on NaN or +-Infinity.
-
-    indent=None gives the one-line form that configuration digests hash; it is
-    json.dumps itself and takes no Numbers.
-    """
-    if indent is None:
-        return json.dumps(payload, sort_keys=True, allow_nan=False)
-    return _encode(payload, "\n", " " * indent)
+def encode_json(payload):
+    """JSON text of `payload` with sorted keys and a two-space indent, Numbers
+    emitted as they stand; ValueError on NaN or +-Infinity."""
+    return _encode(payload, "\n")
 
 
 def write_json(path, payload):

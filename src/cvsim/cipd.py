@@ -59,23 +59,29 @@ MAX_READOUT_NOISE_E = 1e300
 
 
 @dataclass(frozen=True)
-class CipdConfig:
+class _Detector:
+    """The fields both detector kinds take: gain, dark rate and readout noise."""
+
+    gain: float = param(10.0, "mean avalanche gain (e/pe)", ge=1.0)
+    dark_rate: float = param(1.0, "dark electrons per second", ge=0.0)
+    readout_noise: float = param(7.0, "readout noise, electrons RMS", ge=0.0,
+                                 le=MAX_READOUT_NOISE_E)
+
+    def __post_init__(self):
+        check(self)  # a run config's fields too
+
+
+@dataclass(frozen=True)
+class CipdConfig(_Detector):
     """Detector operating point.  Charge integrates over one sample period,
     1 / sample_rate.  gain_dispersion d is an optional gain-noise hook, off by
     default: each pulse's gain is drawn as g * Gamma(shape 1/d^2, scale d^2),
     which has mean g and fractional RMS d and is never negative."""
 
     eta: float = param(0.6, "quantum efficiency", ge=0.0, le=1.0)
-    gain: float = param(10.0, "mean avalanche gain (e/pe)", ge=1.0)
-    dark_rate: float = param(1.0, "dark electrons per second", ge=0.0)
-    readout_noise: float = param(7.0, "readout noise, electrons RMS", ge=0.0,
-                                 le=MAX_READOUT_NOISE_E)
     sample_rate: float = param(20.0, "sampling rate, Hz", gt=0.0)
     gain_dispersion: float = param(
         0.0, "fractional RMS gain noise; 0 = deterministic gain", ge=0.0, le=MAX_GAIN_DISPERSION)
-
-    def __post_init__(self):
-        check(self)  # a run config's fields too
 
     @property
     def dark_per_window(self):
@@ -101,12 +107,9 @@ class HistogramConfig(CipdConfig):
 
 
 @dataclass(frozen=True)
-class ResolutionConfig(CipdConfig):
+class ResolutionConfig(_Detector):
     """A cipd-resolution run: the readout noise that reaches target_snr, and the dark
-    electrons over drift_duration_s, checked against drift_budget_e if given.
-    The kind does not take the HIDDEN fields, which no byte of its report reads."""
-
-    HIDDEN = ("eta", "sample_rate", "gain_dispersion")
+    electrons over drift_duration_s, checked against drift_budget_e if given."""
 
     target_snr: float = param(4.0, "resolution target for required_noise", gt=0.0)
     drift_duration_s: float = param(1.0, "duration for the dark-drift estimate", ge=0.0)

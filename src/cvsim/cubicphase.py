@@ -21,6 +21,7 @@ reference run.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -75,7 +76,7 @@ class CubicGateConfig:
 
     def digest(self):
         """Stable hash of the configuration, for pinning reference runs."""
-        blob = artifacts.encode_json(self.as_dict(), indent=None).encode()
+        blob = json.dumps(self.as_dict(), sort_keys=True, allow_nan=False).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -117,7 +118,7 @@ def post_select(state, outcome=None, rng=None):
     """Photon-count the displaced arm; returns the fock-layer count result
     whose `conditional` is the kept (non-Gaussian) ancilla arm."""
     try:
-        return fock.photon_count(state, mode=1, rng=rng, outcome=outcome)
+        return fock.photon_count(state, rng=rng, outcome=outcome)
     except ValueError as exc:  # a forced outcome is the config's post_select_n
         raise (exc if outcome is None else ValueError(f"post_select_n: {exc}")) from None
 
@@ -223,11 +224,10 @@ def excess_kurtosis_x(state):
     return float(np.vdot(z2, z2).real / np.vdot(z1, z1).real ** 2 - 3.0)
 
 
-def run_gate(config, target=None, seed=None):
-    """Full pipeline on a target state (default vacuum); deterministic per seed."""
+def run_gate(config, seed=None):
+    """Full pipeline on a vacuum target; deterministic per seed."""
     gen = np.random.default_rng(seed)
-    if target is None:
-        target = fock.vacuum_state(config.dim)
+    target = fock.vacuum_state(config.dim)
     resource = prepare_ancilla(config)
     count = post_select(resource, outcome=config.post_select_n, rng=gen)
     ancilla = apply_correction(count.conditional, config)

@@ -1,10 +1,10 @@
 """One declaration per scenario parameter: `name: type = param(default, help,
 ge=..., gt=..., le=..., lt=...)` gives a config field its default, the help line
 `cvsim describe` prints and its interval (an end left out is unbounded; a pair's
-interval holds its modulus).  A
-config's __post_init__ calls `check(self)`, which holds every field to its
-annotated type; cli reads each kind's `schema` and passes a scenario's
-parameters to the config as they are.
+interval holds its modulus).  A config's __post_init__ calls `check(self)`, which
+holds every field to its annotated type.  Every field of a config is a scenario
+parameter: cli reads each kind's `schema` and passes a scenario's parameters to
+the config as they are.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ def check(config):
 
 
 def schema(config_cls):
-    """name -> (JSON type, default, help) for every field of config_cls but those it
-    lists in `HIDDEN`: int, float, str, pair, pmf, optional_int or optional_float.  An
-    annotation _TYPES lacks raises KeyError here, as cli builds its table on import."""
+    """name -> (JSON type, default, help) for every field of config_cls: int, float, str,
+    pair, pmf, optional_int or optional_float.  An annotation _TYPES lacks raises
+    KeyError here, as cli builds its table on import."""
     return {f.name: (("optional_" if f.default is None and f.type in ("int", "float") else "")
                      + _TYPES[f.type][0], f.default, f.metadata["help"])
-            for f in fields(config_cls) if f.name not in getattr(config_cls, "HIDDEN", ())}
+            for f in fields(config_cls)}

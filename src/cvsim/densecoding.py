@@ -100,7 +100,7 @@ class SpectrumConfig:
     `plan`, two_tone_plan(self), is built once, on construction."""
 
     n_bins: int = param(33, "sideband bins across the analysis band", ge=2, le=MAX_BINS)
-    f_lo_hz: float = param(0.8e6, "low edge of the band")
+    f_lo_hz: float = param(0.8e6, "low edge of the band", gt=0.0)
     f_hi_hz: float = param(1.6e6, "high edge of the band")
     squeezing_r: float = param(DEFAULT_R, "squeezing parameter of the EPR source",
                                ge=-MAX_SPECTRUM_R, le=MAX_SPECTRUM_R)
@@ -116,13 +116,8 @@ class SpectrumConfig:
         check(self)
         if not (self.n_samples == 0 or 2 <= self.n_samples <= sys.float_info.max):
             raise ValueError("n_samples: must be 0, or >= 2 and a finite float")
-        f_lo, f_hi = self.f_lo_hz, self.f_hi_hz
-        if f_hi <= f_lo:
-            raise ValueError(f"f_hi_hz: must exceed f_lo_hz {f_lo!r}, got {f_hi!r}")
-        if not math.isfinite(f_hi - f_lo):
-            raise ValueError(f"f_lo_hz, f_hi_hz: the band width {f_hi!r} - {f_lo!r} is not finite")
-        if f_lo <= 0:
-            raise ValueError(f"f_lo_hz: must be > 0, got {f_lo!r}")
+        if self.f_hi_hz <= self.f_lo_hz:
+            raise ValueError(f"f_hi_hz: must exceed f_lo_hz {self.f_lo_hz!r}, got {self.f_hi_hz!r}")
         object.__setattr__(self, "plan", two_tone_plan(self))
 
 
@@ -277,34 +272,28 @@ def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
 # file output
 
 
-def _formatter():
-    """artifacts.numbers memoised per array object: traces that share one axis
-    array (as run_spectrum's and phase_sweep's do) format it once."""
-    done = {}
-    return lambda a: done[id(a)] if id(a) in done else done.setdefault(id(a), artifacts.numbers(a))
-
-
 def write_spectra(spectra, out):
     """spectra.csv, one row per bin (frequency, then x/p power columns per
-    trace), and spectra.json, one entry per trace, into directory `out`."""
-    text = _formatter()
-    traces = {lab: {"label": s.label, "frequency_hz": text(s.frequency_hz),
-                    "x_power_db": text(s.x_power_db), "p_power_db": text(s.p_power_db)}
-              for lab, s in spectra.items()}
-    header = ["frequency_hz"] + [f"{lab}_{q}_db" for lab in traces for q in "xp"]
-    columns = [next(iter(traces.values()))["frequency_hz"]] + [
-        t[f"{q}_power_db"] for t in traces.values() for q in "xp"]
+    trace), and spectra.json, one entry per trace, into directory `out`.  The
+    traces share the first one's frequency axis, formatted once."""
+    freq = artifacts.numbers(next(iter(spectra.values())).frequency_hz)
+    traces = [{"label": s.label, "frequency_hz": freq,
+               "x_power_db": artifacts.numbers(s.x_power_db),
+               "p_power_db": artifacts.numbers(s.p_power_db)} for s in spectra.values()]
+    header = ["frequency_hz"] + [f"{lab}_{q}_db" for lab in spectra for q in "xp"]
+    columns = [freq] + [t[f"{q}_power_db"] for t in traces for q in "xp"]
     artifacts.write_csv(out / "spectra.csv", header, columns)
-    artifacts.write_json(out / "spectra.json", {"traces": list(traces.values())})
+    artifacts.write_json(out / "spectra.json", {"traces": traces})
 
 
 def write_phase_sweep(traces, out):
     """phase_sweep.csv, one row per LO angle, and phase_sweep.json, one entry
-    per trace, into directory `out`."""
-    text = _formatter()
-    entries = [{"label": t.label, "lo_phase_rad": text(t.lo_phase_rad), "power_db": text(t.power_db)}
+    per trace, into directory `out`.  The traces share the first one's LO
+    angles, formatted once."""
+    angles = artifacts.numbers(traces[0].lo_phase_rad)
+    entries = [{"label": t.label, "lo_phase_rad": angles, "power_db": artifacts.numbers(t.power_db)}
                for t in traces]
     artifacts.write_csv(out / "phase_sweep.csv",
                         ["phase_rad"] + [f"{t['label']}_db" for t in entries],
-                        [entries[0]["lo_phase_rad"]] + [t["power_db"] for t in entries])
+                        [angles] + [t["power_db"] for t in entries])
     artifacts.write_json(out / "phase_sweep.json", {"traces": entries})

@@ -251,16 +251,16 @@ def tmsv(r, dim):
 # measurement
 
 
-def photon_count(state, mode=1, rng=None, outcome=None):
-    """Ideal photon-number measurement of one mode of a two-mode state.
+def photon_count(state, rng=None, outcome=None):
+    """Ideal photon-number measurement of mode 1 of a two-mode state.
 
     Either draws the outcome (rng) or evaluates a fixed one (outcome=n).
     Returns the outcome, its probability, and the normalized conditional
-    state of the remaining mode.
+    state of mode 0.
     """
     if state.num_modes != 2:
         raise ValueError("photon_count expects a two-mode state")
-    pmf = state.probabilities(mode)
+    pmf = state.probabilities(1)
     total = pmf.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-8):
         raise ValueError(f"state is not normalized (total probability {total:.6f})")
@@ -274,7 +274,7 @@ def photon_count(state, mode=1, rng=None, outcome=None):
     prob = float(pmf[outcome])
     if prob <= 1e-15:
         raise ValueError(f"outcome n={outcome} has zero probability")
-    cond = state.amps[:, outcome] if mode == 1 else state.amps[outcome, :]
+    cond = state.amps[:, outcome]
     return PhotonCountResult(outcome, prob, FockState(cond / math.sqrt(prob)))
 
 
@@ -295,16 +295,22 @@ def _unitary(h, dim):
 
 
 def displacement_op(alpha, dim):
-    """D(alpha) = exp(alpha a^dag - alpha* a): exactly unitary at any cutoff."""
+    """D(alpha) = exp(alpha a^dag - alpha* a): exactly unitary at any cutoff.
+    ValueError naming alpha where the generator is not finite."""
     alpha = complex(alpha)
-    if abs(alpha) ** 2 > dim / 4.0:
+    size2 = abs(alpha) * abs(alpha)  # inf past the float range, where ** raises
+    if size2 > dim / 4.0:
         warnings.warn(
-            f"displacement |alpha|^2 = {abs(alpha)**2:.2f} is large for dim={dim}; "
+            f"displacement |alpha|^2 = {size2:.2f} is large for dim={dim}; "
             "the displaced state will be clipped",
             TruncationWarning,
         )
     a = annihilation(dim)
-    return _unitary(1j * (alpha * a.conj().T - alpha.conjugate() * a), dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
+        h = 1j * (alpha * a.conj().T - alpha.conjugate() * a)
+    if not np.isfinite(h).all():
+        raise ValueError(f"alpha: {alpha!r} gives a non-finite generator at dim={dim}")
+    return _unitary(h, dim)
 
 
 def squeeze_op(s, dim):

@@ -10,6 +10,7 @@ behind.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvsim import artifacts
+from cvsim import artifacts, cubicphase
 
 ORACLE = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -209,10 +210,11 @@ def test_numbers_refuses_all_but_1d_int_and_float(array, tmp_path):
 
 
 def test_one_line_form_is_json_dumps():
-    # configuration digests hash this form, so it must not move
-    payload = {"b": [1.5, -0.0, None], "a": {"z": True, "y": "é"}}
-    assert artifacts.encode_json(payload, indent=None) == json.dumps(
-        payload, sort_keys=True, allow_nan=False)
+    # a configuration digest hashes json.dumps's one-line form, not encode_json's
+    # indented one, so the pinned digests cannot move with this module
+    config = cubicphase.CubicGateConfig(displacement_alpha=[1.5, -0.0], homodyne_which="target")
+    blob = json.dumps(config.as_dict(), sort_keys=True, allow_nan=False).encode()
+    assert config.digest() == hashlib.sha256(blob).hexdigest()[:16]
 
 
 # --- the numpy encoder of array columns against repr ----------------------

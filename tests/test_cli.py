@@ -47,10 +47,16 @@ def test_describe_lists_parameters(capsys):
 
 
 @pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_every_config_field_is_a_parameter(kind):
+    # a field the schema left out would be a setting no scenario can reach
+    spec = cli._KINDS[kind]
+    assert [f.name for f in dataclasses.fields(spec.config)] == list(spec.schema)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
 def test_schema_agrees_with_config(kind):
     # `cvsim describe` prints the schema; a run builds the config class
     spec = cli._KINDS[kind]
-    assert set(spec.schema) <= {f.name for f in dataclasses.fields(spec.config)}
     defaults = {name: default for name, (_, default, _) in spec.schema.items()}
     assert spec.config(**defaults) == spec.config()
 
@@ -96,7 +102,7 @@ def test_every_parameter_reaches_an_artifact(kind, name, tmp_path):
 # sha256 of the stdout of `cvsim list` and of each `cvsim describe <kind>`
 LISTING_SHA256 = {
     "list": "99535684a95719ef74c86df23b7dc90fe39d339df2af696a61531e4dbf3622f4",
-    "describe cipd-histogram": "69815d2c4c78d6637776138320d9d210e0fb42b693af61dc748cab8e3fd4da64",
+    "describe cipd-histogram": "ee11819715480f44175bfaa5222ed29ca43a0eefa3696ad6848b6c582e2bdda2",
     "describe cipd-resolution": "2ff9e0d5829610b7ca92ab5569dc3598a3a5c1fc7cf23d5a454f2dbf87ee2de0",
     "describe cubic-phase-run": "f65747375b6cf8cb8f1c9c355971352c98bc6212543d3cabfede6397d0be6a47",
     "describe dense-coding-phase-sweep":
@@ -120,12 +126,11 @@ def _declared(predicate):
 
 
 def _refused(kind, name, value):
-    """The refusal of a config with `name` set to `value`, as the CLI reports it:
-    parameters.<name> for a kind's parameter, the bare name for a field it hides."""
+    """The refusal of a config with `name` set to `value`, as the CLI reports it,
+    and the prefix it must start with."""
     with pytest.raises(ValueError) as info:
         cli._KINDS[kind].config(**{name: value})
-    prefix = "parameters." if name in cli._KINDS[kind].schema else ""
-    return cli._refusal(kind, info.value) or str(info.value), prefix + name + ": "
+    return cli._refusal(kind, info.value) or str(info.value), f"parameters.{name}: "
 
 
 @pytest.mark.parametrize("kind, f", _declared(lambda f: "interval" in f.metadata),
@@ -331,7 +336,7 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": 1e6, "f_hi_hz": 1e6}),
      "parameters.f_hi_hz"),
     (dict(kind="dense-coding-spectrum", parameters={"f_lo_hz": -1e308, "f_hi_hz": 1e308}),
-     "parameters.f_lo_hz, parameters.f_hi_hz"),
+     "parameters.f_lo_hz"),
     (dict(kind="dense-coding-spectrum",
           parameters={"am_frequency_hz": 1.2e6, "pm_frequency_hz": 1.2e6}),
      "parameters.am_frequency_hz, parameters.pm_frequency_hz"),

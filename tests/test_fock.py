@@ -97,7 +97,7 @@ def test_tmsv_truncation_warning():
 
 def test_photon_count_conditional_on_tmsv():
     st = fock.tmsv(R2DB, 20)
-    res = fock.photon_count(st, mode=1, outcome=1)
+    res = fock.photon_count(st, outcome=1)
     assert res.n == 1
     assert abs(res.probability - TMSV_P1) < 1e-10
     want = np.zeros(20)
@@ -112,9 +112,9 @@ def test_photon_count_impossible_outcome():
     amps[0, 0] = 1.0
     vac2 = fock.FockState(amps)
     with pytest.raises(ValueError):
-        fock.photon_count(vac2, mode=1, outcome=3)
+        fock.photon_count(vac2, outcome=3)
     with pytest.raises(ValueError):
-        fock.photon_count(st, mode=1, outcome=25)
+        fock.photon_count(st, outcome=25)
 
 
 def test_photon_count_sampling_frequencies():
@@ -176,6 +176,16 @@ def test_displacement_makes_coherent_state():
 def test_displacement_truncation_warning():
     with pytest.warns(fock.TruncationWarning):
         fock.displacement_op(3.0, 12)
+
+
+def test_displacement_past_the_float_range():
+    # |alpha|^2 is past the float range from |alpha| ~ 1.34e154: it still warns
+    with pytest.warns(fock.TruncationWarning):
+        op = fock.displacement_op(1e200, 16)
+    assert np.isfinite(op.matrix).all()
+    # alpha sqrt(n) is past it too: refused by name before the eigensolver
+    with pytest.warns(fock.TruncationWarning), pytest.raises(ValueError, match="^alpha: "):
+        fock.displacement_op(1e308, 16)
 
 
 def test_displaced_tmsv_mean_photon():

@@ -1,19 +1,28 @@
-"""The benchmark's traced pass finds every span it reports.
+"""The benchmark's traced pass finds every span it reports, and runs.
 
 `perfbench/tracing.py` wraps cvsim's public functions and a few listed methods
-by name, then reads each reported span back by name.  A rename in `src` would
+by name, reads each reported span back by name, and its observers read
+attributes of what some wrapped functions return.  A rename in `src` would
 only break that pass (`Tracer.install` raising AttributeError, `per_layer`
-KeyError); here it fails the test suite instead.
+KeyError, an observer AttributeError failing the run); here it fails the test
+suite instead.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import cvsim
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -51,3 +60,36 @@ def test_every_reported_span_is_wrapped(span):
                                         tracing.METHODS.items() for path in paths))
 def test_every_listed_method_exists(span):
     assert callable(_resolve(span)), span
+
+
+# each bundled scenario through the CLI with the tracer installed and recording,
+# in a child process so that the wrappers never reach this one's cvsim
+TRACED_RUNS = """
+import json, sys
+from pathlib import Path
+import cvsim
+from cvsim import cli
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+tracer = Tracer()
+tracer.install(cvsim)
+tracer.current = 0
+out = Path(sys.argv[2])
+codes = {Path(p).stem: cli.main(["run", p, "--output-dir", str(out / Path(p).stem)])
+         for p in sys.argv[3:]}
+tracer.per_layer(1, [1.0])
+print(json.dumps(codes))
+"""
+
+
+def test_traced_bundled_scenarios_run(tmp_path):
+    bundled = sorted(str(p) for p in (ROOT / "scenarios").glob("*.json"))
+    assert len(bundled) == 5
+    src = str(Path(cvsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(TRACING.parent),
+                           str(tmp_path), *bundled], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {Path(p).stem: 0 for p in bundled}, \
+        proc.stderr
