@@ -14,13 +14,17 @@ CSV and JSON can share one formatted column.
 
 write_csv encodes array columns in numpy, with the bytes repr would give and
 no repr per value.  A float's shortest digits come from exact arithmetic:
-Dekker's two-product gives the 17-digit candidate, and each shorter one is
-kept while it reads back, which one correctly rounded division of exact
-doubles decides (Clinger's fast path).  Digits become text through a table of
-4-digit groups.  What that path leaves out goes to repr: floats below 1e-4 or
-from 1e16 up (where repr uses an exponent), ties, 16-digit candidates of 2**53
-or more (which the division cannot check), and ints with |x| >= 10**18.  About
-4% of a detector run's charges take repr.
+Dekker's two-product gives the 17-digit candidate x = a * 10**places, and
+half the gaps to a's neighbouring doubles, scaled the same way, are exact
+too, so a's rounding interval around x has exact ends (Ryu's formulation).
+A candidate with s digits fewer reads back iff a multiple of 10**s lies in
+that interval, a test on integers.  Digits become text through a table of
+4-digit groups, in a row table as wide as each chunk's widest cells.  What
+that path leaves out goes to repr: floats below 1e-4 or from 1e16 up (where
+repr uses an exponent), values whose 17- or 16-digit candidate is a tie
+(repr's choice between two equally near candidates is not reproduced), and
+ints with |x| >= 10**18.  A detector charge takes repr only if it is below
+1e-4 in size or such a tie, which no charge of a seeded 1e5-pulse run is.
 """
 
 from __future__ import annotations
@@ -46,11 +50,14 @@ _POW10_INT = 10 ** np.arange(19, dtype=np.int64)
 @functools.cache  # built on first use: runs that write no array column skip it
 def _digit_table():
     """Entry k * 10**4 + v: the last k ASCII digits of 0 <= v < 10**4 (k = 0 .. 4)
-    after 4 - k NULs, as one 4-byte word: a number's text, 4 digits per divmod."""
+    after 4 - k NULs, and for k = 5 all of v's digits after NULs, as one 4-byte
+    word: a number's text, 4 digits per divmod."""
     digits = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1).reshape(10 ** 4, 4) + np.uint8(48)
-    table = np.zeros((5, 10 ** 4, 4), np.uint8)
+    table = np.zeros((6, 10 ** 4, 4), np.uint8)
     for k in range(1, 5):
         table[k, :, 4 - k:] = digits[:, 4 - k:]
+    v = np.arange(10 ** 4)
+    table[5] = table[1 + (v >= 10) + (v >= 100) + (v >= 1000), v]
     table = table.view(np.uint32).ravel()
     table.flags.writeable = False
     return table
@@ -102,11 +109,49 @@ def _times_pow10(a, q):
 
 def _round_off(d17, rest, s):
     """The integer nearest to (d17 + rest) / 10**s, for int64 d17, |rest| < 1/2
-    and s >= 0, and where that is a tie."""
+    and s >= 0, where that is not a tie."""
     p = _POW10_INT[s]
     head = d17 // p
     excess = 2 * (d17 - head * p) - p  # the sign of the dropped part minus p / 2
-    return head + ((excess > 0) | ((excess == 0) & (rest > 0))), (excess == 0) & (rest == 0)
+    return head + ((excess > 0) | ((excess == 0) & (rest > 0)))
+
+
+def _padded(rows, least):
+    """The bool mask `rows` with the first rows it leaves out added, so that
+    none or at least `least` (or all) are set.  numpy pools freed blocks
+    under 1 KiB by exact size, and arrays sized by a data-dependent subset
+    would leave blocks of ever new sizes across the heap (a 1e5-pulse
+    detector pass once grew its peak RSS by 2.5 MB that way): 128 rows of
+    8-byte values, or 1024 of bools, fill 1 KiB."""
+    short = min(least, len(rows)) - np.count_nonzero(rows)
+    if 0 < short < min(least, len(rows)):
+        rows = rows | (np.cumsum(~rows) <= short)
+    return rows
+
+
+def _descend(top, width, places):
+    """For each row, the most digits s <= places that can be dropped: the
+    largest s for which a multiple of 10**s lies in [top - width, top], with
+    0 <= width < 100.
+
+    s = 1 and 2 are decided on the whole chunk.  Past 2 the multiple can only
+    be top less its last two digits, so s holds while the rest of top ends in
+    s - 2 zeros: a count taken in four halving steps on the rows where s = 2
+    holds, about 5% of a detector chunk, padded to 1024 rows."""
+    head = top // 100
+    low = top - head * 100
+    ok = low <= width
+    cut = (low - low // 10 * 10 <= width).astype(np.int64) + ok
+    rows = np.flatnonzero(_padded(ok & (places > 2), 1024))
+    head, zeros = head[rows], np.zeros(len(rows), np.int64)
+    for k in (8, 4, 2, 1):
+        p = _POW10_INT[k]
+        cut_head = head // p
+        ends = cut_head * p == head
+        head = np.where(ends, cut_head, head)
+        zeros += k * ends
+    cut[rows] += zeros * ok[rows]  # a padded row gains none, or is clamped below
+    return np.minimum(cut, places)
 
 
 def _shortest(a):
@@ -114,11 +159,23 @@ def _shortest(a):
     positional text of digits / 10**places, its shortest round-trip digits.
 
     fast holds for 1e-4 <= a < 1e16 (where repr is positional) but not for
-    the few values whose 17- or 16-digit candidate is a tie or too wide to
-    check exactly.  The nearest candidate of a length reads back if any of
-    that length does, as a's rounding interval is symmetric; the powers of two
-    in range, whose interval is not, are decimals of at most 16 digits, which
-    the descent reaches exactly.
+    the few values whose 17- or 16-digit candidate is a tie, where repr's
+    choice between the two is not reproduced.  A shorter candidate reads back
+    iff it lies in a's rounding interval, whose ends are exact here, so the
+    test is one of integers; the nearest candidate of a length lies in it if
+    any does.
+
+    The interval is taken as closed, one half-gap h to each side.  The true
+    one is open for an odd significand and, below a power of two, only h / 2
+    deep; neither changes a result in range.  A candidate with a digit
+    dropped has at most 16 significant digits.  A midpoint between doubles,
+    N * 2**-j for an odd N of 54 bits, is for j >= 1 the decimal
+    N * 5**j / 10**j of 17 or more, and for j <= 0 in range an odd integer
+    between 2**53 and 1e16, where a itself is the nearer 16-digit candidate
+    and no multiple of 10 is odd.  A power of two in range other than 1 is a
+    decimal of at most 16 digits ending in 2, 4, 5, 6 or 8, so the nearest
+    shorter candidate below it is 20 or more units of its 17th digit away,
+    beyond h / 2 and h <= 1e17 * 2**-53 < 11.2 alike.
     """
     fast = (a >= 1e-4) & (a < 1e16)
     a = np.where(fast, a, 1.0000000000000002)  # a stand-in that needs 17 digits
@@ -134,61 +191,54 @@ def _shortest(a):
     step = np.rint(lo)
     d17 = hi.astype(np.int64) + step.astype(np.int64)
     rest = lo - step  # exact: a * 10**places - d17
-    fast &= np.abs(rest) != 0.5
-    # drop digits while the nearest candidate reads back as a, which holds iff
-    # it over 10**q is a: one correctly rounded division of exact doubles
-    # (Clinger's fast path, candidate < 2**53)
-    cut = np.zeros(len(a), np.int64)
-    live = fast.copy()
-    for s in range(1, 17):
-        d, tie = _round_off(d17, rest, s)
-        wide = d >= 2 ** 53
-        good = live & ~tie & ~wide & (d / _POW10[np.maximum(places - s, 0)] == a)
-        if s == 1:  # unchecked: repr may have 16 digits
-            fast &= ~(tie | wide)
-        np.copyto(cut, s, where=good)
-        live = good & (places > s)
-        if not live.any():
-            break
-    return _round_off(d17, rest, cut)[0], places - cut, fast
+    fast &= (np.abs(rest) != 0.5) & ~((rest == 0) & (d17 % 10 == 5))
+    # With x = a * 10**places = d17 + rest, x + e reads back as a iff
+    # |e - rest| <= h, h half the gap to the next double times 10**places:
+    # a power of two times 10**places, so exact, and rest, h and rest +- h
+    # are multiples of one 2**-k with k <= 47 and below 12 in size, so exact
+    # as well: the integers e that read back form the exact range
+    # [lo_e, hi_e], with -12 < lo_e <= 0 <= hi_e < 12.
+    h = np.spacing(a) * _POW10[places] * 0.5
+    hi_e, lo_e = np.floor(rest + h), np.ceil(rest - h)
+    cut = _descend(d17 + hi_e.astype(np.int64), (hi_e - lo_e).astype(np.int64), places)
+    return _round_off(d17, rest, cut), places - cut, fast
+
+
+# _KEPT[j, k] / 10**4: how many digits group j of five (counted from the left,
+# 4 digits each) shows when a number's last k digits are shown
+_KEPT = np.clip(np.arange(21) - np.arange(16, -1, -4)[:, None], 0, 4) * 10 ** 4
 
 
 def _digits(x, keep):
-    """(n, 4g) uint8: the last `keep` decimal digits of each int64 x >= 0,
-    zero-padded and right-aligned, NUL before them."""
-    g = max(-(-int(keep.max(initial=1)) // 4), 1)
-    # index of group j, counted from the left: (digits kept in it) * 10**4 + its value
-    index = np.clip(keep[:, None] - np.arange(4 * g - 4, -1, -4), 0, 4) * 10 ** 4
+    """(n, w) uint8, w = the largest keep: the last `keep` decimal digits of
+    each int64 x >= 0, zero-padded and right-aligned, NUL before them."""
+    w = int(keep.max(initial=0))
+    g = max(-(-w // 4), 1)
+    # the table index of each group, one row per group, counted from the left
+    index = _KEPT[5 - g:].take(keep, axis=1)
     for j in range(g - 1, -1, -1):
         head = x // 10 ** 4
-        index[:, j] += x - head * 10 ** 4
+        index[j] += x - head * 10 ** 4
         x = head
-    return _digit_table()[index].view(np.uint8)
+    return _digit_table().take(index.T).view(np.uint8)[:, 4 * g - w:]
 
 
-def _width(x):
-    """The number of decimal digits of each int64 x >= 0."""
+def _whole(x, fast):
+    """(n, w) uint8, w the widest: the decimal digits of each int64 x >= 0
+    where fast, NUL elsewhere."""
+    top = int(x.max(initial=0))
+    if top < 10 ** 4:  # one group, whose table entry has no leading zeros
+        index = (x + 5 * 10 ** 4) * fast
+        return _digit_table()[index[:, None]].view(np.uint8)[:, 4 - len(str(top)):]
     width = np.ones(len(x), np.int64)
-    for p in _POW10_INT[1:_POW10_INT.searchsorted(x.max(initial=0), side="right")]:
+    for p in _POW10_INT[1:len(str(top))]:
         width += x >= p
-    return width
+    return _digits(x, width * fast)
 
 
 def _column(byte, rows):
     """A one-byte block: `byte` where rows, else NUL."""
     return (rows * np.uint8(byte))[:, None]
-
-
-def _spill(fast):
-    """`fast` with some fast rows sent to repr as well, so that no row or at
-    least 128 (or all) take repr.  numpy pools freed blocks under 1 KiB by
-    size, and arrays of repr rows sized by the data would leave blocks of ever
-    new sizes across the heap (a 1e5-pulse detector pass grew its peak RSS by
-    2.5 MB that way)."""
-    short = min(128, len(fast)) - np.count_nonzero(~fast)
-    if 0 < short < min(128, len(fast)):
-        fast = fast & (np.cumsum(fast) > short)
-    return fast
 
 
 def _cell(col):
@@ -200,25 +250,28 @@ def _cell(col):
     if col.dtype.kind == "f":
         v = col.astype(np.float64, copy=False)
         digits, places, fast = _shortest(np.abs(v))
-        fast = _spill(fast)
+        fast = ~_padded(~fast, 128)
         whole, part = np.divmod(digits, _POW10_INT[np.minimum(places, 18)])
-        blocks = [_column(ord("-"), fast & (v < 0)), _digits(whole, _width(whole) * fast),
-                  _column(ord("."), fast), _digits(part, np.maximum(places, 1) * fast)]
+        sign = fast & (v < 0)
+        blocks = [_whole(whole, fast), _column(ord("."), fast),
+                  _digits(part, np.maximum(places, 1) * fast)]
     else:
-        fast = _spill((col < 10 ** 18) & ((col > -10 ** 18) if col.dtype.kind == "i" else True))
+        huge = (col >= 10 ** 18) | ((col <= -10 ** 18) if col.dtype.kind == "i" else False)
+        fast = ~_padded(huge, 128)
         x = np.where(fast, col, 0).astype(np.int64)
+        sign = x < 0
         whole = np.abs(x)
-        blocks = [_digits(whole, _width(whole) * fast)]
-        if x.min(initial=0) < 0:
-            blocks.insert(0, _column(ord("-"), x < 0))
+        blocks = [_whole(whole, fast)]
+    if sign.any():
+        blocks.insert(0, _column(ord("-"), sign))
     slow = np.flatnonzero(~fast)
     # 24 bytes hold the repr of any 8-byte number, e.g. "-2.2250738585072014e-308"
     return blocks, slow, np.array(list(map(repr, col[slow].tolist())), dtype="S24")
 
 
 def _encode_rows(cells):
-    """The CSV data rows of equal-length cells (arrays or slices of Numbers) as
-    a uint8 array: the bytes of ",".join(map(repr, row)) + "\\r\\n" for each row."""
+    """The CSV data rows of equal-length cells (arrays or slices of Numbers):
+    the bytes of ",".join(map(repr, row)) + "\\r\\n" for each row."""
     n = len(cells[0])
     blocks, patches, at = [], [], 0
     for end, cell in zip([b","] * (len(cells) - 1) + [b"\r\n"], cells):
@@ -234,7 +287,7 @@ def _encode_rows(cells):
     del blocks
     for slow, start, text in patches:
         table[slow, start:start + text.shape[1]] = text
-    return table[table != 0]
+    return table.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, columns):

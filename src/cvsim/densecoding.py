@@ -246,16 +246,13 @@ def two_tone_plan(config):
     return SidebandPlan(bins)
 
 
-DEFAULT_SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)
-
-
-def phase_sweep(state_kind, lo_phases=None, r=DEFAULT_R):
+def phase_sweep(state_kind, lo_phases, r=DEFAULT_R):
     """Homodyne noise power vs LO angle for 'shot', 'epr' or 'squeezed'.
 
     shot is flat at 0 dB; a single EPR beam is flat at 10*log10(cosh 2r);
     squeezed vacuum swings between -/+ the squeezing dB.
     """
-    lo_phases = np.asarray(DEFAULT_SWEEP_ANGLES if lo_phases is None else lo_phases, dtype=float)
+    lo_phases = np.asarray(lo_phases, dtype=float)
     if state_kind == "shot":
         state = gaussian.vacuum(1)
     elif state_kind == "epr":

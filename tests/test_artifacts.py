@@ -27,7 +27,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cvsim import artifacts, cubicphase
+from cvsim import artifacts, cipd, cubicphase
 
 ORACLE = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -345,3 +345,95 @@ def test_header_is_utf8_whatever_the_locale(tmp_path):
                PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
     assert path.read_bytes() == 'é,"x,y"\r\n0,1.0\r\n1,1.0\r\n'.encode("utf-8")
+
+
+# --- edges of the rounding-interval test ------------------------------------
+
+def test_wide_candidates_and_their_twins_match_repr(tmp_path):
+    # from 2**53 up the 16-digit candidate no longer fits a double's
+    # significand; the interval test decides it exactly, so none takes repr
+    rng = np.random.default_rng(27)
+    wide = np.concatenate([
+        2.0 * rng.integers(2 ** 52, 5 * 10 ** 15, 4000),
+        [2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 53 + 4, 9999999999999998.0, 9999999999999996.0],
+    ])
+    assert ((wide >= 2.0 ** 53) & (wide < 1e16)).all()
+    assert artifacts._shortest(wide)[2].all()
+    # the same significands lower down: 17-digit candidates of every shape
+    twins = np.concatenate([wide * 2.0 ** -k for k in range(1, 80, 3)]
+                           + [wide / 10.0 ** k for k in range(1, 19)])
+    for col in (wide, twins):
+        col = np.concatenate([col, -col])
+        assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+def test_decimals_on_the_interval_boundary_match_repr(tmp_path):
+    # between 2**53 and 1e16 the doubles are the even integers, and each odd
+    # integer, a 16-digit decimal, is a boundary: it reads back as the double
+    # whose significand is even (ties to even)
+    assert float("9007199254740993") == 2.0 ** 53  # significand 2**52: even
+    assert float("9007199254740995") == 2.0 ** 53 + 4  # not 2**53 + 2, whose is odd
+    rng = np.random.default_rng(11)
+    k = rng.integers(2 ** 50, 10 ** 16 // 4, 2000)
+    even, odd = 4.0 * k, 4.0 * k + 2  # significands a / 2: even and odd
+    for col in (even, odd):
+        edges = [np.nextafter(col, np.inf), np.nextafter(col, -np.inf)]
+        col = np.concatenate([col] + edges)
+        col = col[col < 1e16]
+        assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+def test_powers_of_two_and_neighbours_match_repr(tmp_path):
+    # the rounding interval is lopsided at a power of two (the gap below is
+    # half the gap above), which the encoder's symmetric interval leaves out;
+    # every one in repr's positional range, with both neighbours
+    powers = 2.0 ** np.arange(-13, 54)
+    assert powers[0] >= 1e-4 and powers[-1] < 1e16 and 2.0 ** -14 < 1e-4
+    assert artifacts._shortest(powers)[2].all()  # some neighbours are ties, which take repr
+    col = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+    col = np.concatenate([col, -col])
+    assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+@pytest.mark.parametrize("gain", [10.0, 1.0, 37.0])
+def test_integer_charges_match_repr(gain, tmp_path):
+    # no readout noise and no gain dispersion: every charge is an integer,
+    # whose shortest digits are many fewer than 17 (the deepest descents)
+    config = cipd.CipdConfig(gain=gain, readout_noise=0.0, gain_dispersion=0.0)
+    records = cipd.simulate_pulses(config, 40.0, 3 * artifacts._CHUNK_ROWS + 5, rng=3)
+    col = records.output_charge
+    assert (col == np.round(col)).all() and col.max() >= 10.0
+    _, places, fast = artifacts._shortest(col)
+    assert (places[fast] == 0).all()
+    fields = ["true_photons", "photoelectrons", "dark_electrons", "output_charge"]
+    cols = [getattr(records, f) for f in fields]
+    assert written_rows(tmp_path, *cols) == reference_rows(*cols)
+
+
+@pytest.mark.parametrize("n_rows", [artifacts._CHUNK_ROWS - 1, artifacts._CHUNK_ROWS,
+                                    artifacts._CHUNK_ROWS + 1, 2 * artifacts._CHUNK_ROWS + 3])
+def test_mixed_widths_across_chunks_match_repr(n_rows, tmp_path):
+    # each chunk's row table is as wide as its widest cells: a narrow int
+    # column beside a negative one and one of 10**4 and up, each of which
+    # turns up in one chunk only
+    rng = np.random.default_rng(n_rows)
+    narrow = rng.integers(0, 10, n_rows)
+    negative = rng.integers(0, 100, n_rows)
+    wide = rng.integers(0, 10 ** 4, n_rows)
+    tail = slice(artifacts._CHUNK_ROWS, None)
+    negative[tail] -= 150  # negative in the later chunks only
+    wide[tail] += 10 ** 4 + rng.integers(0, 10 ** 12, len(wide[tail]))
+    charge = rng.normal(20.0, 8.0, n_rows)
+    charge[: artifacts._CHUNK_ROWS] = np.abs(charge[: artifacts._CHUNK_ROWS])  # signs later only
+    cols = [narrow, negative, wide, charge]
+    assert written_rows(tmp_path, *cols) == reference_rows(*cols)
+
+
+def test_detector_charges_take_no_repr(tmp_path):
+    # a 1e5-pulse charge column at the default operating point: every value is
+    # in repr's positional range and none is a 17- or 16-digit tie
+    config = cipd.CipdConfig(gain_dispersion=0.1)
+    col = cipd.simulate_pulses(config, 3.0, 100_000, rng=3).output_charge
+    assert (col < 0).any()
+    assert artifacts._shortest(np.abs(col))[2].all()
+    assert written_rows(tmp_path, col) == reference_rows(col)

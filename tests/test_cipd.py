@@ -329,3 +329,12 @@ def test_writers_deterministic(tmp_path):
     assert data["label"] == "charge"
     assert data["n_events"] == 50
     assert sum(data["counts"]) == 50
+
+
+@pytest.mark.parametrize("sigma", [225.0, 230.7])
+def test_wide_smoothing_matches_scipy(sigma):
+    # kernel radius 900 and more over a long histogram-sized array, so
+    # interior samples and both reflected edges see the full kernel
+    y = np.random.default_rng(4).random(33769)
+    assert int(4.0 * sigma + 0.5) >= 900
+    assert cipd._gaussian_smooth(y, sigma).tobytes() == gaussian_filter1d(y, sigma).tobytes()

@@ -362,8 +362,11 @@ def test_sampled_spectrum_draws_from_one_generator(monkeypatch):
         assert abs(offsets.sum() / (sigma * math.sqrt(offsets.size))) <= 4.0
 
 
+SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)
+
+
 def test_phase_sweep_traces():
-    angles = dc.DEFAULT_SWEEP_ANGLES
+    angles = SWEEP_ANGLES
     shot = dc.phase_sweep("shot", angles)
     # flat at 0 dB up to cos^2+sin^2 roundoff
     assert np.abs(shot.power_db).max() < 1e-12
@@ -376,7 +379,7 @@ def test_phase_sweep_traces():
     assert sq.power_db.argmin() == 0
     assert angles[sq.power_db.argmax()] == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
-        dc.phase_sweep("thermal")
+        dc.phase_sweep("thermal", angles)
 
 
 def test_csv_and_json_outputs(tmp_path):
@@ -417,7 +420,7 @@ def test_csv_and_json_outputs(tmp_path):
 
 
 def test_phase_sweep_outputs(tmp_path):
-    traces = [dc.phase_sweep(k) for k in ("shot", "epr", "squeezed")]
+    traces = [dc.phase_sweep(k, SWEEP_ANGLES) for k in ("shot", "epr", "squeezed")]
     dc.write_phase_sweep(traces, tmp_path)
     lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "phase_rad,shot_db,epr_db,squeezed_db"
