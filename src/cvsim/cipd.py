@@ -166,13 +166,6 @@ class Histogram:
         return Histogram(self.bin_edges * factor, self.counts, self.n_events)
 
 
-@dataclass(frozen=True)
-class DarkDriftReport:
-    expected_electrons: float
-    budget: float = None
-    exceeded: bool = None
-
-
 def simulate_pulses(config, source, n_pulses, rng=None):
     """Run the pulse chain.  source is either a Poisson mean (LED light) or a
     photon-number pmf indexed from 0 (e.g. [0, 1] for a deterministic
@@ -340,16 +333,6 @@ def required_noise(config, target_snr):
     if config.gain / target_snr == math.inf:
         raise ValueError(f"gain, target_snr: {config.gain!r} / {target_snr!r} overflows")
     return config.gain / target_snr
-
-
-def dark_drift(config, duration, budget=None):
-    """Expected dark electrons accumulated over a duration, with an optional
-    budget check."""
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    expected = config.dark_rate * duration
-    exceeded = None if budget is None else bool(expected > budget)
-    return DarkDriftReport(expected, budget, exceeded)
 
 
 def write_records_csv(records, path):

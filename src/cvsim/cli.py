@@ -133,7 +133,7 @@ def _run_cipd_histogram(config, seed, out):
 
 def _run_cipd_resolution(config, seed, out):
     resolution = _finite(cipd.resolution_metric(config))
-    drift = cipd.dark_drift(config, config.drift_duration_s, config.drift_budget_e)
+    drift, budget = config.dark_rate * config.drift_duration_s, config.drift_budget_e
     write_json(out / "resolution.json", {
         "resolution": resolution,
         "resolution_infinite": resolution is None,
@@ -142,9 +142,9 @@ def _run_cipd_resolution(config, seed, out):
         "required_noise_e": cipd.required_noise(config, config.target_snr),
         "dark_drift": {
             "duration_s": config.drift_duration_s,
-            "expected_electrons": _finite(drift.expected_electrons),
-            "budget_electrons": drift.budget,
-            "exceeded": drift.exceeded,
+            "expected_electrons": _finite(drift),
+            "budget_electrons": budget,
+            "exceeded": None if budget is None else drift > budget,
         },
     })
 

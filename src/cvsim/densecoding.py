@@ -37,11 +37,11 @@ PM_FREQUENCY_HZ = 1.1e6
 # most bins a spectrum, and LO angles a sweep, may have: 100x a 1001-bin spectrum
 MAX_BINS = 100_000
 
-# Largest |r| a spectrum may ask for: the largest half-integer at which every
-# quiet Bell bin stays within 0.01 dB of the exact floor -20 r / ln 10 (9 bins,
-# eta 1, T 0: 2.5e-3 dB off at 7.5, 0.039 dB at 8).  The Bell variance
-# e^{-2r}/2 is a difference of terms of size e^{2r}, so it loses its digits,
-# and from about r 9 the probe covariances fail the uncertainty check.
+# Largest |r| of the EPR pair, in the spectrum and the phase sweep alike: the
+# largest half-integer at which every quiet Bell bin stays within 0.01 dB of
+# the exact floor -20 r / ln 10 (9 bins, eta 1, T 0: 2.5e-3 dB off at 7.5,
+# 0.039 dB at 8).  The Bell variance e^{-2r}/2 is a difference of terms of size
+# e^{2r}, so it loses its digits; from |r| 8.09 the pair fails the uncertainty check.
 MAX_SPECTRUM_R = 7.5
 
 # the 50:50 splitter that makes the EPR pair and recombines it in the receiver
@@ -125,8 +125,8 @@ class SpectrumConfig:
 class SweepConfig:
     """A phase-sweep run: shot, EPR and squeezed traces at n_phases LO angles."""
 
-    squeezing_r: float = param(DEFAULT_R, "squeezing parameter", ge=-gaussian.MAX_SQUEEZING_R,
-                               le=gaussian.MAX_SQUEEZING_R)
+    squeezing_r: float = param(DEFAULT_R, "squeezing parameter", ge=-MAX_SPECTRUM_R,
+                               le=MAX_SPECTRUM_R)
     n_phases: int = param(64, "LO angles spread over [0, pi)", ge=1, le=MAX_BINS)
 
     __post_init__ = check

@@ -24,7 +24,7 @@ import numpy as np
 
 VACUUM_VAR = 0.5
 
-# Largest |r| squeezed_vacuum, fock.tmsv, the gate and the phase sweep accept: e^{2r}
+# Largest |r| squeezed_vacuum, fock.tmsv and the gate accept: e^{2r}
 # overflows any sensible use well before this, and a typo like r=23 for 0.23 fails loudly.
 MAX_SQUEEZING_R = 10.0
 

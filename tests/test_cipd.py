@@ -215,19 +215,6 @@ def test_required_noise_values():
         cipd.required_noise(cfg, 0.0)
 
 
-def test_dark_drift():
-    cfg = cipd.CipdConfig()
-    assert cipd.dark_drift(cfg, 1.0).expected_electrons == 1.0
-    assert cipd.dark_drift(cipd.CipdConfig(dark_rate=0.0), 5.0).expected_electrons == 0.0
-    assert cipd.dark_drift(cfg, 1.0 / cfg.sample_rate).expected_electrons == pytest.approx(0.05)
-    report = cipd.dark_drift(cfg, 2.0, budget=1.0)
-    assert report.exceeded is True
-    assert cipd.dark_drift(cfg, 0.5, budget=1.0).exceeded is False
-    assert cipd.dark_drift(cfg, 2.0).exceeded is None
-    with pytest.raises(ValueError):
-        cipd.dark_drift(cfg, -1.0)
-
-
 def test_seed_determinism():
     cfg = cipd.CipdConfig()
     a = cipd.simulate_pulses(cfg, 2.0, 1000, rng=5)

@@ -390,6 +390,10 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
      "parameters.gain, parameters.bin_width"),
     (dict(kind="cubic-phase-run", parameters={"displacement_alpha": [1e300, 0.0]}),
      "parameters.displacement_alpha"),
+    # the sweep builds the spectrum's EPR pair, which fails the uncertainty check
+    # from |r| about 8.09; dc.MAX_SPECTRUM_R caps both kinds
+    (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 9.0}),
+     "parameters.squeezing_r"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -465,6 +469,23 @@ def test_report_figures_past_the_float_range_are_null(tmp_path, kind, params, nu
                                 else "resolution.json")).read_text())
     figures = dict(report, **{f"dark_drift.{k}": v for k, v in report.get("dark_drift", {}).items()})
     assert sorted(key for key, value in figures.items() if value is None) == nulls
+
+
+@pytest.mark.parametrize("params, expected, exceeded", [
+    ({"dark_rate": 1.0, "drift_duration_s": 2.0, "drift_budget_e": 1.0}, 2.0, True),
+    ({"dark_rate": 1.0, "drift_duration_s": 0.5, "drift_budget_e": 1.0}, 0.5, False),
+    ({"dark_rate": 3.0, "drift_duration_s": 0.1}, 3.0 * 0.1, None),
+    ({"dark_rate": 0.0, "drift_duration_s": 5.0}, 0.0, None),
+    # an overflowing drift is null, and still over any budget
+    ({"dark_rate": 1e308, "drift_duration_s": 10.0, "drift_budget_e": 1.0}, None, True),
+])
+def test_dark_drift_is_rate_times_duration(tmp_path, params, expected, exceeded):
+    path = scenario_file(tmp_path, kind="cipd-resolution", parameters=params)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    drift = json.loads((out / "resolution.json").read_text())["dark_drift"]
+    assert drift == {"duration_s": params["drift_duration_s"], "expected_electrons": expected,
+                     "budget_electrons": params.get("drift_budget_e"), "exceeded": exceeded}
 
 
 def test_non_finite_result_exits_one(tmp_path, capsys):

@@ -382,6 +382,14 @@ def test_phase_sweep_traces():
         dc.phase_sweep("thermal", angles)
 
 
+def test_epr_sweep_holds_at_every_r_up_to_the_cap():
+    # SweepConfig caps |r| at MAX_SPECTRUM_R: from about 8.09 the EPR pair fails
+    # the uncertainty check; below the cap each beam is flat at 10 log10 cosh 2r
+    for r in (k / 100 for k in range(-750, 751)):
+        epr = dc.phase_sweep("epr", SWEEP_ANGLES, r=r)
+        assert np.abs(epr.power_db - 10 * math.log10(math.cosh(2 * r))).max() < 1e-12
+
+
 def test_csv_and_json_outputs(tmp_path):
     plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=5))
     spectra = dc.run_spectrum(plan)

@@ -62,7 +62,8 @@ WELL_TYPED = {
     "n_bins": mostly(st.integers(2, 9), st.integers(-1, 9)),
     "f_lo_hz": mostly(floats(0.5e6, 1e6), floats(-1e6, 2e6)),
     "f_hi_hz": mostly(floats(1.5e6, 2.5e6), floats(-1e6, 3e6)),
-    "squeezing_r": mostly(floats(0.0, 0.2), floats(-1.0, 1.5)),
+    # past each |r| cap: the spectrum's and the sweep's 7.5, the gate's 10
+    "squeezing_r": mostly(floats(0.0, 0.2), floats(-11.0, 11.0)),
     "am_frequency_hz": mostly(floats(2.5e6, 3e6), floats(0.0, 3e6)),
     "pm_frequency_hz": mostly(floats(0.0, 0.5e6), floats(0.0, 3e6)),
     "amplitude": floats(-10.0, 10.0),
