@@ -41,6 +41,11 @@ MAX_GRID_POINTS = 16384
 # exceeds every cutoff the QND workspace allows (and from |alpha| ~ 1e154 it overflows)
 MAX_DISPLACEMENT = math.sqrt(fock.QND_WORKSPACE_LIMIT)
 
+# Largest |coupling_g|: past it the ancilla's shift g x_target over one vacuum width
+# (1/sqrt 2) leaves the position range sqrt(2 QND_WORKSPACE_LIMIT) of every workspace
+# (and from g ~ 1e306 the coupling's phase g xi pi overflows)
+MAX_COUPLING_G = 2.0 * math.sqrt(fock.QND_WORKSPACE_LIMIT)
+
 FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
 
 
@@ -52,8 +57,10 @@ class CubicGateConfig:
                                le=fock.MAX_SQUEEZING_R)  # tmsv's, refused before any work
     displacement_alpha: complex = param(0.5 + 1.0j, "[re, im] displacement of the counted arm",
                                         le=MAX_DISPLACEMENT)  # its modulus
-    correction_s: float = param(0.15, "ancilla squeeze correction")
-    coupling_g: float = param(1.0, "QND coupling strength")
+    correction_s: float = param(0.15, "ancilla squeeze correction", ge=-fock.MAX_SQUEEZING_R,
+                                le=fock.MAX_SQUEEZING_R)
+    coupling_g: float = param(1.0, "QND coupling strength", ge=-MAX_COUPLING_G,
+                              le=MAX_COUPLING_G)
     gamma_target: float = param(0.05, "cubic strength aimed for (diagnostic)")
     dim: int = param(16, "per-mode Fock cutoff", ge=8)
     qnd_pad: int = param(None, "coupling workspace padding; default dim/2")
@@ -131,9 +138,8 @@ def apply_correction(ancilla, config):
 def couple(target, ancilla, config):
     """Couple target (mode 0) to ancilla (mode 1) through exp(-i g x_t p_a):
     the ancilla x picks up g * x_target."""
-    joint = fock.FockState(np.outer(target.amps, ancilla.amps))
     u = fock.qnd_coupling_op(config.coupling_g, config.dim, pad=config.qnd_pad)
-    return u.apply(joint)
+    return u.apply(np.outer(target, ancilla))
 
 
 def homodyne_density(joint, config):
@@ -147,7 +153,7 @@ def homodyne_density(joint, config):
     """
     grid = fock.default_grid(config.dim, n_points=config.grid_points)
     basis = fock._hermite_table(config.dim, grid)
-    c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
+    c = joint if config.homodyne_which == "ancilla" else joint.T
     proj = np.concatenate([c.real, c.imag]) @ basis  # (2 dim_kept, n_grid)
     return grid, np.einsum("kg,kg->g", proj, proj)
 
@@ -163,12 +169,12 @@ def readout_and_condition(joint, config, rng=None, fixed_x=None):
         fixed_x = fock._sample_grid_density(*homodyne_density(joint, config), u)
     x_m = float(fixed_x)
     basis_at_x = fock.hermite_functions(config.dim, np.array([x_m]))[:, 0]
-    c = joint.amps if config.homodyne_which == "ancilla" else joint.amps.T
+    c = joint if config.homodyne_which == "ancilla" else joint.T
     cond = c @ basis_at_x
     n = np.linalg.norm(cond)
     if n == 0.0:
         raise ValueError(f"homodyne outcome x={x_m} has zero density")
-    return x_m, fock.FockState(cond / n)
+    return x_m, cond / n
 
 
 def fit_cubic_phase(target_in, target_out):
@@ -180,8 +186,8 @@ def fit_cubic_phase(target_in, target_out):
     residual).
     """
     grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
-    basis = fock._hermite_table(max(target_in.dim, target_out.dim), grid)
-    psi_in, psi_out = (fock._wavefunction(s.normalized().amps, basis)
+    basis = fock._hermite_table(max(len(target_in), len(target_out)), grid)
+    psi_in, psi_out = (fock._wavefunction(fock._normalized(s), basis)
                        for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
     keep = w > 0.0
@@ -198,10 +204,10 @@ def fit_cubic_phase(target_in, target_out):
 def cubic_reference_overlap(target_in, target_out, gamma):
     """|<psi_out | e^{i gamma x^3} psi_in>|^2 on the default grid, integrated
     by the homodyne sampler's trapezoid rule."""
-    dim = max(target_in.dim, target_out.dim)
+    dim = max(len(target_in), len(target_out))
     grid = fock.default_grid(dim)
     basis = fock._hermite_table(dim, grid)
-    psi_in, psi_out = (fock._wavefunction(s.normalized().amps, basis)
+    psi_in, psi_out = (fock._wavefunction(fock._normalized(s), basis)
                        for s in (target_in, target_out))
     ov, n_in, n_out = (fock._grid_integral(grid, f)[-1] for f in (
         psi_out.conj() * np.exp(1j * gamma * grid**3) * psi_in,
@@ -209,15 +215,15 @@ def cubic_reference_overlap(target_in, target_out, gamma):
     return float(abs(ov) ** 2 / (n_in * n_out))
 
 
-def excess_kurtosis_x(state):
+def excess_kurtosis_x(amps):
     """Excess kurtosis of the position distribution (0 for any Gaussian).
 
     Exact central moments: x moves the level by one, so on the state padded
     by two levels z1 = (x - mu) psi and z2 = (x - mu) z1 lose nothing to the
     cutoff, and m2 = |z1|^2, m4 = |z2|^2.
     """
-    psi = np.pad(state.normalized().amps, (0, 2))
-    x = fock.position_op(state.dim + 2)
+    psi = np.pad(fock._normalized(amps), (0, 2))
+    x = fock.position_op(len(amps) + 2)
     mu = np.vdot(psi, x @ psi).real
     z1 = x @ psi - mu * psi
     z2 = x @ z1 - mu * z1
@@ -242,20 +248,20 @@ def run_gate(config, seed=None):
         "phase_residual": resid,
         "cubic_overlap": cubic_reference_overlap(fit_input, conditioned, gamma_fit),
         "ancilla_excess_kurtosis": excess_kurtosis_x(count.conditional),
-        "target_norm_defect": abs(conditioned.norm() - 1.0),
+        "target_norm_defect": abs(np.linalg.norm(conditioned) - 1.0),
     }
     return GateRunRecord(
         config=config,
         count_n=count.n,
         count_probability=count.probability,
         homodyne_x=x_m,
-        conditional_target=conditioned.amps,
-        conditional_ancilla=ancilla.amps,
+        conditional_target=conditioned,
+        conditional_ancilla=ancilla,
         diagnostics=diagnostics,
     )
 
 
 def count_distribution(config):
     """Photon-count pmf of the displaced arm (before any post-selection)."""
-    return prepare_ancilla(config).probabilities(1)
+    return (np.abs(prepare_ancilla(config)) ** 2).sum(axis=0)
 

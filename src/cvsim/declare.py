@@ -72,7 +72,8 @@ def check(config):
         if "interval" not in f.metadata:
             continue
         left, lo, hi, right = f.metadata["interval"]
-        size = abs(value) if isinstance(value, complex) else value
+        # a pair's modulus; hypot gives inf where abs of two finite parts overflows
+        size = math.hypot(value.real, value.imag) if isinstance(value, complex) else value
         if not ((lo < size if left == "(" else lo <= size)
                 and (size < hi if right == ")" else size <= hi)):
             raise ValueError(f"{f.name}: must be in {left}{lo}, {hi}{right}, got {value!r}")

@@ -31,6 +31,10 @@ DEFAULT_R = r_for_noise_db(2.0)
 # decoded tone ~10 dB above the -2 dB floor: 10*log10((2.5^2/2) / (e^{-2r}/2))
 DEFAULT_TONE_AMPLITUDE = 2.5
 
+# Largest |amplitude|: a bin's decoded power var + mean^2 overflows from a tone of
+# about 1.9e154, and the cap keeps that 1e8 away, as cipd.MAX_BIN_WIDTH_E does
+MAX_TONE_AMPLITUDE = 1e150
+
 AM_FREQUENCY_HZ = 1.3e6
 PM_FREQUENCY_HZ = 1.1e6
 
@@ -106,7 +110,8 @@ class SpectrumConfig:
                                ge=-MAX_SPECTRUM_R, le=MAX_SPECTRUM_R)
     am_frequency_hz: float = param(AM_FREQUENCY_HZ, "AM tone frequency")
     pm_frequency_hz: float = param(PM_FREQUENCY_HZ, "PM tone frequency")
-    amplitude: float = param(DEFAULT_TONE_AMPLITUDE, "tone displacement amplitude")
+    amplitude: float = param(DEFAULT_TONE_AMPLITUDE, "tone displacement amplitude",
+                             ge=-MAX_TONE_AMPLITUDE, le=MAX_TONE_AMPLITUDE)
     loss_eta: float = param(1.0, "transmission of the encoded beam", ge=0.0, le=1.0)
     n_samples: int = param(0, "homodyne samples per bin; 0 = analytic, else >= 2")
     mirror_transmittance: float = param(
@@ -235,6 +240,9 @@ def two_tone_plan(config):
     linspace grid, two tones in one bin are refused, and the columns are
     filled as arrays, each tone's amplitude in its one bin."""
     freqs = np.linspace(config.f_lo_hz, config.f_hi_hz, config.n_bins)
+    if not (np.diff(freqs) > 0).all():  # a band too narrow for n_bins doubles
+        raise ValueError(f"f_lo_hz, f_hi_hz: {config.n_bins} bins from {config.f_lo_hz!r} to "
+                         f"{config.f_hi_hz!r} Hz are not distinct doubles")
     i_am, i_pm = (int(np.argmin(np.abs(freqs - f)))
                   for f in (config.am_frequency_hz, config.pm_frequency_hz))
     if i_am == i_pm:

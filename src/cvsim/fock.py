@@ -1,7 +1,9 @@
 """Truncated Fock-space simulator.
 
 Same quadrature conventions as the Gaussian layer (x = (a + a^dag)/sqrt(2),
-vacuum variance 1/2).  States live in a photon-number cutoff `dim`.
+vacuum variance 1/2).  A pure state is a complex amplitude array in a
+photon-number cutoff `dim`: amps[n] for one mode, amps[n1, n2] for two, not
+forced to unit norm.
 
 Every one-mode operator -- displacement D(alpha), squeeze S(s) and cubic
 phase exp(i gamma x^3) -- is exp(-i H) of a Hermitian H, built by one helper
@@ -78,62 +80,12 @@ def momentum_op(dim):
     return (a - a.conj().T) / (1j * math.sqrt(2.0))
 
 
-def _readonly_complex(a):
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
-class FockState:
-    """Pure state in a truncated Fock basis.
-
-    One mode: amps[n].  Two modes: amps[n1, n2] (square).  States are not
-    forced to unit norm; use normalized() where that matters.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = _readonly_complex(self.amps)
-        if a.ndim not in (1, 2):
-            raise ValueError("amps must be 1-D (one mode) or 2-D (two modes)")
-        if a.ndim == 2 and a.shape[0] != a.shape[1]:
-            raise ValueError("two-mode amplitudes must be square (same cutoff per mode)")
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def num_modes(self):
-        return self.amps.ndim
-
-    @property
-    def dim(self):
-        return self.amps.shape[0]
-
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockState(self.amps / n)
-
-    def probabilities(self, mode=0):
-        """Photon-number distribution of one mode (marginal for two-mode states)."""
-        p = np.abs(self.amps) ** 2
-        if self.num_modes == 1:
-            return p
-        return p.sum(axis=1 - mode)
-
-    def reduced_density(self, mode=0):
-        """Reduced density matrix of one mode."""
-        if self.num_modes == 1:
-            return np.outer(self.amps, self.amps.conj())
-        c = self.amps
-        if mode == 0:
-            return c @ c.conj().T
-        return c.T @ c.conj()
+def _normalized(amps):
+    """amps / ||amps||; the zero vector is refused."""
+    n = float(np.linalg.norm(amps))
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return amps / n
 
 
 @dataclass(frozen=True)
@@ -148,7 +100,8 @@ class FockOperator:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = _readonly_complex(self.matrix)
+        m = np.array(self.matrix, dtype=complex)
+        m.setflags(write=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         object.__setattr__(self, "matrix", m)
@@ -157,13 +110,13 @@ class FockOperator:
     def dim(self):
         return self.matrix.shape[0]
 
-    def apply(self, state, mode=0):
-        """Act on a one-mode state, or on mode `mode` of a two-mode state."""
-        if self.dim != state.dim:
+    def apply(self, amps, mode=0):
+        """Act on one-mode amplitudes, or on mode `mode` of two-mode ones."""
+        if self.dim != amps.shape[0]:
             raise ValueError("operator/state cutoff mismatch")
-        if state.num_modes == 1 or mode == 0:
-            return FockState(self.matrix @ state.amps)
-        return FockState(state.amps @ self.matrix.T)
+        if amps.ndim == 1 or mode == 0:
+            return self.matrix @ amps
+        return amps @ self.matrix.T
 
 
 @dataclass(frozen=True)
@@ -190,13 +143,13 @@ class QNDCoupling:
         """Per-mode cutoff."""
         return self.x_rows.shape[0]
 
-    def apply(self, state):
-        if state.num_modes != 2:
+    def apply(self, amps):
+        if amps.ndim != 2:
             raise ValueError("cannot apply a two-mode operator to a one-mode state")
-        if self.dim != state.dim:
+        if self.dim != amps.shape[0]:
             raise ValueError("operator/state cutoff mismatch")
-        inner = (self.x_rows.conj().T @ state.amps @ self.p_rows.conj()) * self.phase
-        return FockState(self.x_rows @ inner @ self.p_rows.T)
+        inner = (self.x_rows.conj().T @ amps @ self.p_rows.conj()) * self.phase
+        return self.x_rows @ inner @ self.p_rows.T
 
     @property
     def matrix(self):
@@ -213,7 +166,7 @@ class QNDCoupling:
 class PhotonCountResult:
     n: int
     probability: float
-    conditional: FockState
+    conditional: np.ndarray  # the normalized amplitudes of mode 0
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +176,7 @@ class PhotonCountResult:
 def vacuum_state(dim):
     a = np.zeros(dim, dtype=complex)
     a[0] = 1.0
-    return FockState(a)
+    return a
 
 
 def tmsv(r, dim):
@@ -244,38 +197,37 @@ def tmsv(r, dim):
     c = lam ** np.arange(dim) / math.cosh(r)
     amps = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(amps, c)
-    return FockState(amps).normalized()
+    return _normalized(amps)
 
 
 # ---------------------------------------------------------------------------
 # measurement
 
 
-def photon_count(state, rng=None, outcome=None):
+def photon_count(amps, rng=None, outcome=None):
     """Ideal photon-number measurement of mode 1 of a two-mode state.
 
     Either draws the outcome (rng) or evaluates a fixed one (outcome=n).
     Returns the outcome, its probability, and the normalized conditional
     state of mode 0.
     """
-    if state.num_modes != 2:
+    if amps.ndim != 2:
         raise ValueError("photon_count expects a two-mode state")
-    pmf = state.probabilities(1)
+    pmf = (np.abs(amps) ** 2).sum(axis=0)
     total = pmf.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-8):
         raise ValueError(f"state is not normalized (total probability {total:.6f})")
     if outcome is None:
         gen = np.random.default_rng(rng)
-        outcome = int(gen.choice(state.dim, p=pmf / total))
+        outcome = int(gen.choice(pmf.size, p=pmf / total))
     else:
         outcome = int(outcome)
-        if not 0 <= outcome < state.dim:
-            raise ValueError(f"outcome {outcome} outside the cutoff {state.dim}")
+        if not 0 <= outcome < pmf.size:
+            raise ValueError(f"outcome {outcome} outside the cutoff {pmf.size}")
     prob = float(pmf[outcome])
     if prob <= 1e-15:
         raise ValueError(f"outcome n={outcome} has zero probability")
-    cond = state.amps[:, outcome]
-    return PhotonCountResult(outcome, prob, FockState(cond / math.sqrt(prob)))
+    return PhotonCountResult(outcome, prob, amps[:, outcome] / math.sqrt(prob))
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +486,12 @@ def _sample_grid_density(grid, dens, u):
     return np.interp(u * cdf[-1], cdf, grid)
 
 
-def quadrature_moments(state, mode=0):
+def quadrature_moments(amps, mode=0):
     """Mean (x, p) and 2x2 covariance of one mode, from the reduced density
     matrix.  x and p move the level by one, so on the density padded by one
     level every second moment of the truncated state is exact."""
-    rho = np.pad(state.reduced_density(mode), (0, 1))
+    c = amps if mode == 0 else amps.T
+    rho = np.pad(np.outer(c, c.conj()) if c.ndim == 1 else c @ c.conj().T, (0, 1))
     rho /= np.trace(rho).real
     quads = (position_op(rho.shape[0]), momentum_op(rho.shape[0]))
     mean = np.array([np.trace(rho @ q).real for q in quads])

@@ -16,7 +16,7 @@ from cvsim import cipd, cubicphase, densecoding, fock, gaussian
 
 def quadrature_wavefunction(state, x):
     """psi(x) = sum_n c_n phi_n(x) for a one-mode state, in complex arithmetic."""
-    return state.amps @ fock.hermite_functions(state.dim, x)
+    return state @ fock.hermite_functions(len(state), x)
 
 
 def _report(num, name, detail):
@@ -99,7 +99,7 @@ def test_criterion_03_dense_coding_decoding():
 def test_criterion_04_tmsv_photon_statistics():
     r, dim = 0.25, 20
     st = fock.tmsv(r, dim)
-    pmf = st.probabilities(1)
+    pmf = (np.abs(st) ** 2).sum(axis=0)  # the marginal of mode 1
     lam = math.tanh(r) ** 2
     analytic = (1.0 - lam) * lam ** np.arange(dim)
     tail = 1.0 - analytic.sum()
@@ -151,7 +151,7 @@ def test_criterion_07_gate_circuit_properties():
     config = cubicphase.CubicGateConfig()
     target = fock.vacuum_state(config.dim)
     resource = cubicphase.prepare_ancilla(config)
-    pmf = resource.probabilities(1)
+    pmf = (np.abs(resource) ** 2).sum(axis=0)  # the marginal of the counted arm
 
     # conditional-state normalization after both measurements
     worst = 0.0
@@ -162,7 +162,7 @@ def test_criterion_07_gate_circuit_properties():
             completeness += p
             continue
         count = cubicphase.post_select(resource, outcome=n)
-        worst = max(worst, abs(count.conditional.norm() - 1.0))
+        worst = max(worst, abs(np.linalg.norm(count.conditional) - 1.0))
         anc = cubicphase.apply_correction(count.conditional, config)
         joint = cubicphase.couple(target, anc, config)
         grid, dens = cubicphase.homodyne_density(joint, config)
@@ -171,7 +171,7 @@ def test_criterion_07_gate_circuit_properties():
         target, cubicphase.post_select(resource, outcome=1).conditional, config)
     for x in (-1.0, 0.0, 1.4):
         _, cond = cubicphase.readout_and_condition(joint, config, fixed_x=x)
-        worst = max(worst, abs(cond.norm() - 1.0))
+        worst = max(worst, abs(np.linalg.norm(cond) - 1.0))
     assert worst <= 1e-8
     assert abs(completeness - 1.0) <= 1e-6
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsim import cli, cubicphase, declare, fock
+from cvsim import cli, cubicphase, declare, densecoding, fock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -394,6 +394,20 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     # from |r| about 8.09; dc.MAX_SPECTRUM_R caps both kinds
     (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 9.0}),
      "parameters.squeezing_r"),
+    # finite parts whose modulus is past the float range
+    (dict(kind="cubic-phase-run", parameters={"displacement_alpha": [1.3e308, 1.3e308]}),
+     "parameters.displacement_alpha"),
+    # past the float range the squeeze's eigensolver fails, and the coupling's
+    # phase g xi pi overflows from g about 1e306
+    (dict(kind="cubic-phase-run", parameters={"correction_s": -1.7976931348623157e308}),
+     "parameters.correction_s"),
+    (dict(kind="cubic-phase-run", parameters={"coupling_g": 1e307}), "parameters.coupling_g"),
+    # a tone whose decoded power overflows, and a band one double wide
+    (dict(kind="dense-coding-spectrum", parameters={"amplitude": 1e155}), "parameters.amplitude"),
+    (dict(kind="dense-coding-spectrum", parameters={
+        "f_lo_hz": 1e6, "f_hi_hz": math.nextafter(1e6, math.inf),
+        "am_frequency_hz": 2e6, "pm_frequency_hz": 1e6}),
+     "parameters.f_lo_hz, parameters.f_hi_hz"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -488,10 +502,18 @@ def test_dark_drift_is_rate_times_duration(tmp_path, params, expected, exceeded)
                      "budget_electrons": params.get("drift_budget_e"), "exceeded": exceeded}
 
 
-def test_non_finite_result_exits_one(tmp_path, capsys):
-    # a finite amplitude whose tone power overflows to inf
-    path = scenario_file(tmp_path, kind="dense-coding-spectrum",
-                         parameters={"n_bins": 5, "amplitude": 1e200})
+def test_non_finite_result_exits_one(tmp_path, capsys, monkeypatch):
+    # a tone power that overflows to inf; the amplitude cap keeps every
+    # scenario's powers finite, so the overflow is put into the result here
+    real = densecoding.run_spectrum
+
+    def overflowing(*args, **kwargs):
+        spectra = real(*args, **kwargs)
+        spectra["bell"].x_power_db[0] = math.inf
+        return spectra
+
+    monkeypatch.setattr(densecoding, "run_spectrum", overflowing)
+    path = scenario_file(tmp_path, kind="dense-coding-spectrum", parameters={"n_bins": 5})
     out = tmp_path / "out"
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert "non-finite" in capsys.readouterr().err
@@ -522,7 +544,7 @@ def test_coarse_homodyne_grid_is_a_truncation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("params, needle", [
-    ({"dim": 16, "correction_s": 50.0}, "squeeze s=50.0"),
+    ({"dim": 16, "correction_s": 5.0}, "squeeze s=5.0"),
     ({"grid_points": 3}, "grid of 3 points"),
 ])
 def test_strict_escalates_every_run_in_a_process(tmp_path, capsys, params, needle):

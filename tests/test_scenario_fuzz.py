@@ -40,6 +40,15 @@ def positive(lo, hi):
     return st.one_of(floats(lo, hi), st.sampled_from([0.0, -1.0, 1e-320, 1e300, -1e300, 1e308]))
 
 
+def signed(lo, hi):
+    """In [lo, hi], any finite double, or one of +-1e300 and +-1.7976931348623157e308:
+    values past the cap of a field that may take either sign, out to the end of
+    the float range."""
+    ends = [-1.7976931348623157e308, -1e300, 1e300, 1.7976931348623157e308]
+    return st.one_of(floats(lo, hi), st.floats(allow_nan=False, allow_infinity=False),
+                     st.sampled_from(ends))
+
+
 def mostly(valid, wide):
     """`valid` in nine draws of ten, else `wide` (which reaches invalid values)."""
     return st.integers(0, 9).flatmap(lambda k: wide if k == 9 else valid)
@@ -58,15 +67,17 @@ ILL_TYPED = st.one_of(
 WELL_TYPED = {
     # dense-coding-spectrum / dense-coding-phase-sweep; a valid band puts the
     # PM tone at or below f_lo and the AM tone at or above f_hi, so the two
-    # never share a bin
+    # never share a bin; a wide f_hi_hz one double above the default f_lo_hz
+    # or an end of its valid range makes a band too narrow for its bins
     "n_bins": mostly(st.integers(2, 9), st.integers(-1, 9)),
     "f_lo_hz": mostly(floats(0.5e6, 1e6), floats(-1e6, 2e6)),
-    "f_hi_hz": mostly(floats(1.5e6, 2.5e6), floats(-1e6, 3e6)),
+    "f_hi_hz": mostly(floats(1.5e6, 2.5e6), st.one_of(floats(-1e6, 3e6), st.sampled_from(
+        [math.nextafter(f, math.inf) for f in (0.5e6, 0.8e6, 1e6)]))),
     # past each |r| cap: the spectrum's and the sweep's 7.5, the gate's 10
     "squeezing_r": mostly(floats(0.0, 0.2), floats(-11.0, 11.0)),
     "am_frequency_hz": mostly(floats(2.5e6, 3e6), floats(0.0, 3e6)),
     "pm_frequency_hz": mostly(floats(0.0, 0.5e6), floats(0.0, 3e6)),
-    "amplitude": floats(-10.0, 10.0),
+    "amplitude": mostly(floats(-10.0, 10.0), signed(-10.0, 10.0)),
     "loss_eta": mostly(floats(0.0, 1.0), floats(-0.2, 1.2)),
     # a sampled spectrum costs the same at any n_samples; -2 and 1 are invalid
     "n_samples": mostly(st.one_of(st.just(0), st.integers(2, 10 ** 9)), st.integers(-2, 40)),
@@ -74,11 +85,15 @@ WELL_TYPED = {
     "n_phases": st.integers(-1, 16),
     # cubic-phase-run; a valid draw also passes --strict: |alpha|^2 <= dim/4,
     # the resource and correction tails below 1e-10, a grid that resolves
-    # phi_{dim-1}, and a count that the resource can produce
+    # phi_{dim-1}, and a count that the resource can produce; a wide pair of
+    # equal parts has a modulus past the float range from 1.27e308
     "displacement_alpha": mostly(st.lists(floats(-1.0, 1.0), min_size=2, max_size=2),
-                                 st.lists(positive(-2.0, 2.0), min_size=2, max_size=2)),
-    "correction_s": mostly(floats(-0.05, 0.05), floats(-1.0, 1.0)),
-    "coupling_g": floats(-3.0, 3.0),
+                                 st.one_of(st.lists(st.one_of(positive(-2.0, 2.0),
+                                                              signed(-2.0, 2.0)),
+                                                    min_size=2, max_size=2),
+                                           signed(-2.0, 2.0).map(lambda v: [v, v]))),
+    "correction_s": mostly(floats(-0.05, 0.05), signed(-1.0, 1.0)),
+    "coupling_g": mostly(floats(-3.0, 3.0), signed(-3.0, 3.0)),
     "gamma_target": floats(-1.0, 1.0),
     "dim": mostly(st.integers(8, 12), st.integers(4, 12)),
     "qnd_pad": mostly(st.one_of(st.none(), st.integers(0, 8)),
