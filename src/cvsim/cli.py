@@ -39,40 +39,36 @@ from .artifacts import write_json
 from .fock import TruncationWarning
 
 
-class ScenarioError(Exception):
-    """Configuration problem; message carries the offending field."""
-
-
 def parse_scenario(data):
     """Validate a decoded scenario dict; returns (kind, seed, output_dir, config)."""
     if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        raise ValueError("scenario must be a JSON object")
     unknown = set(data) - {"kind", "seed", "output_dir", "parameters"}
     if unknown:
-        raise ScenarioError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown top-level fields: {', '.join(sorted(unknown))}")
     kind = data.get("kind")
     if kind not in _KINDS:
-        raise ScenarioError(
+        raise ValueError(
             f"kind: expected one of {', '.join(sorted(_KINDS))}; got {kind!r}")
     seed = data.get("seed")
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed: a literal integer is required")
+        raise ValueError("seed: a literal integer is required")
     out = data.get("output_dir")
     if out is not None and not isinstance(out, str):
-        raise ScenarioError("output_dir: expected a string path")
+        raise ValueError("output_dir: expected a string path")
     raw = data.get("parameters", {})
     if not isinstance(raw, dict):
-        raise ScenarioError("parameters: expected an object")
+        raise ValueError("parameters: expected an object")
     schema = _KINDS[kind].schema
     bad = set(raw) - set(schema)
     if bad:
-        raise ScenarioError(
+        raise ValueError(
             f"parameters: unknown for {kind}: {', '.join(sorted(bad))}; "
             f"valid: {', '.join(schema)}")
     try:
         return kind, seed, out, _KINDS[kind].config(**raw)
     except ValueError as exc:
-        raise ScenarioError(_refusal(kind, exc) or str(exc)) from None
+        raise ValueError(_refusal(kind, exc) or str(exc)) from None
 
 
 def _refusal(kind, exc):
@@ -113,7 +109,7 @@ def _run_cipd_histogram(config, seed, out):
     source = config.source_pmf if config.source_pmf is not None else config.source_mean
     records = cipd.simulate_pulses(config, source, config.n_pulses, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
-    peaks = cipd.detect_peaks(hist, config.gain)  # first: it refuses the gain / bin_width
+    peaks = cipd.detect_peaks(hist, config.gain)
     referred = hist.scaled(1.0 / config.gain)  # ratios at which these edges would collide
     cipd.write_records_csv(records, out / "records.csv")
     cipd.write_histogram(hist, out, "histogram_charge", "output charge (e)")
@@ -192,7 +188,7 @@ def _cmd_run(args):
         return _error(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         return _error(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except (ScenarioError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
+    except ValueError as exc:  # a refused scenario, or an integer of over 4300 digits
         return _error(f"{path}: {exc}")
     out_name = args.output_dir or out_field
     if out_name is None:

@@ -194,17 +194,18 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     Each bin is an independent mode pair: EPR pair, encode the bin's tones,
     channel loss on the encoded beam, Bell measurement.  The shot trace is the
     vacuum (0 dB by construction); the EPR trace is one beam of the pair.
-    The chain is a Gaussian map and the EPR mean is 0, so the Bell means are
-    linear in the tones and the variances depend only on (r, eta) at fixed T:
-    per distinct (r, eta) the circuit runs at zero tones (means z, variances)
-    and at unit AM and PM tones (means u_am, u_pm), and each bin's means are
-    z + (u_am - z) am + (u_pm - z) pm.  With n_samples = n >= 2 each power
-    comes from the sample mean and ddof=1 variance of n homodyne samples per
-    bin and receiver.  Those are drawn from their exact joint law, so the cost
-    does not depend on n: for n iid N(mu, var) samples the mean is
-    mu + sqrt(var/n) Z and the variance var X/(n-1), with Z ~ N(0, 1) and
-    X ~ chi^2(n-1) independent.  One generator seeded with `seed` draws every
-    Z, then every X, each in (receiver, bin, x/p) order.
+    The chain is a Gaussian map, the EPR mean is 0 and no map adds an offset,
+    so the Bell means are linear in the tones and the variances depend only on
+    (r, eta) at fixed T: per distinct (r, eta) the circuit runs twice, at a
+    unit AM and at a unit PM tone (means u_am, u_pm), the variances are the
+    unit-AM run's, and each bin's means are u_am am + u_pm pm.  With
+    n_samples = n >= 2 each power comes from the sample mean and ddof=1
+    variance of n homodyne samples per bin and receiver.  Those are drawn from
+    their exact joint law, so the cost does not depend on n: for n iid
+    N(mu, var) samples the mean is mu + sqrt(var/n) Z and the variance
+    var X/(n-1), with Z ~ N(0, 1) and X ~ chi^2(n-1) independent.  One
+    generator seeded with `seed` draws every Z, then every X, each in
+    (receiver, bin, x/p) order.
     """
     if n_samples < 0 or n_samples == 1:
         raise ValueError(f"n_samples must be 0 or >= 2, got {n_samples}")
@@ -215,11 +216,10 @@ def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     eprs = {r: build_epr(r) for r, _ in links}
     probes = np.array([[_moments(_homodyne_xp(eprs[r], 0, None))] + [
         _moments(bell_measure(gaussian.loss(encode(eprs[r], a, p, mirror_transmittance), 0, eta)))
-        for a, p in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))] for r, eta in links])
-    # each (bin, mean/variance, x/p): one EPR beam, then the Bell probes
-    epr, z, u_am, u_pm = probes[[links[k] for k in keys]].transpose(1, 0, 2, 3)
-    bell = z.copy()
-    bell[:, 0] = z[:, 0] + (u_am - z)[:, 0] * am + (u_pm - z)[:, 0] * pm
+        for a, p in ((1.0, 0.0), (0.0, 1.0))] for r, eta in links])
+    # each (bin, mean/variance, x/p): one EPR beam, then the unit-AM and unit-PM Bell probes
+    epr, bell, u_pm = probes[[links[k] for k in keys]].transpose(1, 0, 2, 3)
+    bell[:, 0] = bell[:, 0] * am + u_pm[:, 0] * pm
     vac = _moments(_homodyne_xp(gaussian.vacuum(1), 0, None))
     moments = np.array([np.broadcast_to(vac, bell.shape), epr, bell])  # receiver first
     if n_samples:

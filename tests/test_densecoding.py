@@ -49,6 +49,22 @@ def test_encoding_never_touches_variances():
     assert plain[1].variance == coded[1].variance
 
 
+@pytest.mark.parametrize("transmittance", [0.0, 0.01])
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+@pytest.mark.parametrize("r", [0.0, dc.DEFAULT_R, -1.2])
+def test_zero_tones_give_zero_means_and_the_unit_am_variances(r, eta, transmittance):
+    # what run_spectrum's two probes rest on: no map offsets a mean, and a tone
+    # moves only the means, so the zero-tone circuit adds nothing to the unit-AM one
+    epr = dc.build_epr(r)
+
+    def circuit(am):
+        return dc.bell_measure(gaussian.loss(dc.encode(epr, am, 0.0, transmittance), 0, eta))
+
+    quiet, unit = circuit(0.0), circuit(1.0)
+    assert [q.mean for q in quiet] == [0.0, 0.0]
+    assert [q.variance for q in quiet] == [u.variance for u in unit]
+
+
 def test_mirror_encode_decodes_identically():
     ideal = dc.bell_measure(dc.encode(dc.build_epr(), 0.7, -0.4, transmittance=0.0))
     mirror = dc.bell_measure(dc.encode(dc.build_epr(), 0.7, -0.4, transmittance=0.01))
@@ -298,7 +314,7 @@ def test_states_built_do_not_grow_with_bins(monkeypatch):
         built.clear()
         dc.run_spectrum(plan)
         counts.append(len(built))
-    # the vacuum, one EPR pair and three circuit probes: fewer states than bins
+    # the vacuum, one EPR pair and two circuit probes: fewer states than bins
     assert counts[0] == counts[1] < 33
 
 
