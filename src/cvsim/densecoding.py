@@ -8,6 +8,12 @@ splitter and homodynes x on the difference port and p on the sum port; both
 decoded quadratures sit at the single-OPO squeezed variance (the -2 dB floor
 at the default r) while each tone appears only in its own quadrature.
 
+build_epr, encode and bell_measure run this circuit on validated GaussianStates.
+run_spectrum and phase_sweep apply it as one composed Gaussian channel (Weedbrook
+et al., Rev. Mod. Phys. 84, 621 (2012)) to the squeezed inputs' diagonal
+covariance D, so each variance is a sum of non-negative terms: no entry of size
+e^{2r} is subtracted, and every |r| up to gaussian.MAX_SQUEEZING_R keeps its digits.
+
 Spectrum-analyzer style powers are reported as 10*log10((Var + mean^2)/0.5),
 i.e. noise floor plus coherent tone power relative to shot noise.  The
 write_* functions only map spectra and sweeps to columns and a dict, each
@@ -24,7 +30,7 @@ import numpy as np
 
 from . import artifacts, gaussian
 from .declare import check, param
-from .gaussian import r_for_noise_db
+from .gaussian import MAX_SQUEEZING_R, VACUUM_VAR, r_for_noise_db
 
 DEFAULT_R = r_for_noise_db(2.0)
 
@@ -40,13 +46,6 @@ PM_FREQUENCY_HZ = 1.1e6
 
 # most bins a spectrum, and LO angles a sweep, may have: 100x a 1001-bin spectrum
 MAX_BINS = 100_000
-
-# Largest |r| of the EPR pair, in the spectrum and the phase sweep alike: the
-# largest half-integer at which every quiet Bell bin stays within 0.01 dB of
-# the exact floor -20 r / ln 10 (9 bins, eta 1, T 0: 2.5e-3 dB off at 7.5,
-# 0.039 dB at 8).  The Bell variance e^{-2r}/2 is a difference of terms of size
-# e^{2r}, so it loses its digits; from |r| 8.09 the pair fails the uncertainty check.
-MAX_SPECTRUM_R = 7.5
 
 # the 50:50 splitter that makes the EPR pair and recombines it in the receiver
 _BALANCED = gaussian.beamsplitter_op(2, 0, 1, 0.5)
@@ -107,7 +106,7 @@ class SpectrumConfig:
     f_lo_hz: float = param(0.8e6, "low edge of the band", gt=0.0)
     f_hi_hz: float = param(1.6e6, "high edge of the band")
     squeezing_r: float = param(DEFAULT_R, "squeezing parameter of the EPR source",
-                               ge=-MAX_SPECTRUM_R, le=MAX_SPECTRUM_R)
+                               ge=-MAX_SQUEEZING_R, le=MAX_SQUEEZING_R)
     am_frequency_hz: float = param(AM_FREQUENCY_HZ, "AM tone frequency")
     pm_frequency_hz: float = param(PM_FREQUENCY_HZ, "PM tone frequency")
     amplitude: float = param(DEFAULT_TONE_AMPLITUDE, "tone displacement amplitude",
@@ -130,8 +129,8 @@ class SpectrumConfig:
 class SweepConfig:
     """A phase-sweep run: shot, EPR and squeezed traces at n_phases LO angles."""
 
-    squeezing_r: float = param(DEFAULT_R, "squeezing parameter", ge=-MAX_SPECTRUM_R,
-                               le=MAX_SPECTRUM_R)
+    squeezing_r: float = param(DEFAULT_R, "squeezing parameter", ge=-MAX_SQUEEZING_R,
+                               le=MAX_SQUEEZING_R)
     n_phases: int = param(64, "LO angles spread over [0, pi)", ge=1, le=MAX_BINS)
 
     __post_init__ = check
@@ -174,62 +173,63 @@ def bell_measure(state, n_samples=0, rng=None):
     if state.num_modes != 2:
         raise ValueError("bell_measure expects a two-mode state")
     gen = np.random.default_rng(rng) if n_samples else None  # shared by both homodynes
-    return _homodyne_xp(_BALANCED.apply(state), n_samples, gen, x_mode=1)
+    out = _BALANCED.apply(state)
+    return (gaussian.homodyne(out, 1, 0.0, n_samples=n_samples, rng=gen),
+            gaussian.homodyne(out, 0, math.pi / 2, n_samples=n_samples, rng=gen))
 
 
-def _homodyne_xp(state, n_samples, rng, x_mode=0):
-    """Homodyne x on `x_mode`, then p on mode 0, drawing from `rng` in that order."""
-    return (gaussian.homodyne(state, x_mode, 0.0, n_samples=n_samples, rng=rng),
-            gaussian.homodyne(state, 0, math.pi / 2, n_samples=n_samples, rng=rng))
-
-
-def _moments(results):
-    """[[mean_x, mean_p], [var_x, var_p]] of an (x, p) pair of HomodyneResults."""
-    return [[res.mean for res in results], [res.variance for res in results]]
+def _squeezed_inputs(r):
+    """Diagonal covariance (x1, p1, x2, p2) of the x- and p-squeezed vacua at each
+    r: 0.5 diag(e^{-2r}, e^{2r}, e^{2r}, e^{-2r}), one row per r."""
+    r = np.asarray(r, dtype=float)
+    if np.abs(r).max() > MAX_SQUEEZING_R:
+        raise ValueError(f"|r| > {MAX_SQUEEZING_R} is not supported (got {np.abs(r).max()})")
+    return VACUUM_VAR * np.exp(np.multiply.outer(r, [-2.0, 2.0, 2.0, -2.0]))
 
 
 def run_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """Shot / single-EPR-beam / Bell-output spectra over the plan's bins.
 
     Each bin is an independent mode pair: EPR pair, encode the bin's tones,
-    channel loss on the encoded beam, Bell measurement.  The shot trace is the
-    vacuum (0 dB by construction); the EPR trace is one beam of the pair.
-    The chain is a Gaussian map, the EPR mean is 0 and no map adds an offset,
-    so the Bell means are linear in the tones and the variances depend only on
-    (r, eta) at fixed T: per distinct (r, eta) the circuit runs twice, at a
-    unit AM and at a unit PM tone (means u_am, u_pm), the variances are the
-    unit-AM run's, and each bin's means are u_am am + u_pm pm.  With
-    n_samples = n >= 2 each power comes from the sample mean and ddof=1
-    variance of n homodyne samples per bin and receiver.  Those are drawn from
-    their exact joint law, so the cost does not depend on n: for n iid
-    N(mu, var) samples the mean is mu + sqrt(var/n) Z and the variance
-    var X/(n-1), with Z ~ N(0, 1) and X ~ chi^2(n-1) independent.  One
-    generator seeded with `seed` draws every Z, then every X, each in
+    channel loss on the encoded beam, Bell measurement, composed into X = B L E B
+    with B the splitter, E the mirror (sqrt(1-T), added noise T/2) and L the loss
+    (sqrt(eta), (1-eta)/2).  All bins at once, a Bell quadrature u reads variance
+    sum_k (u^T X)_k^2 D_k plus the noise on mode 0 carried through B, and mean
+    sqrt(eta) (am u_0 + pm u_1); the EPR trace is one beam, sum_k B_qk^2 D_k, and
+    the shot trace the vacuum (0 dB).  With n_samples = n >= 2 each power comes
+    from the sample mean and ddof=1 variance of n homodyne samples per bin and
+    receiver.  Those are drawn from their exact joint law, so the cost does not
+    depend on n: for n iid N(mu, var) samples the mean is mu + sqrt(var/n) Z and
+    the variance var X/(n-1), with Z ~ N(0, 1) and X ~ chi^2(n-1) independent.
+    One generator seeded with `seed` draws every Z, then every X, each in
     (receiver, bin, x/p) order.
     """
     if n_samples < 0 or n_samples == 1:
         raise ValueError(f"n_samples must be 0 or >= 2, got {n_samples}")
-    bins = plan.bins
-    am, pm = bins.am_amplitude[:, None], bins.pm_amplitude[:, None]
-    keys = list(zip(bins.squeezing_r.tolist(), bins.loss_eta.tolist()))
-    links = {k: j for j, k in enumerate(dict.fromkeys(keys))}  # distinct (r, eta) -> index
-    eprs = {r: build_epr(r) for r, _ in links}
-    probes = np.array([[_moments(_homodyne_xp(eprs[r], 0, None))] + [
-        _moments(bell_measure(gaussian.loss(encode(eprs[r], a, p, mirror_transmittance), 0, eta)))
-        for a, p in ((1.0, 0.0), (0.0, 1.0))] for r, eta in links])
-    # each (bin, mean/variance, x/p): one EPR beam, then the unit-AM and unit-PM Bell probes
-    epr, bell, u_pm = probes[[links[k] for k in keys]].transpose(1, 0, 2, 3)
-    bell[:, 0] = bell[:, 0] * am + u_pm[:, 0] * pm
-    vac = _moments(_homodyne_xp(gaussian.vacuum(1), 0, None))
-    moments = np.array([np.broadcast_to(vac, bell.shape), epr, bell])  # receiver first
+    if not 0.0 <= mirror_transmittance < 1.0:
+        raise ValueError(f"mirror_transmittance must be in [0, 1), got {mirror_transmittance}")
+    bins, b = plan.bins, _BALANCED.matrix
+    inputs, eta = _squeezed_inputs(bins.squeezing_r), np.array(bins.loss_eta)
+    rows = b[[2, 1]]  # x of mode 1 and p of mode 0, after the receiver's splitter
+    # X = B B + (sqrt(k) - 1) B P B, k = eta (1 - T), P mode 0's projector: with
+    # sqrt(k) - 1 = -(1 - k) / (1 + sqrt(k)), and B B from rounded products (a fused
+    # multiply-add leaves 4e-17 at its zeros), no entry cancels when k is near 1
+    lost = (1.0 - eta) + eta * mirror_transmittance  # 1 - k
+    shrink = -lost / (1.0 + np.sqrt(eta * (1.0 - mirror_transmittance)))  # sqrt(k) - 1
+    x_rows = (rows[..., None] * b).sum(1) + np.multiply.outer(shrink, rows[:, :2] @ b[:2])
+    shape = (3, eta.size, 2)  # (receiver, bin, x/p)
+    mean, var = np.zeros(shape), np.full(shape, VACUUM_VAR)  # the shot receiver reads vacuum
+    var[1] = inputs @ (b[:2] ** 2).T
+    var[2] = ((x_rows ** 2 * inputs[:, None]).sum(2)
+              + np.outer(lost * VACUUM_VAR, (rows[:, :2] ** 2).sum(1)))  # B carries mode 0's noise
+    tones = np.column_stack([bins.am_amplitude, bins.pm_amplitude])
+    mean[2] = np.sqrt(eta)[:, None] * (tones @ rows[:, :2].T)
     if n_samples:
-        n = int(n_samples)
-        gen, shape = np.random.default_rng(seed), moments[:, :, 0].shape  # (receiver, bin, x/p)
+        n, gen = int(n_samples), np.random.default_rng(seed)
         normal, chi2 = gen.standard_normal(shape), gen.chisquare(n - 1, shape)  # Z, then X
-        moments[:, :, 0] += np.sqrt(moments[:, :, 1] / n) * normal
-        moments[:, :, 1] *= chi2 / (n - 1)
-    mean, var = (moments[:, :, k].transpose(0, 2, 1) for k in (0, 1))
-    power = gaussian.noise_power_db(var + mean * mean)  # (receiver, x/p, bin)
+        mean += np.sqrt(var / n) * normal
+        var *= chi2 / (n - 1)
+    power = gaussian.noise_power_db((var + mean * mean).transpose(0, 2, 1))  # (receiver, x/p, bin)
     freq = np.array(bins.frequency_hz)
     return {label: NoiseSpectrum(label, freq, *power[t])
             for t, label in enumerate(("shot", "epr", "bell"))}
@@ -258,19 +258,18 @@ def phase_sweep(state_kind, lo_phases, r=DEFAULT_R):
     """Homodyne noise power vs LO angle for 'shot', 'epr' or 'squeezed'.
 
     shot is flat at 0 dB; a single EPR beam is flat at 10*log10(cosh 2r);
-    squeezed vacuum swings between -/+ the squeezing dB.
+    squeezed vacuum swings between -/+ the squeezing dB.  At angle theta, u =
+    (cos, sin) reads sum_k (u^T rows)_k^2 D_k: rows = I_2 on the vacuum or the
+    x-squeezed input, and beam 0's splitter rows on both inputs for the EPR beam.
     """
     lo_phases = np.asarray(lo_phases, dtype=float)
-    if state_kind == "shot":
-        state = gaussian.vacuum(1)
-    elif state_kind == "epr":
-        state = build_epr(r)
-    elif state_kind == "squeezed":
-        state = gaussian.squeezed_vacuum(r, 0.0)
-    else:
+    inputs = _squeezed_inputs(r)
+    rows, d = {"shot": (np.eye(2), np.full(2, VACUUM_VAR)), "epr": (_BALANCED.matrix[:2], inputs),
+               "squeezed": (np.eye(2), inputs[:2])}.get(state_kind, (None, None))
+    if rows is None:
         raise ValueError(f"unknown state kind {state_kind!r}")
-    power = gaussian.noise_power_db([gaussian.homodyne(state, 0, th).variance for th in lo_phases])
-    return PhaseSweepTrace(state_kind, lo_phases, power)
+    u = np.column_stack([np.cos(lo_phases), np.sin(lo_phases)]) @ rows
+    return PhaseSweepTrace(state_kind, lo_phases, gaussian.noise_power_db((u * u) @ d))
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,10 @@ FROZEN_MANIFESTS = {
                         "b71da253ebcb8bcd9c6c9a8f5e2684379d8b2ecae56a2c1f1b5e606442dd2224"),
     "dense-coding-phase-sweep": (
         SCENARIO_DIR / "dense_coding_phase_sweep.json",
-        "0e666c257bfd46b92b8a62610f8d61a7e66302152070f79585c9eb63430749d6"),
+        "b8bc191bd9b377fd60b33655e645eefd16ffe7e3ad198584e2d9b2036722f32e"),
     "dense-coding-spectrum": (
         SCENARIO_DIR / "dense_coding_spectrum.json",
-        "fcef12fe7fcc89db09a1ba4eda68138e21e5424b1c409ddb621780a2e9b29335"),
+        "41298261b230f952d43c164dc85470bdcf969a03acb9db5a83e909396c200b1a"),
 }
 
 
@@ -361,10 +361,10 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(kind="cubic-phase-run", parameters={
         "squeezing_r": 0.0, "displacement_alpha": [0.0, 0.0], "post_select_n": 1}),
      "parameters.post_select_n"),
-    # the spectrum model loses its digits above dc.MAX_SPECTRUM_R
-    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 9.0}),
+    # one double past the one squeezing cap, gaussian.MAX_SQUEEZING_R (10)
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": math.nextafter(10.0, 11.0)}),
      "parameters.squeezing_r"),
-    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": 10.0}),
+    (dict(kind="dense-coding-spectrum", parameters={"squeezing_r": math.nextafter(-10.0, -11.0)}),
      "parameters.squeezing_r"),
     # detector values past what numpy can draw or a double can hold
     (dict(parameters={"source_mean": 1e300}), "parameters.source_mean"),
@@ -390,9 +390,8 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
      "parameters.gain, parameters.bin_width"),
     (dict(kind="cubic-phase-run", parameters={"displacement_alpha": [1e300, 0.0]}),
      "parameters.displacement_alpha"),
-    # the sweep builds the spectrum's EPR pair, which fails the uncertainty check
-    # from |r| about 8.09; dc.MAX_SPECTRUM_R caps both kinds
-    (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": 9.0}),
+    # the sweep has the spectrum's cap
+    (dict(kind="dense-coding-phase-sweep", parameters={"squeezing_r": math.nextafter(10.0, 11.0)}),
      "parameters.squeezing_r"),
     # finite parts whose modulus is past the float range
     (dict(kind="cubic-phase-run", parameters={"displacement_alpha": [1.3e308, 1.3e308]}),
@@ -415,6 +414,19 @@ def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists(), "partial artifacts after config error"
+
+
+@pytest.mark.parametrize("r", [9.0, 10.0, -10.0])
+@pytest.mark.parametrize("kind", ["dense-coding-spectrum", "dense-coding-phase-sweep"])
+def test_dense_coding_runs_up_to_the_squeezing_cap(tmp_path, kind, r):
+    # the composed channel keeps its digits at every |r| <= gaussian.MAX_SQUEEZING_R
+    path = scenario_file(tmp_path, kind=kind, parameters={"squeezing_r": r})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    for entry in json.loads((out / "manifest.json").read_text())["artifacts"]:
+        if entry["name"].endswith(".csv"):
+            rows = (out / entry["name"]).read_text().splitlines()[1:]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
 @pytest.mark.parametrize("kind, params, needle", [

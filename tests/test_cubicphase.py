@@ -55,6 +55,19 @@ def test_config_validation():
     cp.CubicGateConfig(dim=85, grid_points=cp.MAX_GRID_POINTS)  # the largest allowed
 
 
+@pytest.mark.parametrize("which", ["ancilla", "target"])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_real_parameters_leave_the_target_real(which, count):
+    # with r, alpha, s and g real, D(alpha), S(s), the coupling and the Hermite
+    # functions are real matrices, so the induced phase comes from arg alpha
+    size = abs(0.5 + 1j)
+    cfg = cp.CubicGateConfig(displacement_alpha=complex(size, 0.0), post_select_n=count,
+                             homodyne_which=which)
+    assert np.abs(cp.run_gate(cfg, seed=7).conditional_target.imag).max() <= 1e-15
+    turned = dataclasses.replace(cfg, displacement_alpha=complex(0.0, size))
+    assert np.abs(cp.run_gate(turned, seed=7).conditional_target.imag).max() > 1e-2
+
+
 def test_config_digest_pins_configuration():
     cfg = cp.CubicGateConfig()
     assert cfg.digest() == REF_DIGEST

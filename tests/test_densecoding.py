@@ -53,8 +53,8 @@ def test_encoding_never_touches_variances():
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 @pytest.mark.parametrize("r", [0.0, dc.DEFAULT_R, -1.2])
 def test_zero_tones_give_zero_means_and_the_unit_am_variances(r, eta, transmittance):
-    # what run_spectrum's two probes rest on: no map offsets a mean, and a tone
-    # moves only the means, so the zero-tone circuit adds nothing to the unit-AM one
+    # the reference circuit is linear response: no map offsets a mean, and a tone
+    # moves only the means, so the zero-tone circuit has the unit-AM variances
     epr = dc.build_epr(r)
 
     def circuit(am):
@@ -127,17 +127,60 @@ def test_spectrum_analytic():
     assert abs(bell.x_power_db[i_pm] + 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("r", [dc.MAX_SPECTRUM_R, -dc.MAX_SPECTRUM_R])
+def quiet_bins(plan):
+    """Mask of the bins that carry no tone."""
+    return (plan.bins.am_amplitude == 0.0) & (plan.bins.pm_amplitude == 0.0)
+
+
+def closed_form_floor_db(r, eta, transmittance):
+    """The quiet Bell power 10 log10(2 V) in closed form, with k = eta (1 - T):
+    V = [(1 + sqrt k)^2 e^{-2r} + (1 - sqrt k)^2 e^{2r}] / 8 + (1 - k) / 4.
+    1 - k = (1 - eta) + eta T and 1 - sqrt k = (1 - k) / (1 + sqrt k) are formed
+    without cancellation: (1 - sqrt k)^2 e^{2r} magnifies any error in them."""
+    lost, root = (1.0 - eta) + eta * transmittance, math.sqrt(eta * (1.0 - transmittance))
+    v = ((1.0 + root) ** 2 * math.exp(-2.0 * r)
+         + (lost / (1.0 + root)) ** 2 * math.exp(2.0 * r)) / 8.0 + lost / 4.0
+    return 10.0 * math.log10(2.0 * v)
+
+
+@pytest.mark.parametrize("r", [gaussian.MAX_SQUEEZING_R, -gaussian.MAX_SQUEEZING_R, 8.0, 9.0])
 def test_quiet_bins_hold_the_exact_floor_at_the_squeezing_cap(r):
-    # the Bell variance e^{-2r}/2 loses digits as r grows; at the cap every
-    # quiet bin is still within the benchmark's 0.01 dB of -20 r / ln 10
-    bell = dc.run_spectrum(dc.SpectrumConfig(n_bins=9, squeezing_r=r).plan)["bell"]
-    quiet = np.ones(bell.frequency_hz.size, bool)
-    quiet[[int(np.argmin(np.abs(bell.frequency_hz - f)))
-           for f in (dc.AM_FREQUENCY_HZ, dc.PM_FREQUENCY_HZ)]] = False
+    # the composed channel sums non-negative terms, so the Bell floor keeps its
+    # digits up to the one squeezing cap: every quiet bin is -20 r / ln 10
+    plan = dc.SpectrumConfig(n_bins=9, squeezing_r=r).plan
+    bell = dc.run_spectrum(plan)["bell"]
     floor = -20.0 * r / math.log(10.0)
     for power in (bell.x_power_db, bell.p_power_db):
-        assert np.abs(power[quiet] - floor).max() < 0.01
+        assert np.abs(power[quiet_bins(plan)] - floor).max() < 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.floats(-gaussian.MAX_SQUEEZING_R, gaussian.MAX_SQUEEZING_R), st.floats(0.0, 1.0),
+       st.floats(0.0, 0.5))
+def test_quiet_bins_match_the_closed_form_floor(r, eta, transmittance):
+    plan = dc.SpectrumConfig(n_bins=9, squeezing_r=r, loss_eta=eta).plan
+    bell = dc.run_spectrum(plan, mirror_transmittance=transmittance)["bell"]
+    floor = closed_form_floor_db(r, eta, transmittance)
+    for power in (bell.x_power_db, bell.p_power_db):
+        assert np.abs(power[quiet_bins(plan)] - floor).max() <= 1e-12
+
+
+def test_spectrum_and_sweep_refuse_r_past_the_squeezing_cap():
+    # a hand-built plan takes any finite r; past the cap e^{2r} nears overflow
+    plan = dc.SidebandPlan([(1e6, 0.0, 0.0, 0.0, 1.0), (2e6, -10.5, 0.0, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="10.5"):
+        dc.run_spectrum(plan)
+    with pytest.raises(ValueError, match="not supported"):
+        dc.phase_sweep("epr", SWEEP_ANGLES, r=math.nextafter(10.0, 11.0))
+
+
+@pytest.mark.parametrize("transmittance", [-0.1, 1.0, 1.5, math.nan])
+def test_spectrum_names_a_bad_mirror_transmittance(transmittance, monkeypatch):
+    # refused by name before any work: no squeezed input is formed
+    monkeypatch.setattr(dc, "_squeezed_inputs", None)
+    plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=5))
+    with pytest.raises(ValueError, match="mirror_transmittance"):
+        dc.run_spectrum(plan, mirror_transmittance=transmittance)
 
 
 def test_crosstalk_below_minus_80_db():
@@ -187,6 +230,11 @@ def sampled_moments(mean, var, n, z, chi2):
     return mean + math.sqrt(var / n) * z, var * (chi2 / (n - 1))
 
 
+def homodyne_xp(state, n_samples, rng):
+    """Analytic x, then p homodyne of mode 0."""
+    return gaussian.homodyne(state, 0, 0.0), gaussian.homodyne(state, 0, math.pi / 2)
+
+
 def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
     """Oracle: every bin through the circuit itself, (shot, epr, bell) x (x, p) x bin.
 
@@ -205,7 +253,7 @@ def circuit_spectrum(plan, n_samples=0, seed=None, mirror_transmittance=0.0):
         epr = dc.build_epr(b.squeezing_r)
         sent = dc.encode(epr, b.am_amplitude, b.pm_amplitude, mirror_transmittance)
         sent = gaussian.loss(sent, 0, b.loss_eta)
-        receivers = ((dc._homodyne_xp, gaussian.vacuum(1)), (dc._homodyne_xp, epr),
+        receivers = ((homodyne_xp, gaussian.vacuum(1)), (homodyne_xp, epr),
                      (dc.bell_measure, sent))
         for t, (measure, state) in enumerate(receivers):
             for q, res in enumerate(measure(state, 0, None)):
@@ -263,9 +311,14 @@ def test_bundled_spectrum_equals_the_circuit_exactly(monkeypatch, tmp_path):
     assert cli.main(["run", str(scenario), "--output-dir", str(tmp_path / "out")]) == 0
     (plan, kw), = calls
     assert kw["n_samples"] > 0
+    floor = closed_form_floor_db(plan.bins.squeezing_r[0], plan.bins.loss_eta[0],
+                                 kw["mirror_transmittance"])
     for n_samples in (0, kw["n_samples"]):
         args = dict(kw, n_samples=n_samples)
-        assert np.array_equal(as_array(run(plan, **args)), circuit_spectrum(plan, **args))
+        got = as_array(run(plan, **args))
+        assert np.abs(got - circuit_spectrum(plan, **args)).max() <= 1e-12
+        if not n_samples:  # the analytic quiet Bell bins hold the closed-form floor
+            assert np.abs(got[2][:, quiet_bins(plan)] - floor).max() <= 1e-12
 
 
 def test_sampled_moments_follow_the_law_of_explicit_samples():
@@ -301,21 +354,29 @@ def test_spectrum_rejects_unusable_sample_counts(n_samples):
 
 
 def test_states_built_do_not_grow_with_bins(monkeypatch):
-    built, post_init = [], gaussian.GaussianState.__post_init__
+    # the spectrum and the sweep apply the composed channel as arrays: no
+    # validated state and no homodyne, even with a distinct r and eta per bin
+    calls, post_init, homodyne = [], gaussian.GaussianState.__post_init__, gaussian.homodyne
 
-    def counting(state):
-        built.append(state)
-        post_init(state)
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting)
-    counts = []
-    for n_bins in (33, 1001):
-        plan = dc.two_tone_plan(dc.SpectrumConfig(n_bins=n_bins))
-        built.clear()
+    monkeypatch.setattr(gaussian.GaussianState, "__post_init__", counting("state", post_init))
+    monkeypatch.setattr(gaussian, "homodyne", counting("homodyne", homodyne))
+    rng = np.random.default_rng(4)
+    distinct = dc.SidebandPlan([(1e6 + i, rng.uniform(-10, 10), 0.0, 0.0, rng.uniform(0, 1))
+                                for i in range(1001)])
+    for plan in (dc.two_tone_plan(dc.SpectrumConfig(n_bins=n)) for n in (33, 1001)):
         dc.run_spectrum(plan)
-        counts.append(len(built))
-    # the vacuum, one EPR pair and two circuit probes: fewer states than bins
-    assert counts[0] == counts[1] < 33
+        dc.run_spectrum(plan, n_samples=100, seed=1, mirror_transmittance=0.01)
+    dc.run_spectrum(distinct)
+    for kind in ("shot", "epr", "squeezed"):
+        dc.phase_sweep(kind, SWEEP_ANGLES)
+    assert calls == []
+    assert np.unique(distinct.bins.squeezing_r).size == 1001
 
 
 def test_spectrum_run_builds_its_grid_once(monkeypatch, tmp_path):
@@ -399,9 +460,8 @@ def test_phase_sweep_traces():
 
 
 def test_epr_sweep_holds_at_every_r_up_to_the_cap():
-    # SweepConfig caps |r| at MAX_SPECTRUM_R: from about 8.09 the EPR pair fails
-    # the uncertainty check; below the cap each beam is flat at 10 log10 cosh 2r
-    for r in (k / 100 for k in range(-750, 751)):
+    # up to the one squeezing cap each beam is flat at 10 log10 cosh 2r
+    for r in (k / 100 for k in range(-1000, 1001)):
         epr = dc.phase_sweep("epr", SWEEP_ANGLES, r=r)
         assert np.abs(epr.power_db - 10 * math.log10(math.cosh(2 * r))).max() < 1e-12
 

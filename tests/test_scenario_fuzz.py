@@ -73,7 +73,7 @@ WELL_TYPED = {
     "f_lo_hz": mostly(floats(0.5e6, 1e6), floats(-1e6, 2e6)),
     "f_hi_hz": mostly(floats(1.5e6, 2.5e6), st.one_of(floats(-1e6, 3e6), st.sampled_from(
         [math.nextafter(f, math.inf) for f in (0.5e6, 0.8e6, 1e6)]))),
-    # past each |r| cap: the spectrum's and the sweep's 7.5, the gate's 10
+    # past the one |r| cap, 10, of the spectrum, the sweep and the gate
     "squeezing_r": mostly(floats(0.0, 0.2), floats(-11.0, 11.0)),
     "am_frequency_hz": mostly(floats(2.5e6, 3e6), floats(0.0, 3e6)),
     "pm_frequency_hz": mostly(floats(0.0, 0.5e6), floats(0.0, 3e6)),
