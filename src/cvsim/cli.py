@@ -4,7 +4,7 @@ A scenario is a JSON file:
 
     {
       "kind": "<one of the kinds below>",
-      "seed": 123,                  required, integer; no wall-clock default
+      "seed": 123,                  required, non-negative integer; no wall-clock default
       "output_dir": "out/run1",     required unless --output-dir is given
       "parameters": { ... }         optional, kind-specific, all have defaults
     }
@@ -51,8 +51,8 @@ def parse_scenario(data):
         raise ValueError(
             f"kind: expected one of {', '.join(sorted(_KINDS))}; got {kind!r}")
     seed = data.get("seed")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("seed: a literal integer is required")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed: a non-negative literal integer is required")
     out = data.get("output_dir")
     if out is not None and not isinstance(out, str):
         raise ValueError("output_dir: expected a string path")
@@ -94,9 +94,7 @@ def _run_dense_coding_spectrum(config, seed, out):
 
 def _run_dense_coding_phase_sweep(config, seed, out):
     angles = np.linspace(0.0, np.pi, config.n_phases, endpoint=False)
-    traces = [densecoding.phase_sweep(kind, angles, r=config.squeezing_r)
-              for kind in ("shot", "epr", "squeezed")]
-    densecoding.write_phase_sweep(traces, out)
+    densecoding.write_phase_sweep(densecoding.phase_sweep(angles, r=config.squeezing_r), out)
 
 
 def _run_cubic_phase(config, seed, out):
@@ -199,7 +197,7 @@ def _cmd_run(args):
     staging = out.parent / f".{out.name}.partial-{os.getpid()}"
     try:
         staging.mkdir(parents=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         return _error(f"cannot create output directory {out}: {exc}")
     try:
         return _run_into(staging, out, kind, seed, config, args.strict)

@@ -254,22 +254,21 @@ def two_tone_plan(config):
     return SidebandPlan(bins)
 
 
-def phase_sweep(state_kind, lo_phases, r=DEFAULT_R):
-    """Homodyne noise power vs LO angle for 'shot', 'epr' or 'squeezed'.
+def phase_sweep(lo_phases, r=DEFAULT_R):
+    """Noise power vs LO angle of the vacuum, one EPR beam and one squeezed beam, as
+    PhaseSweepTraces keyed "shot", "epr" and "squeezed", all from one pass.
 
-    shot is flat at 0 dB; a single EPR beam is flat at 10*log10(cosh 2r);
-    squeezed vacuum swings between -/+ the squeezing dB.  At angle theta, u =
-    (cos, sin) reads sum_k (u^T rows)_k^2 D_k: rows = I_2 on the vacuum or the
-    x-squeezed input, and beam 0's splitter rows on both inputs for the EPR beam.
-    """
+    At angle theta, u = (cos, sin) reads sum_k (u^T rows)_k^2 D_k: rows = I_2 on
+    the vacuum (flat at 0 dB) and on the x-squeezed input (between -/+ the
+    squeezing dB), and beam 0's splitter rows on both inputs (10*log10 cosh 2r)."""
     lo_phases = np.asarray(lo_phases, dtype=float)
     inputs = _squeezed_inputs(r)
-    rows, d = {"shot": (np.eye(2), np.full(2, VACUUM_VAR)), "epr": (_BALANCED.matrix[:2], inputs),
-               "squeezed": (np.eye(2), inputs[:2])}.get(state_kind, (None, None))
-    if rows is None:
-        raise ValueError(f"unknown state kind {state_kind!r}")
-    u = np.column_stack([np.cos(lo_phases), np.sin(lo_phases)]) @ rows
-    return PhaseSweepTrace(state_kind, lo_phases, gaussian.noise_power_db((u * u) @ d))
+    u = np.column_stack([np.cos(lo_phases), np.sin(lo_phases)])
+    epr, uu = u @ _BALANCED.matrix[:2], u * u
+    power = gaussian.noise_power_db([uu @ np.full(2, VACUUM_VAR), (epr * epr) @ inputs,
+                                     uu @ inputs[:2]])
+    return {label: PhaseSweepTrace(label, lo_phases, power[t])
+            for t, label in enumerate(("shot", "epr", "squeezed"))}
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +293,9 @@ def write_phase_sweep(traces, out):
     """phase_sweep.csv, one row per LO angle, and phase_sweep.json, one entry
     per trace, into directory `out`.  The traces share the first one's LO
     angles, formatted once."""
-    angles = artifacts.numbers(traces[0].lo_phase_rad)
+    angles = artifacts.numbers(next(iter(traces.values())).lo_phase_rad)
     entries = [{"label": t.label, "lo_phase_rad": angles, "power_db": artifacts.numbers(t.power_db)}
-               for t in traces]
+               for t in traces.values()]
     artifacts.write_csv(out / "phase_sweep.csv",
                         ["phase_rad"] + [f"{t['label']}_db" for t in entries],
                         [angles] + [t["power_db"] for t in entries])

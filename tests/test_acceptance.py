@@ -49,11 +49,12 @@ def test_criterion_01_bell_measurement_squeezing_recovery():
 
 def test_criterion_02_epr_phase_independence():
     angles = np.linspace(0.0, math.pi, 64, endpoint=False)
-    epr = densecoding.phase_sweep("epr", angles)
+    sweep = densecoding.phase_sweep(angles)
+    epr = sweep["epr"]
     spread = float(epr.power_db.max() - epr.power_db.min())
     assert spread <= 0.05
 
-    sq = densecoding.phase_sweep("squeezed", angles)
+    sq = sweep["squeezed"]
     lo = float(sq.power_db.min())
     hi = float(sq.power_db.max())
     assert lo == pytest.approx(-2.0, abs=0.02)

@@ -437,3 +437,38 @@ def test_detector_charges_take_no_repr(tmp_path):
     assert (col < 0).any()
     assert artifacts._shortest(np.abs(col))[2].all()
     assert written_rows(tmp_path, col) == reference_rows(col)
+
+
+def test_float_cells_match_numpy_text(tmp_path):
+    # a second oracle that does not go through repr: numpy's own shortest
+    # round-trip text, which astype("S24") gives in repr's layout
+    rng = np.random.default_rng(32)
+    bits = rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64)
+    up, down = (lambda x: np.nextafter(x, np.inf)), (lambda x: np.nextafter(x, -np.inf))
+    bounds = np.array([1e-4, 1e16])
+    powers = 2.0 ** np.arange(-1074, 1024)
+    col = np.concatenate([
+        bits[np.isfinite(bits)],
+        np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 40_000)),  # repr's positional range
+        rng.integers(1, 2 ** 52, 1000, dtype=np.uint64).view(np.float64),  # subnormals
+        bounds, up(bounds), down(bounds), powers, up(powers), down(powers[1:]),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]])
+    col = np.concatenate([col, -col])
+    fast = artifacts._shortest(np.abs(col))[2]
+    assert 0.2 < fast.mean() < 0.8  # both paths are taken many times over
+    artifacts.write_csv(tmp_path / "t.csv", ["x"], [col])
+    cells = (tmp_path / "t.csv").read_bytes().split(b"\r\n")[1:-1]
+    assert cells == col.astype("S24").tolist()
+
+
+@pytest.mark.parametrize("write, needle", [
+    (lambda p: artifacts.write_csv(p, ["a", "b"], [np.zeros(2)]), "one column per header field"),
+    (lambda p: artifacts.write_csv(p, ["a", "b"], [np.zeros(2), np.zeros(3)]),
+     "columns differ in length"),
+    (lambda p: artifacts.write_json(p, {"a": {1: 2.0}}), "keys must be str"),
+    (lambda p: artifacts.write_json(p, {"a": [1.0, math.nan]}), "t.out: Out of range float"),
+])
+def test_malformed_data_is_refused_before_the_file_opens(write, needle, tmp_path):
+    with pytest.raises((ValueError, TypeError), match=needle):
+        write(tmp_path / "t.out")
+    assert list(tmp_path.iterdir()) == []

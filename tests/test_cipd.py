@@ -121,6 +121,16 @@ def test_histogram_invariants():
         cipd.histogram(charges, bin_width=0.0)
 
 
+@pytest.mark.parametrize("edges, counts, n_events, needle", [
+    ([0.0, 1.0, 1.0], [1, 1], 2, "bin edges must increase"),
+    ([0.0, 2.0, 1.0], [1, 1], 2, "bin edges must increase"),
+    ([0.0, 1.0, 2.0], [1, 1], 3, "counts do not sum to n_events"),
+])
+def test_histogram_refuses_a_malformed_one(edges, counts, n_events, needle):
+    with pytest.raises(ValueError, match=needle):
+        cipd.Histogram(np.array(edges), np.array(counts), n_events)
+
+
 def test_histogram_bin_cap():
     cap = cipd.MAX_HISTOGRAM_BINS
     assert cipd.histogram(np.array([0.0, cap - 1.0])).counts.size == cap

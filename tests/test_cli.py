@@ -407,6 +407,15 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
         "f_lo_hz": 1e6, "f_hi_hz": math.nextafter(1e6, math.inf),
         "am_frequency_hz": 2e6, "pm_frequency_hz": 1e6}),
      "parameters.f_lo_hz, parameters.f_hi_hz"),
+    # a negative seed, which numpy's generators refuse unnamed, is refused for every kind
+    (dict(seed=-1), "seed: "),
+    (dict(kind="cipd-resolution", seed=-1, parameters={}), "seed: "),
+    (dict(kind="cubic-phase-run", seed=-1, parameters={}), "seed: "),
+    (dict(kind="dense-coding-phase-sweep", seed=-1, parameters={}), "seed: "),
+    (dict(kind="dense-coding-spectrum", seed=-1, parameters={}), "seed: "),
+    (dict(kind="dense-coding-spectrum", seed=-1, parameters={"n_samples": 100}), "seed: "),
+    (dict(output_dir=5), "output_dir: "),
+    (dict(parameters=[1]), "parameters: "),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -414,6 +423,23 @@ def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists(), "partial artifacts after config error"
+
+
+def test_a_scenario_that_is_not_an_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1]")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: scenario must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_nul_byte_in_output_dir_exits_one(tmp_path, capsys):
+    # mkdir refuses the path with a ValueError, not an OSError
+    path = scenario_file(tmp_path, output_dir=str(tmp_path / "x\0y"))
+    assert cli.main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot create output directory ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.parametrize("r", [9.0, 10.0, -10.0])

@@ -104,6 +104,13 @@ def test_plan_validation():
         dc.SidebandPlan([(0.0, dc.DEFAULT_R, 0.0, 0.0, 1.0), b])  # not positive
 
 
+@pytest.mark.parametrize("bins", [[], np.zeros(0, dc._BIN), [[(1e6, 0.0, 0.0, 0.0, 1.0)]]])
+def test_a_plan_with_no_bins_or_not_1d_is_refused(bins):
+    # () is one record of no fields, which numpy refuses before the plan's check
+    with pytest.raises(ValueError, match="at least one bin, as a 1-D sequence"):
+        dc.SidebandPlan(bins)
+
+
 def test_spectrum_analytic():
     spectra = dc.run_spectrum(dc.two_tone_plan(dc.SpectrumConfig()))
     shot, epr, bell = spectra["shot"], spectra["epr"], spectra["bell"]
@@ -171,7 +178,7 @@ def test_spectrum_and_sweep_refuse_r_past_the_squeezing_cap():
     with pytest.raises(ValueError, match="10.5"):
         dc.run_spectrum(plan)
     with pytest.raises(ValueError, match="not supported"):
-        dc.phase_sweep("epr", SWEEP_ANGLES, r=math.nextafter(10.0, 11.0))
+        dc.phase_sweep(SWEEP_ANGLES, r=math.nextafter(10.0, 11.0))
 
 
 @pytest.mark.parametrize("transmittance", [-0.1, 1.0, 1.5, math.nan])
@@ -373,8 +380,7 @@ def test_states_built_do_not_grow_with_bins(monkeypatch):
         dc.run_spectrum(plan)
         dc.run_spectrum(plan, n_samples=100, seed=1, mirror_transmittance=0.01)
     dc.run_spectrum(distinct)
-    for kind in ("shot", "epr", "squeezed"):
-        dc.phase_sweep(kind, SWEEP_ANGLES)
+    dc.phase_sweep(SWEEP_ANGLES)
     assert calls == []
     assert np.unique(distinct.bins.squeezing_r).size == 1001
 
@@ -444,25 +450,25 @@ SWEEP_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)
 
 def test_phase_sweep_traces():
     angles = SWEEP_ANGLES
-    shot = dc.phase_sweep("shot", angles)
+    sweep = dc.phase_sweep(angles)
+    assert list(sweep) == ["shot", "epr", "squeezed"]
+    assert all(t.label == label and t.lo_phase_rad is sweep["shot"].lo_phase_rad
+               for label, t in sweep.items())
+    shot, epr, sq = sweep.values()
     # flat at 0 dB up to cos^2+sin^2 roundoff
     assert np.abs(shot.power_db).max() < 1e-12
-    epr = dc.phase_sweep("epr", angles)
     assert epr.power_db.max() - epr.power_db.min() < 1e-9
     assert np.abs(epr.power_db - EPR_BEAM_DB).max() < 1e-9
-    sq = dc.phase_sweep("squeezed", angles)
     assert abs(sq.power_db.min() + 2.0) < 1e-12
     assert abs(sq.power_db.max() - 2.0) < 1e-12
     assert sq.power_db.argmin() == 0
     assert angles[sq.power_db.argmax()] == pytest.approx(math.pi / 2)
-    with pytest.raises(ValueError):
-        dc.phase_sweep("thermal", angles)
 
 
 def test_epr_sweep_holds_at_every_r_up_to_the_cap():
     # up to the one squeezing cap each beam is flat at 10 log10 cosh 2r
     for r in (k / 100 for k in range(-1000, 1001)):
-        epr = dc.phase_sweep("epr", SWEEP_ANGLES, r=r)
+        epr = dc.phase_sweep(SWEEP_ANGLES, r=r)["epr"]
         assert np.abs(epr.power_db - 10 * math.log10(math.cosh(2 * r))).max() < 1e-12
 
 
@@ -504,8 +510,7 @@ def test_csv_and_json_outputs(tmp_path):
 
 
 def test_phase_sweep_outputs(tmp_path):
-    traces = [dc.phase_sweep(k, SWEEP_ANGLES) for k in ("shot", "epr", "squeezed")]
-    dc.write_phase_sweep(traces, tmp_path)
+    dc.write_phase_sweep(dc.phase_sweep(SWEEP_ANGLES), tmp_path)
     lines = (tmp_path / "phase_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "phase_rad,shot_db,epr_db,squeezed_db"
     assert len(lines) == 65
