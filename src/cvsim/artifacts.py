@@ -18,13 +18,14 @@ Dekker's two-product gives the 17-digit candidate x = a * 10**places, and
 half the gaps to a's neighbouring doubles, scaled the same way, are exact
 too, so a's rounding interval around x has exact ends (Ryu's formulation).
 A candidate with s digits fewer reads back iff a multiple of 10**s lies in
-that interval, a test on integers.  Digits become text through a table of
-4-digit groups, in a row table as wide as each chunk's widest cells.  What
-that path leaves out goes to repr: floats below 1e-4 or from 1e16 up (where
-repr uses an exponent), values whose 17- or 16-digit candidate is a tie
-(repr's choice between two equally near candidates is not reproduced), and
-ints with |x| >= 10**18.  A detector charge takes repr only if it is below
-1e-4 in size or such a tie, which no charge of a seeded 1e5-pulse run is.
+that interval, a test on integers, made for s = 1, 2, ... on a whole chunk
+until no row passes.  Digits become text through a table of 4-digit groups,
+in a row table as wide as each chunk's widest cells.  What that path leaves
+out goes to repr: floats below 1e-4 or from 1e16 up (where repr uses an
+exponent), values whose 17- or 16-digit candidate is a tie (repr's choice
+between two equally near candidates is not reproduced), and ints with
+|x| >= 10**18.  A detector charge takes repr only if it is below 1e-4 in
+size or such a tie, which no charge of a seeded 1e5-pulse run is.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ import math
 import numpy as np
 
 # rows encoded per write of a chunk that holds an array column: bounds the
-# temporaries (1.1 MB at 8192 rows, 2.2 MB at 16384, which was not measurably
-# faster; a 1e5-pulse benchmark pass peaks at 66.2-66.5 MB RSS, against
-# 65.8-66.0 MB with the per-value repr writer)
+# temporaries (tracemalloc: 1.4 MB for the four detector record columns at
+# 8192 rows, 2.7 MB at 16384)
 _CHUNK_ROWS = 8192
 
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
@@ -116,41 +116,17 @@ def _round_off(d17, rest, s):
     return head + ((excess > 0) | ((excess == 0) & (rest > 0)))
 
 
-def _padded(rows, least):
-    """The bool mask `rows` with the first rows it leaves out added, so that
-    none or at least `least` (or all) are set.  numpy pools freed blocks
-    under 1 KiB by exact size, and arrays sized by a data-dependent subset
-    would leave blocks of ever new sizes across the heap (a 1e5-pulse
-    detector pass once grew its peak RSS by 2.5 MB that way): 128 rows of
-    8-byte values, or 1024 of bools, fill 1 KiB."""
-    short = min(least, len(rows)) - np.count_nonzero(rows)
-    if 0 < short < min(least, len(rows)):
-        rows = rows | (np.cumsum(~rows) <= short)
-    return rows
-
-
 def _descend(top, width, places):
     """For each row, the most digits s <= places that can be dropped: the
     largest s for which a multiple of 10**s lies in [top - width, top], with
-    0 <= width < 100.
-
-    s = 1 and 2 are decided on the whole chunk.  Past 2 the multiple can only
-    be top less its last two digits, so s holds while the rest of top ends in
-    s - 2 zeros: a count taken in four halving steps on the rows where s = 2
-    holds, about 5% of a detector chunk, padded to 1024 rows."""
-    head = top // 100
-    low = top - head * 100
-    ok = low <= width
-    cut = (low - low // 10 * 10 <= width).astype(np.int64) + ok
-    rows = np.flatnonzero(_padded(ok & (places > 2), 1024))
-    head, zeros = head[rows], np.zeros(len(rows), np.int64)
-    for k in (8, 4, 2, 1):
-        p = _POW10_INT[k]
-        cut_head = head // p
-        ends = cut_head * p == head
-        head = np.where(ends, cut_head, head)
-        zeros += k * ends
-    cut[rows] += zeros * ok[rows]  # a padded row gains none, or is clamped below
+    0 <= width < 100.  That holds for s iff top mod 10**s <= width, and then
+    for s - 1 too, so s counts up over the whole chunk until no row gains."""
+    cut = np.zeros(len(top), np.int64)
+    for p in _POW10_INT[1:]:
+        gains = top - top // p * p <= width  # top mod p: numpy's // by a scalar is fast, % is not
+        if not gains.any():
+            break
+        cut += gains
     return np.minimum(cut, places)
 
 
@@ -250,14 +226,13 @@ def _cell(col):
     if col.dtype.kind == "f":
         v = col.astype(np.float64, copy=False)
         digits, places, fast = _shortest(np.abs(v))
-        fast = ~_padded(~fast, 128)
         whole, part = np.divmod(digits, _POW10_INT[np.minimum(places, 18)])
         sign = fast & (v < 0)
         blocks = [_whole(whole, fast), _column(ord("."), fast),
                   _digits(part, np.maximum(places, 1) * fast)]
     else:
         huge = (col >= 10 ** 18) | ((col <= -10 ** 18) if col.dtype.kind == "i" else False)
-        fast = ~_padded(huge, 128)
+        fast = ~huge
         x = np.where(fast, col, 0).astype(np.int64)
         sign = x < 0
         whole = np.abs(x)

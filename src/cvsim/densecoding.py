@@ -63,7 +63,8 @@ class SidebandPlan:
     bins: np.recarray
 
     def __post_init__(self):
-        bins = np.array(self.bins, dtype=_BIN).view(np.recarray)
+        empty = isinstance(self.bins, tuple) and not self.bins  # numpy reads () as one record
+        bins = np.array([] if empty else self.bins, dtype=_BIN).view(np.recarray)
         if bins.ndim != 1 or not bins.size:
             raise ValueError("plan needs at least one bin, as a 1-D sequence")
         for name in _BIN.names:

@@ -363,7 +363,10 @@ def qnd_coupling_op(g, dim, pad=None):
     and p2 and restricted to dim per mode; see QNDCoupling.
     diagnostics['interior_unitarity'] is the Gram defect of that restriction,
     ||(V_d V_d^H) (x) (W_d W_d^H) - I||_F; W_d is V_d up to a phase per row,
-    so it equals ||(V_d V_d^H) (x) (V_d V_d^H) - I||_F.
+    so it equals ||(V_d V_d^H) (x) (V_d V_d^H) - I||_F.  V_d is rows of the
+    unitary V, so V_d V_d^H = I and the value is zero up to rounding whatever
+    the truncation: 2.5e-14 at dim 16, pad 8, where the retained block U_b
+    itself has ||U_b^H U_b - I||_F = 9.4.
     """
     g = float(g)
     if dim < 2:

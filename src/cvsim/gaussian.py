@@ -316,8 +316,6 @@ def condition_on_homodyne(state, mode, angle, outcome):
 
 def noise_power_db(variance):
     """Noise power relative to shot noise, 10*log10(V / 0.5), of a number or of each
-    value of an array, with math.log10 per value (np.log10 can differ in the last bit)."""
-    ratio = np.asarray(variance, dtype=float) / VACUUM_VAR
-    db = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size)
-    return 10.0 * db.reshape(ratio.shape)
+    value of an array."""
+    return 10.0 * np.log10(np.asarray(variance, dtype=float) / VACUUM_VAR)
 

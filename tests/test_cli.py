@@ -265,10 +265,10 @@ FROZEN_MANIFESTS = {
                         "b71da253ebcb8bcd9c6c9a8f5e2684379d8b2ecae56a2c1f1b5e606442dd2224"),
     "dense-coding-phase-sweep": (
         SCENARIO_DIR / "dense_coding_phase_sweep.json",
-        "b8bc191bd9b377fd60b33655e645eefd16ffe7e3ad198584e2d9b2036722f32e"),
+        "037942477093c7c4dbc2c2f941d3a781e00118d2236ea14d03e273a93b447d12"),
     "dense-coding-spectrum": (
         SCENARIO_DIR / "dense_coding_spectrum.json",
-        "41298261b230f952d43c164dc85470bdcf969a03acb9db5a83e909396c200b1a"),
+        "a448f2d9f2f3d32359c1479b16b031c492c39c542298a6a832b6526221fea6ac"),
 }
 
 

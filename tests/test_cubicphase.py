@@ -397,3 +397,9 @@ def test_run_funnels_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cp.run_gate(cp.CubicGateConfig(), seed=7)
+
+
+def test_an_outcome_of_zero_density_is_refused():
+    cfg = cp.CubicGateConfig(dim=8)
+    with pytest.raises(ValueError, match=r"homodyne outcome x=0\.5 has zero density"):
+        cp.readout_and_condition(np.zeros((cfg.dim, cfg.dim)), cfg, fixed_x=0.5)

@@ -92,8 +92,9 @@ def test_two_tone_plan_layout():
 
 def test_plan_validation():
     b = (1e6, dc.DEFAULT_R, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        dc.SidebandPlan(())
+    for empty in ((), [], np.zeros(0, dc._BIN)):  # numpy alone reads () as one record
+        with pytest.raises(ValueError, match="^plan needs at least one bin, as a 1-D sequence$"):
+            dc.SidebandPlan(empty)
     with pytest.raises(ValueError):
         dc.SidebandPlan((b, b))  # not strictly increasing
     with pytest.raises(ValueError):
@@ -104,9 +105,9 @@ def test_plan_validation():
         dc.SidebandPlan([(0.0, dc.DEFAULT_R, 0.0, 0.0, 1.0), b])  # not positive
 
 
-@pytest.mark.parametrize("bins", [[], np.zeros(0, dc._BIN), [[(1e6, 0.0, 0.0, 0.0, 1.0)]]])
+@pytest.mark.parametrize("bins", [[], np.zeros(0, dc._BIN), [[(1e6, 0.0, 0.0, 0.0, 1.0)]],
+                                  (1e6, 0.0, 0.0, 0.0, 1.0)])
 def test_a_plan_with_no_bins_or_not_1d_is_refused(bins):
-    # () is one record of no fields, which numpy refuses before the plan's check
     with pytest.raises(ValueError, match="at least one bin, as a 1-D sequence"):
         dc.SidebandPlan(bins)
 

@@ -557,3 +557,21 @@ def test_moments_exact_at_the_cutoff(dim):
         u = np.array([math.cos(t), math.sin(t)])
         assert m1 == pytest.approx(u @ mean, abs=1e-10)
         assert m2 - m1 ** 2 == pytest.approx(u @ cov @ u, abs=1e-10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fock._normalized(np.zeros(3)), "cannot normalize the zero vector"),
+    (lambda: fock.FockOperator(np.zeros((2, 3))), "operator matrix must be square"),
+    (lambda: fock.FockOperator(np.eye(3)).apply(np.ones(4)), "operator/state cutoff mismatch"),
+    (lambda: fock.qnd_coupling_op(0.5, 4).apply(np.ones(4)),
+     "cannot apply a two-mode operator to a one-mode state"),
+    (lambda: fock.qnd_coupling_op(0.5, 4).apply(np.ones((5, 5))), "operator/state cutoff mismatch"),
+    (lambda: fock.tmsv(-1.01 * fock.MAX_SQUEEZING_R, 4),
+     rf"\|r\| > {fock.MAX_SQUEEZING_R} is not supported \(got r="),
+    (lambda: fock.photon_count(fock.vacuum_state(4)), "photon_count expects a two-mode state"),
+    (lambda: fock.photon_count(np.ones((3, 3))), r"state is not normalized \(total probability 9\.0"),
+    (lambda: fock.qnd_coupling_op(0.5, 1), "need dim >= 2"),
+])
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -304,7 +304,33 @@ def test_noise_power_db_roundtrip():
         assert math.isclose(g.noise_power_db(0.5 * 10.0 ** (db / 10.0)), db, abs_tol=1e-12)
 
 
+def test_equal_variances_give_equal_db_at_every_position():
+    # numbers() formats each distinct dB once, so a quiet bin's variance must give
+    # the same bits wherever it sits in an array, and as a scalar
+    variances = np.random.default_rng(33).uniform(0.01, 100.0, 1001)
+    assert np.array_equal(g.noise_power_db(variances), [g.noise_power_db(v) for v in variances])
+    for v in (0.5, variances[0], 0.5 * math.exp(2 * R2DB), 0.5 * math.exp(-2 * 7.5)):
+        assert (g.noise_power_db(np.full(1001, v)) == g.noise_power_db(v)).all()
+
+
 def test_r_for_noise_db():
     r = g.r_for_noise_db(2.0)
     assert math.isclose(r, R2DB, rel_tol=1e-12)
     assert math.isclose(math.exp(-2 * r), 10 ** -0.2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: g.GaussianState(np.zeros(2), np.eye(4)), r"shape mismatch: mean \(2,\), cov \(4, 4\)"),
+    (lambda: g.GaussianState(np.zeros(3), 0.5 * np.eye(3)), "mean length must be 2\\*num_modes"),
+    (lambda: g.SymplecticOp(np.eye(3)), "symplectic matrix must be 2M x 2M"),
+    (lambda: g.SymplecticOp(np.eye(4)).apply(g.vacuum(1)), "operator and state mode counts differ"),
+    (lambda: g.vacuum(0), "need at least one mode"),
+    (lambda: g.loss(g.vacuum(1), 0, 1.5), r"transmission must be in \[0, 1\], got 1\.5"),
+    (lambda: g.mirror_displace(g.vacuum(1), 0, 1.0, 1.0),
+     r"mirror transmittance must be in \(0, 1\), got 1\.0"),
+    (lambda: g.condition_on_homodyne(g.vacuum(1), 0, 0.0, 0.0),
+     "conditioning needs at least two modes"),
+])
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -4,8 +4,8 @@
 by name, reads each reported span back by name, and its observers read
 attributes of what some wrapped functions return.  A rename in `src` would
 only break that pass (`Tracer.install` raising AttributeError, `per_layer`
-KeyError, an observer AttributeError failing the run); here it fails the test
-suite instead.
+KeyError, an observer AttributeError failing the run) or, for an observer's
+span, silently zero its metric; here it fails the test suite instead.
 """
 
 import importlib
@@ -54,6 +54,12 @@ def test_every_reported_span_is_wrapped(span):
         assert callable(fn), span
     else:  # a function: wrapped when it is public and defined in its layer
         assert inspect.isfunction(fn) and fn.__module__ == f"cvsim.{layer}", span
+
+
+@pytest.mark.parametrize("span", sorted(tracing.OBSERVERS))
+def test_every_observed_span_is_wrapped(span):
+    # an observer keyed by a span that install never wraps never runs: its metric reads 0
+    test_every_reported_span_is_wrapped(span)
 
 
 @pytest.mark.parametrize("span", sorted(f"{layer}.{path}" for layer, paths in
