@@ -167,7 +167,8 @@ def _shortest(a):
     step = np.rint(lo)
     d17 = hi.astype(np.int64) + step.astype(np.int64)
     rest = lo - step  # exact: a * 10**places - d17
-    fast &= (np.abs(rest) != 0.5) & ~((rest == 0) & (d17 % 10 == 5))
+    # d17 mod 10 == 5 without %: numpy's // by a scalar is fast, % is not
+    fast &= (np.abs(rest) != 0.5) & ~((rest == 0) & (d17 - d17 // 10 * 10 == 5))
     # With x = a * 10**places = d17 + rest, x + e reads back as a iff
     # |e - rest| <= h, h half the gap to the next double times 10**places:
     # a power of two times 10**places, so exact, and rest, h and rest +- h

@@ -68,8 +68,9 @@ def test_mean_monotone_in_eta_resolution_monotone_in_noise():
 
 
 def test_binomial_thinning_composes_to_poisson():
-    # Poisson(mu) photons thinned by eta must be indistinguishable from a
-    # direct Poisson(eta*mu) draw: one-sample chi-square against the pmf
+    # the photoelectron marginal: Poisson(mu) photons thinned by eta must be
+    # indistinguishable from a direct Poisson(eta*mu) draw, by a one-sample
+    # chi-square against the pmf
     cfg = cipd.CipdConfig(dark_rate=0.0, readout_noise=0.0)
     mu, n = 2.0, 100_000
     rec = cipd.simulate_pulses(cfg, mu, n, rng=12345)
@@ -86,6 +87,76 @@ def test_binomial_thinning_composes_to_poisson():
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     p = stats.chi2.sf(chi2, df=len(expected) - 1)
     assert p > 0.01
+
+
+def _chi2_p(samples, dist):
+    """p-value of a one-sample chi-square of integer samples against a scipy
+    discrete distribution, the tail pooled so every expected count is >= 5."""
+    kmax = int(samples.max())
+    observed = np.bincount(samples, minlength=kmax + 1).astype(float)
+    expected = dist.pmf(np.arange(kmax + 1)) * len(samples)
+    expected[-1] += dist.sf(kmax) * len(samples)
+    while expected[-1] < 5 and len(expected) > 2:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return stats.chi2.sf(chi2, df=len(expected) - 1)
+
+
+def test_poisson_source_counts_have_the_thinned_joint_law():
+    # photons ~ Poisson(mu), pe | photons = k ~ Binomial(k, eta), and dark
+    # electrons ~ Poisson(dark_per_window) at a window mean with a tail
+    cfg = cipd.CipdConfig(dark_rate=40.0, readout_noise=0.0)
+    mu, n = 2.5, 400_000
+    rec = cipd.simulate_pulses(cfg, mu, n, rng=8675309)
+    assert _chi2_p(rec.true_photons, stats.poisson(mu)) > 0.01
+    for k in range(1, 5):
+        pe = rec.photoelectrons[rec.true_photons == k]
+        assert _chi2_p(pe, stats.binom(k, cfg.eta)) > 0.01, k
+    assert cfg.dark_per_window == 2.0
+    assert _chi2_p(rec.dark_electrons, stats.poisson(cfg.dark_per_window)) > 0.01
+
+
+def test_poisson_counts_shape_and_edge_cases():
+    gen = np.random.default_rng(17)
+    assert not cipd._poisson_counts(gen, 0.0, 3 * 65536 + 1).any()
+    for n in (1, 65535, 65536, 65537, 3 * 65536 + 1):
+        counts = cipd._poisson_counts(gen, 2.5, n)
+        assert counts.shape == (n,) and counts.dtype == np.int64 and counts.min() >= 0
+    # every cell of a block, the last one included, has mean lam
+    small = np.array([cipd._poisson_counts(gen, 2.0, 3) for _ in range(20_000)])
+    assert np.all(np.abs(small.mean(axis=0) - 2.0) <= 5 * math.sqrt(2.0 / 20_000))
+    same =[cipd._poisson_counts(np.random.default_rng(5), 1.5, 70_000) for _ in range(2)]
+    np.testing.assert_array_equal(*same)
+
+
+@pytest.mark.parametrize("lam", [9.999, 10.0, 50.0])
+def test_poisson_counts_mean_on_both_sides_of_the_switch(lam):
+    n = 200_000
+    counts = cipd._poisson_counts(np.random.default_rng(23), lam, n)
+    assert abs(counts.mean() - lam) <= 5 * math.sqrt(lam / n)
+
+
+def test_poisson_source_draws_no_per_pulse_count_below_the_switch():
+    class Spy(np.random.Generator):
+        def binomial(self, *args, **kwargs):
+            raise AssertionError("a Poisson source draws no binomial")
+
+        def poisson(self, lam, size=None):
+            assert size is None or lam >= cipd._SCATTER_MAX_MEAN, (lam, size)
+            return super().poisson(lam, size)
+
+    for mu in (0.0, 2.5, 30.0):
+        cipd.simulate_pulses(cipd.CipdConfig(), mu, 70_000, rng=Spy(np.random.PCG64(1)))
+
+
+def test_largest_source_mean_keeps_the_chain_finite():
+    rec = cipd.simulate_pulses(cipd.CipdConfig(), cipd.MAX_POISSON_MEAN, 3, rng=4)
+    assert np.all(rec.photoelectrons <= rec.true_photons)
+    assert np.all(np.isfinite(rec.output_charge))
+    with pytest.raises(ValueError, match="source mean"):
+        cipd.simulate_pulses(cipd.CipdConfig(), 2 * cipd.MAX_POISSON_MEAN, 3, rng=4)
 
 
 def test_noiseless_integer_gain_grid():

@@ -257,10 +257,10 @@ def test_rerun_is_byte_identical(name, tmp_path):
 # reference runs in test_cubicphase.py
 FROZEN_MANIFESTS = {
     "bundled": (SCENARIO_DIR / "cipd_histogram.json",
-                "15d1d83a659eedd9c9b143c39de40cdc4597198ead53e16fa44d221cbe44c3dc"),
+                "0aa7d5a5405ccba941cb073cbb1966f93b04ec2ec0a2071ab7cbbd2b8ed8f979"),
     "1e5-pulses": ({"kind": "cipd-histogram", "seed": 12345, "parameters": {
         "n_pulses": 100000, "source_mean": 2.5, "gain_dispersion": 0.1}},
-                   "913e1e2337d271fd263b22aacea0ebc028629d7d0b153e42d75e24c18595bf57"),
+                   "ba8c1dee122dd7c0a00bd56a9834b8b9f963a416c36cb155d2860bed225b8840"),
     "cipd-resolution": (SCENARIO_DIR / "cipd_resolution.json",
                         "b71da253ebcb8bcd9c6c9a8f5e2684379d8b2ecae56a2c1f1b5e606442dd2224"),
     "dense-coding-phase-sweep": (
