@@ -41,6 +41,11 @@ DEFAULT_BIN_WIDTH_E = 1.0
 # histogram artifacts at that size: about 120 MB, 0.4 GB peak memory).
 MAX_HISTOGRAM_BINS = 1_000_000
 
+# Most smoothing work the peak finder may do: kernel radius (one pass over the
+# histogram per pair of taps) times bins.  On 2 cores, radius 27,000 over 60,001
+# bins (1.62e9) took 2.0-2.4 s and radius 9,000 over 20,001 bins 0.23 s.
+MAX_SMOOTHING_WORK = 1e9
+
 # Most pulses a run may simulate: ten times a 1e6-pulse run (records.csv 26 MB).
 MAX_PULSES = 10_000_000
 
@@ -127,7 +132,7 @@ class ResolutionConfig(_Detector):
 
     target_snr: float = param(4.0, "resolution target for required_noise", gt=0.0)
     drift_duration_s: float = param(1.0, "duration for the dark-drift estimate", ge=0.0)
-    drift_budget_e: float = param(None, "dark-drift budget, electrons")
+    drift_budget_e: float = param(None, "dark-drift budget, electrons", ge=0.0)
 
 
 class PulseRecords:
@@ -343,10 +348,15 @@ def detect_peaks(hist, gain):
     highest peak first; equal heights are taken in np.argsort's order.  The
     smoothing and the peak rules reproduce scipy's gaussian_filter1d and
     find_peaks bit for bit, without importing scipy.  A kernel radius of
-    MAX_HISTOGRAM_BINS bins or more is refused.
+    MAX_HISTOGRAM_BINS bins or more, or a radius times bins past
+    MAX_SMOOTHING_WORK, is refused.
     """
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
     sigma = peak_kernel_sigma(gain, width)
+    radius, bins = int(4.0 * sigma + 0.5), len(hist.counts)  # _gaussian_smooth's radius
+    if radius * bins > MAX_SMOOTHING_WORK:
+        raise ValueError(f"gain, bin_width: a peak kernel of radius {radius} over {bins} bins "
+                         f"is more smoothing than MAX_SMOOTHING_WORK = {MAX_SMOOTHING_WORK:g}")
     smooth = _gaussian_smooth(hist.probability, sigma)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()
     distance = max(1, int(round(0.5 * gain / width)))

@@ -1,10 +1,11 @@
 """Measurement-induced cubic phase gate, desk-scale Fock simulation.
 
-Pipeline: a two-mode squeezed vacuum is prepared, one arm is displaced and
-photon-counted (the count shapes the kept arm into a non-Gaussian ancilla),
-the ancilla gets a squeeze correction and is coupled to the target through
-the QND interaction exp(-i g x_t p_a), and finally the ancilla output is
-homodyned, conditioning the target.  In position representation the
+Pipeline, as run_gate runs it: prepare_ancilla builds a two-mode squeezed
+vacuum with one arm displaced; fock.photon_count counts that arm (the count
+shapes the kept arm into a non-Gaussian ancilla); fock.squeeze_op applies the
+squeeze correction; couple joins ancilla and target through the QND
+interaction exp(-i g x_t p_a); and readout_and_condition homodynes the
+ancilla output, conditioning the target.  In position representation the
 conditioned target is psi_t(x) * chi(m - g x), chi the ancilla wavefunction
 and m the homodyne outcome, which is where the induced (approximately cubic)
 phase comes from.
@@ -121,20 +122,6 @@ def prepare_ancilla(config):
     return fock.displacement_op(config.displacement_alpha, config.dim).apply(st, mode=1)
 
 
-def post_select(state, outcome=None, rng=None):
-    """Photon-count the displaced arm; returns the fock-layer count result
-    whose `conditional` is the kept (non-Gaussian) ancilla arm."""
-    try:
-        return fock.photon_count(state, rng=rng, outcome=outcome)
-    except ValueError as exc:  # a forced outcome is the config's post_select_n
-        raise (exc if outcome is None else ValueError(f"post_select_n: {exc}")) from None
-
-
-def apply_correction(ancilla, config):
-    """Squeeze correction on the counted-and-kept ancilla arm."""
-    return fock.squeeze_op(config.correction_s, config.dim).apply(ancilla)
-
-
 def couple(target, ancilla, config):
     """Couple target (mode 0) to ancilla (mode 1) through exp(-i g x_t p_a):
     the ancilla x picks up g * x_target."""
@@ -235,8 +222,12 @@ def run_gate(config, seed=None):
     gen = np.random.default_rng(seed)
     target = fock.vacuum_state(config.dim)
     resource = prepare_ancilla(config)
-    count = post_select(resource, outcome=config.post_select_n, rng=gen)
-    ancilla = apply_correction(count.conditional, config)
+    try:  # photon-count the displaced arm; the kept arm is the ancilla
+        count = fock.photon_count(resource, rng=gen, outcome=config.post_select_n)
+    except ValueError as exc:  # a forced count is the config's post_select_n
+        raise (exc if config.post_select_n is None
+               else ValueError(f"post_select_n: {exc}")) from None
+    ancilla = fock.squeeze_op(config.correction_s, config.dim).apply(count.conditional)
     joint = couple(target, ancilla, config)
     x_m, conditioned = readout_and_condition(joint, config, rng=gen)
     # with the ancilla homodyned the surviving mode is the target; homodyning
@@ -259,9 +250,4 @@ def run_gate(config, seed=None):
         conditional_ancilla=ancilla,
         diagnostics=diagnostics,
     )
-
-
-def count_distribution(config):
-    """Photon-count pmf of the displaced arm (before any post-selection)."""
-    return (np.abs(prepare_ancilla(config)) ** 2).sum(axis=0)
 

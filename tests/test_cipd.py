@@ -213,6 +213,16 @@ def test_histogram_bin_cap():
             cipd.histogram(np.array(charges), bin_width=width)
 
 
+def test_peak_smoothing_work_is_bounded_inclusively(monkeypatch):
+    # gain 10 at bin width 1: a kernel of radius 9 over 101 bins, 909 units of work
+    hist = cipd.Histogram(np.arange(102) - 0.5, np.ones(101, dtype=np.int64), 101)
+    monkeypatch.setattr(cipd, "MAX_SMOOTHING_WORK", 909)
+    cipd.detect_peaks(hist, 10.0)
+    monkeypatch.setattr(cipd, "MAX_SMOOTHING_WORK", 908)
+    with pytest.raises(ValueError, match="^gain, bin_width: a peak kernel of radius 9 over 101 "):
+        cipd.detect_peaks(hist, 10.0)
+
+
 def test_peaks_merge_at_current_noise():
     cfg = cipd.CipdConfig()
     rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=0)

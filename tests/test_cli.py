@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsim import cli, cubicphase, declare, densecoding, fock
+from cvsim import cipd, cli, cubicphase, declare, densecoding, fock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIO_DIR.glob("*.json"))
@@ -416,6 +416,11 @@ def test_oversized_integer_literal_exits_one(tmp_path, capsys):
     (dict(kind="dense-coding-spectrum", seed=-1, parameters={"n_samples": 100}), "seed: "),
     (dict(output_dir=5), "output_dir: "),
     (dict(parameters=[1]), "parameters: "),
+    # a peak kernel of radius 27,000 over about 60,000 bins of dark-electron
+    # charge: past cipd.MAX_SMOOTHING_WORK, refused before the smoothing
+    (dict(parameters={"gain": 3e4, "bin_width": 1, "source_mean": 40, "eta": 0,
+                      "readout_noise": 0.1, "n_pulses": 40000}),
+     "parameters.gain, parameters.bin_width"),
 ])
 def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     path = scenario_file(tmp_path, **mutate)
@@ -423,6 +428,20 @@ def test_config_errors_name_the_field(tmp_path, capsys, mutate, needle):
     assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
     assert needle in capsys.readouterr().err
     assert not out.exists(), "partial artifacts after config error"
+
+
+def test_a_peak_kernel_just_under_the_smoothing_bound_runs(tmp_path):
+    # charges at 0 and 2 gain: a kernel of radius 21,150 over about 47,000 bins,
+    # just under cipd.MAX_SMOOTHING_WORK
+    gain = 23500.0
+    path = scenario_file(tmp_path, parameters={
+        "gain": gain, "source_pmf": [0.5, 0.0, 0.5], "eta": 1.0, "dark_rate": 0.0,
+        "readout_noise": 0.1, "n_pulses": 200})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 0
+    bins = len(json.loads((out / "histogram_charge.json").read_text())["counts"])
+    work = int(4.0 * cipd.PEAK_SMOOTHING_GAIN_FRACTION * gain + 0.5) * bins
+    assert 0.99 * cipd.MAX_SMOOTHING_WORK < work <= cipd.MAX_SMOOTHING_WORK
 
 
 def test_a_scenario_that_is_not_an_object_is_refused(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_config_digest_pins_configuration():
 def test_resource_mean_photon():
     # displaced TMSV arm: <n> = sinh^2 r + |alpha|^2
     cfg = cp.CubicGateConfig()
-    pmf = cp.count_distribution(cfg)
+    pmf = (np.abs(cp.prepare_ancilla(cfg)) ** 2).sum(axis=0)
     mean = float(np.arange(cfg.dim) @ pmf)
     expect = np.sinh(cfg.squeezing_r) ** 2 + abs(cfg.displacement_alpha) ** 2
     assert mean == pytest.approx(expect, abs=1e-8)
@@ -89,7 +89,7 @@ def test_count_distribution_collapses_to_geometric():
     # alpha = 0 strips the displacement: the counted arm of a TMSV is
     # geometric in photon number with ratio tanh(r)^2
     cfg = cp.CubicGateConfig(displacement_alpha=0.0, correction_s=0.0, coupling_g=0.0)
-    pmf = cp.count_distribution(cfg)
+    pmf = (np.abs(cp.prepare_ancilla(cfg)) ** 2).sum(axis=0)
     lam = np.tanh(cfg.squeezing_r) ** 2
     geo = lam ** np.arange(cfg.dim)
     geo /= geo.sum()
@@ -191,8 +191,8 @@ def test_outcome_completeness():
         if p < 1e-14:
             total += p
             continue
-        count = cp.post_select(resource, outcome=n)
-        anc = cp.apply_correction(count.conditional, cfg)
+        count = fock.photon_count(resource, outcome=n)
+        anc = fock.squeeze_op(cfg.correction_s, cfg.dim).apply(count.conditional)
         joint = cp.couple(target, anc, cfg)
         grid, dens = cp.homodyne_density(joint, cfg)
         total += p * simpson(dens, x=grid)
@@ -207,9 +207,9 @@ def test_conditional_states_normalized():
     for n, p in enumerate(pmf):
         if p < 1e-14:
             continue
-        count = cp.post_select(resource, outcome=n)
+        count = fock.photon_count(resource, outcome=n)
         assert abs(np.linalg.norm(count.conditional) - 1.0) <= 1e-8
-    joint = cp.couple(target, cp.post_select(resource, outcome=1).conditional, cfg)
+    joint = cp.couple(target, fock.photon_count(resource, outcome=1).conditional, cfg)
     for x in (-2.0, -0.5, 0.0, 0.7, 1.9):
         _, cond = cp.readout_and_condition(joint, cfg, fixed_x=x)
         assert abs(np.linalg.norm(cond) - 1.0) <= 1e-8
@@ -224,7 +224,8 @@ def test_conditioning_matches_position_route():
         cfg = cp.CubicGateConfig(dim=dim, qnd_pad=pad, post_select_n=2)
         target = np.eye(cfg.dim)[1]
         resource = cp.prepare_ancilla(cfg)
-        anc = cp.apply_correction(cp.post_select(resource, outcome=2).conditional, cfg)
+        anc = fock.squeeze_op(cfg.correction_s, cfg.dim).apply(
+            fock.photon_count(resource, outcome=2).conditional)
         joint = cp.couple(target, anc, cfg)
         x_m = 0.8
         _, cond = cp.readout_and_condition(joint, cfg, fixed_x=x_m)
@@ -249,8 +250,8 @@ def _joint(cfg, seed):
     half = cfg.dim // 2
     amps = np.zeros(cfg.dim, dtype=complex)
     amps[:half] = rng.normal(size=half) + 1j * rng.normal(size=half)
-    anc = cp.apply_correction(cp.post_select(cp.prepare_ancilla(cfg), outcome=1).conditional,
-                              cfg)
+    anc = fock.squeeze_op(cfg.correction_s, cfg.dim).apply(
+        fock.photon_count(cp.prepare_ancilla(cfg), outcome=1).conditional)
     return cp.couple(fock._normalized(amps), anc, cfg)
 
 
@@ -318,7 +319,8 @@ def test_homodyne_density_matches_moments():
     # carry the corrected ancilla's quadrature moments
     cfg = cp.CubicGateConfig(coupling_g=0.0, post_select_n=1)
     resource = cp.prepare_ancilla(cfg)
-    anc = cp.apply_correction(cp.post_select(resource, outcome=1).conditional, cfg)
+    anc = fock.squeeze_op(cfg.correction_s, cfg.dim).apply(
+        fock.photon_count(resource, outcome=1).conditional)
     joint = cp.couple(fock.vacuum_state(cfg.dim), anc, cfg)
     grid, dens = cp.homodyne_density(joint, cfg)
     total = simpson(dens, x=grid)
@@ -378,7 +380,7 @@ def test_diagnostics_match_simpson_on_the_default_grid():
     d = rec.diagnostics
     ref = _simpson_overlap(fock.vacuum_state(cfg.dim), rec.conditional_target, d["gamma_fit"])
     assert abs(d["cubic_overlap"] - ref) <= 1e-12
-    ancilla = cp.post_select(cp.prepare_ancilla(cfg), outcome=rec.count_n).conditional
+    ancilla = fock.photon_count(cp.prepare_ancilla(cfg), outcome=rec.count_n).conditional
     assert abs(d["ancilla_excess_kurtosis"] - _simpson_kurtosis(ancilla)) <= 1e-12
 
 
