@@ -99,8 +99,8 @@ class GateRunRecord:
     diagnostics: dict = field(default_factory=dict)
 
     def as_dict(self):
-        def amps(a):
-            return [[float(v.real), float(v.imag)] for v in a]
+        def amps(a):  # [[re, im], ...] in one pass
+            return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
         return {
             "config": self.config.as_dict(),
             "count_n": int(self.count_n),
