@@ -234,21 +234,24 @@ def photon_count(amps, rng=None, outcome=None):
 # operators
 
 
-def _unitary(h, dim):
-    """exp(-i h) for a Hermitian workspace matrix h, restricted to its first
-    `dim` levels.  A truncated unitary is not unitary: diagnostics
-    ['interior_unitarity'] is the defect of the workspace unitary on the
-    retained block, i.e. how well the block represents the full operator."""
-    lam, v = np.linalg.eigh(h)
-    full = (v * np.exp(-1j * lam)) @ v.conj().T
-    cols = full[:, :dim]
+def _unitary(lam, v, dim):
+    """exp(-i H) for H = v diag(lam) v^H on a workspace, restricted to its
+    first `dim` levels (a zero generator gives the identity exactly).  A
+    truncated unitary is not unitary: diagnostics['interior_unitarity'] is the
+    defect of the workspace unitary on the retained block, i.e. how well the
+    block represents the full operator."""
+    if not lam.any():
+        return FockOperator(np.eye(dim), diagnostics={"interior_unitarity": 0.0})
+    cols = (v * np.exp(-1j * lam)) @ v[:dim].conj().T
     defect = float(np.linalg.norm(cols.conj().T @ cols - np.eye(dim)))
-    return FockOperator(full[:dim, :dim], diagnostics={"interior_unitarity": defect})
+    return FockOperator(cols[:dim], diagnostics={"interior_unitarity": defect})
 
 
 def displacement_op(alpha, dim):
     """D(alpha) = exp(alpha a^dag - alpha* a): exactly unitary at any cutoff.
-    ValueError naming alpha where the generator is not finite."""
+    Its truncated generator i(alpha a^dag - alpha* a) is sqrt(2)|alpha| R^H p R,
+    R = diag(e^{-i n arg alpha}), so its eigenpairs are p's from
+    _quadrature_eigh(dim).  ValueError naming alpha where they are not finite."""
     alpha = complex(alpha)
     size2 = abs(alpha) * abs(alpha)  # inf past the float range, where ** raises
     if size2 > dim / 4.0:
@@ -257,12 +260,12 @@ def displacement_op(alpha, dim):
             "the displaced state will be clipped",
             TruncationWarning,
         )
-    a = annihilation(dim)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
-        h = 1j * (alpha * a.conj().T - alpha.conjugate() * a)
-    if not np.isfinite(h).all():
+    _, _, pi, w = _quadrature_eigh(dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite one is refused below
+        lam = math.sqrt(2.0) * abs(alpha) * pi
+    if not np.isfinite(lam).all():
         raise ValueError(f"alpha: {alpha!r} gives a non-finite generator at dim={dim}")
-    return _unitary(h, dim)
+    return _unitary(lam, np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None] * w, dim)
 
 
 def squeeze_op(s, dim):
@@ -283,7 +286,7 @@ def squeeze_op(s, dim):
 @functools.lru_cache(maxsize=4)
 def _squeeze_unitary(s, dim):
     a = annihilation(dim)
-    return _unitary(0.5j * s * (a @ a - a.conj().T @ a.conj().T), dim)
+    return _unitary(*np.linalg.eigh(0.5j * s * (a @ a - a.conj().T @ a.conj().T)), dim)
 
 
 @functools.lru_cache(maxsize=4)
@@ -303,12 +306,6 @@ def _quadrature_eigh(workspace):
     return factors
 
 
-@functools.lru_cache(maxsize=4)
-def _qnd_gram_defect(dim, workspace):
-    """_product_gram_defect of the first `dim` rows of the workspace's V."""
-    return _product_gram_defect(_quadrature_eigh(workspace)[1][:dim])
-
-
 def _product_gram_defect(a):
     """||(a a^H) (x) (a a^H) - I||_F without forming the Kronecker product.
 
@@ -326,19 +323,18 @@ def _product_gram_defect(a):
 
 
 def cubic_phase_op(gamma, dim, pad=None):
-    """exp(i gamma x^3) = exp(-i H), H = -gamma x^3 at workspace dim+pad
-    (pad defaults to dim // 2), truncated to dim."""
+    """exp(i gamma x^3) = exp(-i H), H = -gamma x^3 at workspace dim+pad,
+    truncated to dim: H's eigenpairs are (-gamma xi^3, V) from x's.  The
+    workspace is the QND coupling's, with its pad default and refusals."""
     gamma = float(gamma)
-    if pad is None:
-        pad = dim // 2
+    xi, v, _, _ = _quadrature_eigh(_qnd_workspace(dim, pad))
     if gamma * dim ** 1.5 > CUBIC_ALIAS_LIMIT:
         warnings.warn(
             f"gamma*dim^(3/2) = {gamma * dim**1.5:.2f} risks phase aliasing across "
             "the truncated position range",
             TruncationWarning,
         )
-    x = position_op(dim + pad)
-    return _unitary(-gamma * (x @ x @ x), dim)
+    return _unitary(-gamma * xi ** 3, v, dim)
 
 
 def _qnd_workspace(dim, pad=None):
@@ -378,7 +374,7 @@ def qnd_coupling_op(g, dim, pad=None):
     xi, v, pi, wv = _quadrature_eigh(w)
     v, wv = v[:dim], wv[:dim]
     return QNDCoupling(v, wv, np.exp(-1j * g * np.outer(xi, pi)),
-                       {"interior_unitarity": _qnd_gram_defect(dim, w)})
+                       {"interior_unitarity": _product_gram_defect(v)})
 
 
 def qnd_heisenberg_residual(g, dim, pad=None):

@@ -616,8 +616,7 @@ def test_strict_escalates_every_run_in_a_process(tmp_path, capsys, params, needl
 
 
 def _clear_fock_caches():
-    for cached in (fock._cached_hermite_table, fock._quadrature_eigh, fock._qnd_gram_defect,
-                   fock._squeeze_unitary):
+    for cached in (fock._cached_hermite_table, fock._quadrature_eigh, fock._squeeze_unitary):
         cached.cache_clear()
 
 

@@ -1,18 +1,23 @@
 """Tests for the truncated Fock-space layer.
 
-Every one-mode operator is built as exp(-iH) from one eigendecomposition of
-its generator.  Where an operator has a closed-form matrix element
-(displacement), that build is checked against the analytic expression as an
-independent route; scipy's expm of the same truncated generators is kept here
-as a second reference.
+Every one-mode operator is built as exp(-iH) from eigenpairs of its
+generator: the displacement and the cubic phase from x's one cached
+eigendecomposition, the squeeze from its own.  Where an operator has a
+closed-form matrix element (displacement), that build is checked against the
+analytic expression as an independent route; scipy's expm of the same
+truncated generators is kept here as a second reference.
 """
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import expm
 from scipy.special import factorial, gammaln, genlaguerre
 
 from cvsim import fock
@@ -145,7 +150,6 @@ def test_displacement_against_closed_form():
 
 @pytest.mark.parametrize("dim, cubic_dim, cubic_pad", [(16, 16, 8), (32, 20, 20), (64, 32, 16)])
 def test_one_mode_builder_matches_references(dim, cubic_dim, cubic_pad):
-    from scipy.linalg import expm
     alpha, s, gamma = 0.5 + 1j, 0.15, 0.05
     a = fock.annihilation(dim)
     ad = a.conj().T
@@ -158,6 +162,27 @@ def test_one_mode_builder_matches_references(dim, cubic_dim, cubic_pad):
     c_ref = ((v * np.exp(1j * gamma * xi ** 3)) @ v.conj().T)[:cubic_dim, :cubic_dim]
     op = fock.cubic_phase_op(gamma, cubic_dim, cubic_pad)
     assert np.abs(op.matrix - c_ref).max() <= 1e-13
+    # and independently of that eigenbasis, as expm of the workspace x^3, cropped
+    x = fock.position_op(cubic_dim + cubic_pad)
+    c_expm = expm(1j * gamma * x @ x @ x)[:cubic_dim, :cubic_dim]
+    assert np.abs(op.matrix - c_expm).max() <= 1e-13
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(dim=st.integers(8, 64), size=st.floats(0.0, 1.0, exclude_max=True),
+       phase=st.floats(-math.pi, math.pi))
+def test_displacement_matches_expm(dim, size, phase):
+    # |alpha|^2 up to dim/4, the bound above which displacement_op warns
+    alpha = size * math.sqrt(dim / 4.0) * complex(math.cos(phase), math.sin(phase))
+    a = fock.annihilation(dim)
+    d_ref = expm(alpha * a.conj().T - alpha.conjugate() * a)
+    assert np.abs(fock.displacement_op(alpha, dim).matrix - d_ref).max() <= 1e-12
+
+
+def test_zero_generators_give_the_identity():
+    for op in (fock.displacement_op(0.0, 12), fock.squeeze_op(0.0, 12),
+               fock.cubic_phase_op(0.0, 12)):
+        assert np.array_equal(op.matrix, np.eye(12))
 
 
 def test_displacement_is_exactly_unitary():
@@ -303,7 +328,6 @@ def test_qnd_identity_at_zero():
 
 def test_qnd_matches_dense_exponential_small_dim():
     # the eigenbasis block build must equal expm of the kron generator
-    from scipy.linalg import expm
     dim, g = 6, 0.7
     op = fock.qnd_coupling_op(g, dim, pad=0)
     x = fock.position_op(dim)
@@ -360,7 +384,6 @@ def _qnd_reference(g, dim, pad, amps):
     """exp(-i g x1 p2) on the joint amplitudes by explicit exponentials: one
     expm(-i g xi_k p) per x1 eigenvalue on the workspace, or at pad 0 the
     expm of the Kronecker generator."""
-    from scipy.linalg import expm
     if pad == 0:
         gen = np.kron(fock.position_op(dim), fock.momentum_op(dim))
         return (expm(-1j * g * gen) @ amps.reshape(-1)).reshape(dim, dim)
@@ -571,7 +594,14 @@ def test_moments_exact_at_the_cutoff(dim):
     (lambda: fock.photon_count(fock.vacuum_state(4)), "photon_count expects a two-mode state"),
     (lambda: fock.photon_count(np.ones((3, 3))), r"state is not normalized \(total probability 9\.0"),
     (lambda: fock.qnd_coupling_op(0.5, 1), "need dim >= 2"),
+    # the cubic phase's workspace pad, refused before any build
+    (lambda: fock.cubic_phase_op(0.05, 16, pad=-3), "^qnd_pad: must be >= 0, got -3$"),
+    (lambda: fock.cubic_phase_op(0.05, 16, pad=-20), "^qnd_pad: must be >= 0, got -20$"),
+    (lambda: fock.cubic_phase_op(0.05, 16, pad=1500),
+     r"^dim, qnd_pad: QND workspace dim \+ qnd_pad = 16 \+ 1500 per mode exceeds the limit"),
 ])
 def test_refusals_name_the_fault(call, message):
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match=message):
         call()
+    assert time.perf_counter() - t0 < 0.1
