@@ -343,8 +343,8 @@ def cubic_phase_op(gamma, dim, pad=None):
 def _qnd_workspace(dim, pad=None):
     """Per-mode workspace dim + pad of the QND coupling and the cubic phase
     (pad defaults to dim // 2), refused when pad < 0 or when it exceeds
-    QND_WORKSPACE_LIMIT.
-    The errors name dim and qnd_pad, the gate configuration's fields."""
+    QND_WORKSPACE_LIMIT.  The errors name dim and qnd_pad, the gate
+    configuration's fields."""
     if pad is None:
         pad = dim // 2
     if pad < 0:
