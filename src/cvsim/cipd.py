@@ -199,31 +199,26 @@ def _poisson_counts(gen, lam, n):
     return counts
 
 
-def simulate_pulses(config, source, n_pulses, rng=None):
-    """Run the pulse chain.  source is either a Poisson mean (LED light) or a
-    photon-number pmf indexed from 0 (e.g. [0, 1] for a deterministic
-    one-photon source).
+def simulate_pulses(config, rng=None):
+    """Run the pulse chain for a HistogramConfig: config.n_pulses pulses from a
+    Poisson source of mean config.source_mean (LED light), or from
+    config.source_pmf, a photon-number pmf indexed from 0 (e.g. [0, 1] for a
+    deterministic one-photon source), when it is given.
 
     For a Poisson mean mu the photoelectrons are Poisson(eta * mu) and the
     lost photons an independent Poisson((1 - eta) * mu); photons are their
     sum.  A pmf source's photons are thinned binomially by eta.  The dark
     electrons are Poisson(dark_per_window) for both kinds."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
     if not config.dark_per_window <= MAX_POISSON_MEAN:  # also 0 e/s over an infinite window
         raise ValueError(f"dark_rate, sample_rate: {config.dark_rate!r} e/s over "
                          f"1/{config.sample_rate!r} s exceeds {MAX_POISSON_MEAN!r} electrons")
-    gen = np.random.default_rng(rng)
-    if np.isscalar(source):
-        if not 0 <= source <= MAX_POISSON_MEAN:  # also NaN; keeps the photon sum in int64
-            raise ValueError(f"source mean must lie in [0, {MAX_POISSON_MEAN!r}], "
-                             f"got {source!r}")
-        pe = _poisson_counts(gen, config.eta * source, n_pulses)
-        photons = pe + _poisson_counts(gen, (1.0 - config.eta) * source, n_pulses)
+    gen, n_pulses = np.random.default_rng(rng), config.n_pulses
+    if config.source_pmf is None:
+        mu = config.source_mean
+        pe = _poisson_counts(gen, config.eta * mu, n_pulses)
+        photons = pe + _poisson_counts(gen, (1.0 - config.eta) * mu, n_pulses)
     else:
-        pmf = np.asarray(source, dtype=float)
-        if pmf.ndim != 1 or np.any(pmf < 0) or not math.isclose(pmf.sum(), 1.0, abs_tol=1e-9):
-            raise ValueError("photon-number distribution must be a pmf")
+        pmf = np.asarray(config.source_pmf, dtype=float)
         photons = gen.choice(len(pmf), size=n_pulses, p=pmf / pmf.sum())
         pe = gen.binomial(photons, config.eta)
     dark = _poisson_counts(gen, config.dark_per_window, n_pulses)

@@ -104,8 +104,7 @@ def _run_cubic_phase(config, seed, out):
 def _run_cipd_histogram(config, seed, out):
     # the peak kernel bounds gain well below any charge overflow: refuse it before drawing
     cipd.peak_kernel_sigma(config.gain, config.bin_width)
-    source = config.source_pmf if config.source_pmf is not None else config.source_mean
-    records = cipd.simulate_pulses(config, source, config.n_pulses, rng=seed)
+    records = cipd.simulate_pulses(config, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
     peaks = cipd.detect_peaks(hist, config.gain)
     referred = hist.scaled(1.0 / config.gain)  # ratios at which these edges would collide

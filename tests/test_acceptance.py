@@ -203,12 +203,12 @@ def test_criterion_08_cipd_resolution_arithmetic():
     assert snr == pytest.approx(1.43, abs=0.01)
     assert cipd.required_noise(config, 4.0) == pytest.approx(2.5, abs=1e-12)
 
-    merged = cipd.simulate_pulses(config, 2.0, 2000, rng=0)
+    merged = cipd.simulate_pulses(cipd.HistogramConfig(), rng=0)
     peaks_now = cipd.detect_peaks(cipd.histogram(merged), config.gain)
     assert len(peaks_now) <= 1
 
     improved = cipd.CipdConfig(readout_noise=7.0 / 3.0)
-    resolved = cipd.simulate_pulses(improved, 2.0, 2000, rng=0)
+    resolved = cipd.simulate_pulses(cipd.HistogramConfig(readout_noise=7.0 / 3.0), rng=0)
     peaks = cipd.detect_peaks(cipd.histogram(resolved), improved.gain)
     assert len(peaks) >= 3
     offsets = np.abs(peaks / improved.gain - np.round(peaks / improved.gain))
@@ -226,7 +226,7 @@ def test_criterion_09_cipd_moment_oracle():
     n = 100_000
     details = []
     for mu, seed in ((0.5, 31), (2.0, 32)):
-        rec = cipd.simulate_pulses(config, mu, n, rng=seed)
+        rec = cipd.simulate_pulses(cipd.HistogramConfig(source_mean=mu, n_pulses=n), rng=seed)
         mean, var = cipd.analytic_moments(config, mu)
         lam = config.eta * mu + config.dark_per_window
         se_mean = math.sqrt(var / n)

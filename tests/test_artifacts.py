@@ -399,8 +399,9 @@ def test_powers_of_two_and_neighbours_match_repr(tmp_path):
 def test_integer_charges_match_repr(gain, tmp_path):
     # no readout noise and no gain dispersion: every charge is an integer,
     # whose shortest digits are many fewer than 17 (the deepest descents)
-    config = cipd.CipdConfig(gain=gain, readout_noise=0.0, gain_dispersion=0.0)
-    records = cipd.simulate_pulses(config, 40.0, 3 * artifacts._CHUNK_ROWS + 5, rng=3)
+    config = cipd.HistogramConfig(gain=gain, readout_noise=0.0, gain_dispersion=0.0,
+                                  source_mean=40.0, n_pulses=3 * artifacts._CHUNK_ROWS + 5)
+    records = cipd.simulate_pulses(config, rng=3)
     col = records.output_charge
     assert (col == np.round(col)).all() and col.max() >= 10.0
     _, places, fast = artifacts._shortest(col)
@@ -432,8 +433,8 @@ def test_mixed_widths_across_chunks_match_repr(n_rows, tmp_path):
 def test_detector_charges_take_no_repr(tmp_path):
     # a 1e5-pulse charge column at the default operating point: every value is
     # in repr's positional range and none is a 17- or 16-digit tie
-    config = cipd.CipdConfig(gain_dispersion=0.1)
-    col = cipd.simulate_pulses(config, 3.0, 100_000, rng=3).output_charge
+    config = cipd.HistogramConfig(gain_dispersion=0.1, source_mean=3.0, n_pulses=100_000)
+    col = cipd.simulate_pulses(config, rng=3).output_charge
     assert (col < 0).any()
     assert artifacts._shortest(np.abs(col))[2].all()
     assert written_rows(tmp_path, col) == reference_rows(col)

@@ -30,8 +30,9 @@ def test_config_defaults_and_validation():
 
 def test_unit_chain_is_exact():
     # eta=1, gain=1, no dark, no noise, deterministic single photon source
-    cfg = cipd.CipdConfig(eta=1.0, gain=1.0, dark_rate=0.0, readout_noise=0.0)
-    rec = cipd.simulate_pulses(cfg, [0.0, 1.0], 500, rng=2)
+    cfg = cipd.HistogramConfig(eta=1.0, gain=1.0, dark_rate=0.0, readout_noise=0.0,
+                               source_pmf=[0.0, 1.0], n_pulses=500)
+    rec = cipd.simulate_pulses(cfg, rng=2)
     assert np.all(rec.true_photons == 1)
     assert np.all(rec.photoelectrons == 1)
     assert np.all(rec.dark_electrons == 0)
@@ -42,7 +43,7 @@ def test_unit_chain_is_exact():
 def test_charge_moments_match_analytics(mu):
     cfg = cipd.CipdConfig()
     n = 100_000
-    rec = cipd.simulate_pulses(cfg, mu, n, rng=7)
+    rec = cipd.simulate_pulses(cipd.HistogramConfig(source_mean=mu, n_pulses=n), rng=7)
     mean, var = cipd.analytic_moments(cfg, mu)
     lam = cfg.eta * mu + cfg.dark_per_window
     se_mean = math.sqrt(var / n)
@@ -62,8 +63,8 @@ def test_mean_monotone_in_eta_resolution_monotone_in_noise():
     res = [cipd.resolution_metric(cipd.CipdConfig(readout_noise=s)) for s in noises]
     assert np.all(np.diff(res) <= 0)
     # and the same ordering shows up in matched-seed simulations
-    lo = cipd.simulate_pulses(cipd.CipdConfig(eta=0.3), 2.0, 50_000, rng=11)
-    hi = cipd.simulate_pulses(cipd.CipdConfig(eta=0.9), 2.0, 50_000, rng=11)
+    lo = cipd.simulate_pulses(cipd.HistogramConfig(eta=0.3, n_pulses=50_000), rng=11)
+    hi = cipd.simulate_pulses(cipd.HistogramConfig(eta=0.9, n_pulses=50_000), rng=11)
     assert hi.output_charge.mean() > lo.output_charge.mean()
 
 
@@ -71,9 +72,9 @@ def test_binomial_thinning_composes_to_poisson():
     # the photoelectron marginal: Poisson(mu) photons thinned by eta must be
     # indistinguishable from a direct Poisson(eta*mu) draw, by a one-sample
     # chi-square against the pmf
-    cfg = cipd.CipdConfig(dark_rate=0.0, readout_noise=0.0)
     mu, n = 2.0, 100_000
-    rec = cipd.simulate_pulses(cfg, mu, n, rng=12345)
+    cfg = cipd.HistogramConfig(dark_rate=0.0, readout_noise=0.0, source_mean=mu, n_pulses=n)
+    rec = cipd.simulate_pulses(cfg, rng=12345)
     pe = rec.photoelectrons
     kmax = pe.max()
     observed = np.bincount(pe, minlength=kmax + 1).astype(float)
@@ -107,9 +108,9 @@ def _chi2_p(samples, dist):
 def test_poisson_source_counts_have_the_thinned_joint_law():
     # photons ~ Poisson(mu), pe | photons = k ~ Binomial(k, eta), and dark
     # electrons ~ Poisson(dark_per_window) at a window mean with a tail
-    cfg = cipd.CipdConfig(dark_rate=40.0, readout_noise=0.0)
     mu, n = 2.5, 400_000
-    rec = cipd.simulate_pulses(cfg, mu, n, rng=8675309)
+    cfg = cipd.HistogramConfig(dark_rate=40.0, readout_noise=0.0, source_mean=mu, n_pulses=n)
+    rec = cipd.simulate_pulses(cfg, rng=8675309)
     assert _chi2_p(rec.true_photons, stats.poisson(mu)) > 0.01
     for k in range(1, 5):
         pe = rec.photoelectrons[rec.true_photons == k]
@@ -148,20 +149,20 @@ def test_poisson_source_draws_no_per_pulse_count_below_the_switch():
             return super().poisson(lam, size)
 
     for mu in (0.0, 2.5, 30.0):
-        cipd.simulate_pulses(cipd.CipdConfig(), mu, 70_000, rng=Spy(np.random.PCG64(1)))
+        cipd.simulate_pulses(cipd.HistogramConfig(source_mean=mu, n_pulses=70_000),
+                             rng=Spy(np.random.PCG64(1)))
 
 
 def test_largest_source_mean_keeps_the_chain_finite():
-    rec = cipd.simulate_pulses(cipd.CipdConfig(), cipd.MAX_POISSON_MEAN, 3, rng=4)
+    config = cipd.HistogramConfig(source_mean=cipd.MAX_POISSON_MEAN, n_pulses=3)
+    rec = cipd.simulate_pulses(config, rng=4)
     assert np.all(rec.photoelectrons <= rec.true_photons)
     assert np.all(np.isfinite(rec.output_charge))
-    with pytest.raises(ValueError, match="source mean"):
-        cipd.simulate_pulses(cipd.CipdConfig(), 2 * cipd.MAX_POISSON_MEAN, 3, rng=4)
 
 
 def test_noiseless_integer_gain_grid():
-    cfg = cipd.CipdConfig(readout_noise=0.0, dark_rate=0.0)
-    rec = cipd.simulate_pulses(cfg, 2.0, 20_000, rng=3)
+    cfg = cipd.HistogramConfig(readout_noise=0.0, dark_rate=0.0, n_pulses=20_000)
+    rec = cipd.simulate_pulses(cfg, rng=3)
     assert np.all(rec.output_charge % cfg.gain == 0.0)
     hist = cipd.histogram(rec)
     on_grid = np.isclose(hist.centers % cfg.gain, 0.0) | np.isclose(hist.centers % cfg.gain, cfg.gain)
@@ -224,15 +225,15 @@ def test_peak_smoothing_work_is_bounded_inclusively(monkeypatch):
 
 
 def test_peaks_merge_at_current_noise():
-    cfg = cipd.CipdConfig()
-    rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=0)
+    cfg = cipd.HistogramConfig()
+    rec = cipd.simulate_pulses(cfg, rng=0)
     peaks = cipd.detect_peaks(cipd.histogram(rec), cfg.gain)
     assert len(peaks) <= 1
 
 
 def test_peaks_resolve_at_one_third_noise():
-    cfg = cipd.CipdConfig(readout_noise=7.0 / 3.0)
-    rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=0)
+    cfg = cipd.HistogramConfig(readout_noise=7.0 / 3.0)
+    rec = cipd.simulate_pulses(cfg, rng=0)
     peaks = cipd.detect_peaks(cipd.histogram(rec), cfg.gain)
     assert len(peaks) >= 3
     # each resolved peak sits on the photon-number charge grid
@@ -255,10 +256,10 @@ ORACLE = settings(max_examples=200, deadline=None, database=None, derandomize=Tr
          source_mean=0.0, seed=0)
 def test_peak_detection_matches_scipy_on_simulated_histograms(
         gain, readout_noise, gain_dispersion, bin_width, n_pulses, source_mean, seed):
-    config = cipd.CipdConfig(gain=gain, readout_noise=readout_noise,
-                             gain_dispersion=gain_dispersion)
-    hist = cipd.histogram(cipd.simulate_pulses(config, source_mean, n_pulses, rng=seed),
-                          bin_width)
+    config = cipd.HistogramConfig(gain=gain, readout_noise=readout_noise,
+                                  gain_dispersion=gain_dispersion, source_mean=source_mean,
+                                  n_pulses=n_pulses)
+    hist = cipd.histogram(cipd.simulate_pulses(config, rng=seed), bin_width)
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
     sigma = cipd.PEAK_SMOOTHING_GAIN_FRACTION * gain / width
     smooth = cipd._gaussian_smooth(hist.probability, sigma)
@@ -307,18 +308,17 @@ def test_required_noise_values():
 
 
 def test_seed_determinism():
-    cfg = cipd.CipdConfig()
-    a = cipd.simulate_pulses(cfg, 2.0, 1000, rng=5)
-    b = cipd.simulate_pulses(cfg, 2.0, 1000, rng=5)
-    c = cipd.simulate_pulses(cfg, 2.0, 1000, rng=6)
+    cfg = cipd.HistogramConfig(n_pulses=1000)
+    a = cipd.simulate_pulses(cfg, rng=5)
+    b = cipd.simulate_pulses(cfg, rng=5)
+    c = cipd.simulate_pulses(cfg, rng=6)
     np.testing.assert_array_equal(a.output_charge, b.output_charge)
     np.testing.assert_array_equal(a.true_photons, b.true_photons)
     assert not np.array_equal(a.output_charge, c.output_charge)
 
 
 def test_records_container():
-    cfg = cipd.CipdConfig()
-    rec = cipd.simulate_pulses(cfg, 1.0, 100, rng=4)
+    rec = cipd.simulate_pulses(cipd.HistogramConfig(source_mean=1.0, n_pulses=100), rng=4)
     assert len(rec) == 100
     for column in (rec.true_photons, rec.photoelectrons, rec.dark_electrons):
         assert column.shape == (100,) and column.dtype.kind == "i"
@@ -332,16 +332,6 @@ def test_records_container():
         cipd.PulseRecords([1], [1], [0], [math.nan])
 
 
-def test_source_validation():
-    cfg = cipd.CipdConfig()
-    with pytest.raises(ValueError):
-        cipd.simulate_pulses(cfg, -1.0, 10, rng=0)
-    with pytest.raises(ValueError):
-        cipd.simulate_pulses(cfg, [0.5, 0.2], 10, rng=0)  # pmf sums to 0.7
-    with pytest.raises(ValueError):
-        cipd.simulate_pulses(cfg, 1.0, 0, rng=0)
-
-
 def test_gain_dispersion_hook():
     base = cipd.CipdConfig()
     noisy = cipd.CipdConfig(gain_dispersion=0.1)
@@ -350,7 +340,7 @@ def test_gain_dispersion_hook():
     assert m1 == m0
     assert v1 > v0
     n = 200_000
-    rec = cipd.simulate_pulses(noisy, 2.0, n, rng=8)
+    rec = cipd.simulate_pulses(cipd.HistogramConfig(gain_dispersion=0.1, n_pulses=n), rng=8)
     se = math.sqrt(2 * v1**2 / n) * 2  # loose: dispersion fattens the tails
     assert rec.output_charge.var() == pytest.approx(v1, abs=4 * se)
 
@@ -358,15 +348,16 @@ def test_gain_dispersion_hook():
 @pytest.mark.parametrize("dispersion", [0.5, 3.0])
 def test_dispersed_gain_never_negative(dispersion):
     # a gain of g(1 + d N(0,1)) goes negative for d of order 1
-    cfg = cipd.CipdConfig(gain_dispersion=dispersion, readout_noise=0.0)
-    rec = cipd.simulate_pulses(cfg, 2.0, 2000, rng=5)
+    cfg = cipd.HistogramConfig(gain_dispersion=dispersion, readout_noise=0.0)
+    rec = cipd.simulate_pulses(cfg, rng=5)
     assert rec.output_charge.min() >= 0.0
 
 
 def test_dispersed_gain_moments():
     cfg = cipd.CipdConfig(gain_dispersion=0.3)
     n = 100_000
-    q = cipd.simulate_pulses(cfg, 2.0, n, rng=12).output_charge
+    q = cipd.simulate_pulses(cipd.HistogramConfig(gain_dispersion=0.3, n_pulses=n),
+                             rng=12).output_charge
     mean, var = cipd.analytic_moments(cfg, 2.0)
     mu4 = np.mean((q - q.mean()) ** 4)
     assert abs(q.mean() - mean) <= 5 * math.sqrt(var / n)
@@ -374,8 +365,7 @@ def test_dispersed_gain_moments():
 
 
 def test_writers_deterministic(tmp_path):
-    cfg = cipd.CipdConfig()
-    rec = cipd.simulate_pulses(cfg, 2.0, 50, rng=9)
+    rec = cipd.simulate_pulses(cipd.HistogramConfig(n_pulses=50), rng=9)
     hist = cipd.histogram(rec)
     cipd.write_histogram(hist, tmp_path, "a", "charge")
     cipd.write_histogram(hist, tmp_path, "b", "charge")
@@ -388,7 +378,8 @@ def test_writers_deterministic(tmp_path):
     np.testing.assert_array_equal(left, hist.bin_edges[:-1])
     np.testing.assert_array_equal(right, hist.bin_edges[1:])
 
-    many = cipd.simulate_pulses(cfg, 2.0, 20_000, rng=9)  # spans several write chunks
+    # spans several write chunks
+    many = cipd.simulate_pulses(cipd.HistogramConfig(n_pulses=20_000), rng=9)
     r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     cipd.write_records_csv(many, r1)
     cipd.write_records_csv(many, r2)
