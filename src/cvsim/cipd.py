@@ -49,6 +49,11 @@ MAX_SMOOTHING_WORK = 1e9
 # Most pulses a run may simulate: ten times a 1e6-pulse run (records.csv 26 MB).
 MAX_PULSES = 10_000_000
 
+# fewest_bins uses the counts (photoelectrons plus dark electrons) below
+# _FLOOR_COUNTS that each expect _FLOOR_PULSES pulses or more; a run whose counts
+# lie higher is left to the checks after the draw.
+_FLOOR_COUNTS, _FLOOR_PULSES = 4096, 20
+
 # Largest Poisson mean a run draws (source_mean, dark electrons per window):
 # numpy refuses means above about 9.2e18, and at 1e18 photoelectrons plus dark
 # electrons still sum well inside int64.
@@ -323,13 +328,51 @@ def _find_peaks(s, floor, distance):
     return peaks[prominence >= floor]
 
 
-def peak_kernel_sigma(gain, bin_width):
-    """The peak finder's smoothing width, in bins; a kernel radius of
-    MAX_HISTOGRAM_BINS bins or more is refused."""
+def peak_kernel_sigma(gain, bin_width, bins):
+    """The peak finder's smoothing width, in bins, over a histogram of `bins` bins.
+    A kernel radius of MAX_HISTOGRAM_BINS bins or more, or a radius times bins past
+    MAX_SMOOTHING_WORK, is refused."""
     sigma = PEAK_SMOOTHING_GAIN_FRACTION * gain / bin_width
     if not 4.0 * sigma < MAX_HISTOGRAM_BINS:  # the kernel's radius, in bins; also inf
         raise ValueError("gain, bin_width: the peak kernel is wider than MAX_HISTOGRAM_BINS")
+    radius = int(4.0 * sigma + 0.5)  # _gaussian_smooth's radius
+    if radius * bins > MAX_SMOOTHING_WORK:
+        raise ValueError(f"gain, bin_width: a peak kernel of radius {radius} over {bins} bins "
+                         f"is more smoothing than MAX_SMOOTHING_WORK = {MAX_SMOOTHING_WORK:g}")
     return sigma
+
+
+def _poisson_pmf(lam):
+    """Poisson(lam) at 0 .. _FLOOR_COUNTS - 1: 0 where it underflows, NaN past 0 for lam = inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0 or inf
+        return np.exp(np.r_[0.0, np.cumsum(np.log(lam / np.arange(1, _FLOOR_COUNTS)))] - lam)
+
+
+def fewest_bins(config):
+    """A floor on the charge histogram's bin count, read from a HistogramConfig
+    before any pulse is drawn.  Of the counts that fewest_bins uses, take the
+    lowest k1 and the highest k2.  A draw lies more than z = sqrt(19) standard
+    deviations to one side of its mean with probability at most 1/20
+    (Cantelli), so, each except with probability below e^-18, some pulse of
+    count k2 has a charge of at least g (1 - z d) k2 - z s, and some pulse of
+    count k1 at most g (1 + z d) k1 + z s (gain g, gain dispersion d, readout
+    noise s).  The bins span their difference over bin_width: the floor exceeds
+    the drawn bins with probability below 1e-7.  It is capped at MAX_HISTOGRAM_BINS."""
+    if config.source_pmf is None:
+        p = _poisson_pmf(config.eta * config.source_mean + config.dark_per_window)
+    else:  # thin the photon pmf (photons below _FLOOR_COUNTS) by Horner's rule in eta
+        photons, pe = config.source_pmf[:_FLOOR_COUNTS], np.zeros(_FLOOR_COUNTS)
+        for q in reversed(photons):
+            pe[1:] = (1.0 - config.eta) * pe[1:] + config.eta * pe[:-1]
+            pe[0] = (1.0 - config.eta) * pe[0] + q
+        p = np.convolve(pe[:len(photons)], _poisson_pmf(config.dark_per_window))
+    k = np.flatnonzero(config.n_pulses * p[:_FLOOR_COUNTS] >= _FLOOR_PULSES)
+    if k.size == 0:
+        return 0
+    z, d = math.sqrt(19.0), config.gain_dispersion
+    spread = (config.gain * (max(1.0 - z * d, 0.0) * int(k[-1]) - (1.0 + z * d) * int(k[0]))
+              - 2.0 * z * config.readout_noise)
+    return int(min(max(spread / config.bin_width, 0.0), MAX_HISTOGRAM_BINS))
 
 
 def detect_peaks(hist, gain):
@@ -347,11 +390,7 @@ def detect_peaks(hist, gain):
     MAX_SMOOTHING_WORK, is refused.
     """
     width = float(hist.bin_edges[1] - hist.bin_edges[0])
-    sigma = peak_kernel_sigma(gain, width)
-    radius, bins = int(4.0 * sigma + 0.5), len(hist.counts)  # _gaussian_smooth's radius
-    if radius * bins > MAX_SMOOTHING_WORK:
-        raise ValueError(f"gain, bin_width: a peak kernel of radius {radius} over {bins} bins "
-                         f"is more smoothing than MAX_SMOOTHING_WORK = {MAX_SMOOTHING_WORK:g}")
+    sigma = peak_kernel_sigma(gain, width, len(hist.counts))
     smooth = _gaussian_smooth(hist.probability, sigma)
     floor = PEAK_THRESHOLD_FRACTION * smooth.max()
     distance = max(1, int(round(0.5 * gain / width)))

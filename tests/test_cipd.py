@@ -160,6 +160,50 @@ def test_largest_source_mean_keeps_the_chain_finite():
     assert np.all(np.isfinite(rec.output_charge))
 
 
+# a source: a Poisson mean, or a pmf of up to 8 photon numbers
+SOURCES = st.one_of(
+    st.floats(0.0, 30.0).map(lambda mu: {"source_mean": mu}),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0).map(
+        lambda w: {"source_pmf": [x / sum(w) for x in w]}))
+PULSES = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+
+
+@PULSES
+@given(source=SOURCES, n_pulses=st.integers(1, 300), eta=st.floats(0.0, 1.0),
+       gain=st.floats(1.0, 1e3),
+       gain_dispersion=st.one_of(st.just(0.0), st.floats(0.0, cipd.MAX_GAIN_DISPERSION)),
+       readout_noise=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+       dark_rate=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), seed=st.integers(0, 2**32 - 1))
+def test_pulse_records_hold_for_any_histogram_config(source, seed, **detector):
+    config = cipd.HistogramConfig(**source, **detector)
+    rec = cipd.simulate_pulses(config, rng=seed)
+    assert len(rec) == config.n_pulses
+    assert np.all((0 <= rec.photoelectrons) & (rec.photoelectrons <= rec.true_photons))
+    assert np.all(rec.dark_electrons >= 0)
+    assert np.all(np.isfinite(rec.output_charge))
+    again = cipd.simulate_pulses(config, rng=seed)
+    for name in ("true_photons", "photoelectrons", "dark_electrons", "output_charge"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(rec, name))
+    if config.readout_noise == 0.0 and config.gain_dispersion == 0.0:
+        expected = config.gain * (rec.photoelectrons + rec.dark_electrons)
+        assert rec.output_charge.tobytes() == expected.tobytes()
+
+
+@PULSES
+@given(source=SOURCES, n_pulses=st.integers(20, 3000), eta=st.floats(0.0, 1.0),
+       gain=st.floats(1.0, 300.0), gain_dispersion=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+       readout_noise=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+       dark_rate=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), bin_width=st.floats(0.05, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+# a floor of 46,999 bins under the 47,001 drawn
+@example(source={"source_pmf": [0.5, 0.0, 0.5]}, n_pulses=200, eta=1.0, gain=23500.0,
+         gain_dispersion=0.0, readout_noise=0.1, dark_rate=0.0, bin_width=1.0, seed=5)
+def test_fewest_bins_is_a_floor_on_the_drawn_histogram(source, seed, **detector):
+    config = cipd.HistogramConfig(**source, **detector)
+    hist = cipd.histogram(cipd.simulate_pulses(config, rng=seed), config.bin_width)
+    assert cipd.fewest_bins(config) <= len(hist.counts)
+
+
 def test_noiseless_integer_gain_grid():
     cfg = cipd.HistogramConfig(readout_noise=0.0, dark_rate=0.0, n_pulses=20_000)
     rec = cipd.simulate_pulses(cfg, rng=3)

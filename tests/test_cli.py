@@ -444,6 +444,43 @@ def test_a_peak_kernel_just_under_the_smoothing_bound_runs(tmp_path):
     assert 0.99 * cipd.MAX_SMOOTHING_WORK < work <= cipd.MAX_SMOOTHING_WORK
 
 
+def test_an_over_wide_peak_kernel_is_refused_before_any_pulse_is_drawn(
+        tmp_path, capsys, monkeypatch):
+    # the dark-electron case above at 2e6 pulses: counts 0 to 3 each expect 20
+    # pulses or more, so the bins' floor is 89,999 under a kernel of radius 27,000
+    calls = []
+    monkeypatch.setattr(cli.cipd, "simulate_pulses", lambda *args, **kw: calls.append(args))
+    path = scenario_file(tmp_path, parameters={
+        "gain": 3e4, "bin_width": 1, "source_mean": 40, "eta": 0, "readout_noise": 0.1,
+        "n_pulses": 2_000_000})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: parameters.gain, parameters.bin_width: a peak kernel of radius 27000 "
+        f"over 89999 bins is more smoothing than MAX_SMOOTHING_WORK = 1e+09\n")
+    assert calls == [] and not out.exists()
+
+
+def test_output_dir_that_appears_during_the_run_is_left_alone(tmp_path, capsys, monkeypatch):
+    # another process creates output_dir while the pulses are written: the run
+    # refuses to replace it and removes its own staging directory
+    out = tmp_path / "out"
+    write = cli.cipd.write_records_csv
+
+    def write_and_collide(records, target):
+        out.mkdir()
+        (out / "keep.txt").write_text("precious")
+        write(records, target)
+
+    monkeypatch.setattr(cli.cipd, "write_records_csv", write_and_collide)
+    path = scenario_file(tmp_path)
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output directory {out} already exists\n"
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text() == "precious"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+
+
 def test_a_scenario_that_is_not_an_object_is_refused(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     path.write_text("[1]")
