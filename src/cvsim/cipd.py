@@ -361,11 +361,12 @@ def fewest_bins(config):
     if config.source_pmf is None:
         p = _poisson_pmf(config.eta * config.source_mean + config.dark_per_window)
     else:  # thin the photon pmf (photons below _FLOOR_COUNTS) by Horner's rule in eta
-        photons, pe = config.source_pmf[:_FLOOR_COUNTS], np.zeros(_FLOOR_COUNTS)
+        photons = config.source_pmf[:_FLOOR_COUNTS]
+        pe = np.zeros(len(photons))
         for q in reversed(photons):
             pe[1:] = (1.0 - config.eta) * pe[1:] + config.eta * pe[:-1]
             pe[0] = (1.0 - config.eta) * pe[0] + q
-        p = np.convolve(pe[:len(photons)], _poisson_pmf(config.dark_per_window))
+        p = np.convolve(pe, _poisson_pmf(config.dark_per_window))
     k = np.flatnonzero(config.n_pulses * p[:_FLOOR_COUNTS] >= _FLOOR_PULSES)
     if k.size == 0:
         return 0
