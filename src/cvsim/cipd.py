@@ -184,11 +184,6 @@ class Histogram:
     def probability(self):
         return self.counts / self.n_events
 
-    def scaled(self, factor):
-        """Same counts on a rescaled axis (e.g. 1/gain for the
-        input-referred photoelectron view)."""
-        return Histogram(self.bin_edges * factor, self.counts, self.n_events)
-
 
 def _poisson_counts(gen, lam, n):
     """n iid Poisson(lam) counts (int64).  Below _SCATTER_MAX_MEAN, each block
@@ -420,18 +415,24 @@ def write_records_csv(records, path):
     artifacts.write_csv(path, fields, [getattr(records, f) for f in fields])
 
 
-def write_histogram(hist, out, stem, label):
-    """<stem>.csv, one row per bin (left and right edge, count, probability),
-    and <stem>.json (label, n_events and the three arrays) into directory `out`."""
-    edges, counts, probability = map(artifacts.numbers, (hist.bin_edges, hist.counts,
-                                                         hist.probability))
-    artifacts.write_csv(out / f"{stem}.csv", ["bin_left", "bin_right", "count", "probability"],
-                        [artifacts.Numbers(edges[:-1]), artifacts.Numbers(edges[1:]),
-                         counts, probability])
-    artifacts.write_json(out / f"{stem}.json", {
-        "label": label,
-        "n_events": int(hist.n_events),
-        "bin_edges": edges,
-        "counts": counts,
-        "probability": probability,
-    })
+def write_histogram(hist, out, gain):
+    """histogram_charge.{csv,json} (output charge, e) and histogram_pe.{csv,json}
+    (input-referred photoelectrons: edges times 1 / gain) into directory `out`.
+    A csv has one row per bin (left and right edge, count, probability), a json
+    the label, n_events and the three arrays.  Both views share one formatting of
+    the counts and probabilities; colliding photoelectron edges are refused first."""
+    referred = Histogram(hist.bin_edges * (1.0 / gain), hist.counts, hist.n_events)
+    counts, probability = artifacts.numbers(hist.counts), artifacts.numbers(hist.probability)
+    for stem, label, view in [("histogram_charge", "output charge (e)", hist),
+                              ("histogram_pe", "input-referred photoelectrons", referred)]:
+        edges = artifacts.numbers(view.bin_edges)
+        artifacts.write_csv(out / f"{stem}.csv", ["bin_left", "bin_right", "count", "probability"],
+                            [artifacts.Numbers(edges[:-1]), artifacts.Numbers(edges[1:]),
+                             counts, probability])
+        artifacts.write_json(out / f"{stem}.json", {
+            "label": label,
+            "n_events": int(hist.n_events),
+            "bin_edges": edges,
+            "counts": counts,
+            "probability": probability,
+        })

@@ -108,10 +108,8 @@ def _run_cipd_histogram(config, seed, out):
     records = cipd.simulate_pulses(config, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
     peaks = cipd.detect_peaks(hist, config.gain)
-    referred = hist.scaled(1.0 / config.gain)  # ratios at which these edges would collide
     cipd.write_records_csv(records, out / "records.csv")
-    cipd.write_histogram(hist, out, "histogram_charge", "output charge (e)")
-    cipd.write_histogram(referred, out, "histogram_pe", "input-referred photoelectrons")
+    cipd.write_histogram(hist, out, config.gain)
     mean, var = (cipd.analytic_moments(config, config.source_mean)
                  if config.source_pmf is None else (None, None))
     write_json(out / "report.json", {

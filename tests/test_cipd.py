@@ -227,10 +227,6 @@ def test_histogram_invariants():
     assert np.all(np.diff(hist.bin_edges) > 0)
     assert hist.probability.sum() == pytest.approx(1.0)
 
-    scaled = hist.scaled(0.1)
-    np.testing.assert_allclose(scaled.bin_edges, hist.bin_edges * 0.1)
-    np.testing.assert_array_equal(scaled.counts, hist.counts)
-
     with pytest.raises(ValueError):
         cipd.histogram(np.array([]))
     with pytest.raises(ValueError):
@@ -411,11 +407,14 @@ def test_dispersed_gain_moments():
 def test_writers_deterministic(tmp_path):
     rec = cipd.simulate_pulses(cipd.HistogramConfig(n_pulses=50), rng=9)
     hist = cipd.histogram(rec)
-    cipd.write_histogram(hist, tmp_path, "a", "charge")
-    cipd.write_histogram(hist, tmp_path, "b", "charge")
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert p1.read_bytes() == p2.read_bytes()
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+    cipd.write_histogram(hist, tmp_path / "a", 10.0)
+    cipd.write_histogram(hist, tmp_path / "b", 10.0)
+    for name in ("histogram_charge.csv", "histogram_charge.json", "histogram_pe.csv",
+                 "histogram_pe.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    p1 = tmp_path / "a" / "histogram_charge.csv"
     header, *rows = p1.read_text().splitlines()
     assert header == "bin_left,bin_right,count,probability"
     left, right = np.array([row.split(",")[:2] for row in rows], dtype=float).T
@@ -435,13 +434,41 @@ def test_writers_deterministic(tmp_path):
         column = getattr(many, name)
         np.testing.assert_array_equal(np.array(text, dtype=column.dtype), column)
 
-    body = (tmp_path / "a.json").read_text()
+    body = (tmp_path / "a" / "histogram_charge.json").read_text()
     assert body.endswith("\n")
     import json
     data = json.loads(body)
-    assert data["label"] == "charge"
+    assert data["label"] == "output charge (e)"
     assert data["n_events"] == 50
     assert sum(data["counts"]) == 50
+
+
+@pytest.mark.parametrize("gain", [10.0, 7.3, 3e4])
+def test_photoelectron_view_shares_the_charge_views_counts(tmp_path, gain):
+    hist = cipd.histogram(cipd.simulate_pulses(cipd.HistogramConfig(n_pulses=500, gain=gain),
+                                               rng=4), bin_width=0.7)
+    cipd.write_histogram(hist, tmp_path, gain)
+    charge, pe = ([row.split(",") for row in (tmp_path / f"histogram_{v}.csv").read_text()
+                   .splitlines()] for v in ("charge", "pe"))
+    assert charge[0] == pe[0] == ["bin_left", "bin_right", "count", "probability"]
+    assert [row[2:] for row in pe] == [row[2:] for row in charge]  # the same text, byte for byte
+    referred = hist.bin_edges * (1.0 / gain)
+    left, right = np.array([row[:2] for row in pe[1:]], dtype=float).T
+    assert left.tobytes() == referred[:-1].tobytes() and right.tobytes() == referred[1:].tobytes()
+    import json
+    views = [json.loads((tmp_path / f"histogram_{v}.json").read_text()) for v in ("charge", "pe")]
+    assert views[1]["label"] == "input-referred photoelectrons"
+    assert np.array(views[1]["bin_edges"]).tobytes() == referred.tobytes()
+    for key in ("n_events", "counts", "probability"):
+        assert views[1][key] == views[0][key]
+
+
+def test_colliding_photoelectron_edges_are_refused_before_any_file_opens(tmp_path):
+    # two edges one double apart near 1.5 e, which 1/3 maps onto one double
+    hist = cipd.Histogram(np.array([1.5, math.nextafter(1.5, 2.0)]), np.array([1]), 1)
+    with pytest.raises(ValueError, match="bin edges must increase"):
+        cipd.write_histogram(hist, tmp_path, 3.0)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sigma", [225.0, 230.7])
