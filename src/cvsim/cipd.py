@@ -49,10 +49,12 @@ MAX_SMOOTHING_WORK = 1e9
 # Most pulses a run may simulate: ten times a 1e6-pulse run (records.csv 26 MB).
 MAX_PULSES = 10_000_000
 
-# fewest_bins uses the counts (photoelectrons plus dark electrons) below
-# _FLOOR_COUNTS that each expect _FLOOR_PULSES pulses or more; a run whose counts
-# lie higher is left to the checks after the draw.
+# fewest_bins uses the counts (photoelectrons plus dark electrons) that each
+# expect _FLOOR_PULSES pulses or more, of the _FLOOR_COUNTS it tabulates around
+# the mean.  Past _FLOOR_MAX_MEAN no count does at MAX_PULSES pulses: a Poisson
+# pmf is below 1 / sqrt(2 pi mean) = _FLOOR_PULSES / MAX_PULSES there.
 _FLOOR_COUNTS, _FLOOR_PULSES = 4096, 20
+_FLOOR_MAX_MEAN = (MAX_PULSES / _FLOOR_PULSES) ** 2 / (2.0 * math.pi)
 
 # Largest Poisson mean a run draws (source_mean, dark electrons per window):
 # numpy refuses means above about 9.2e18, and at 1e18 photoelectrons plus dark
@@ -252,6 +254,13 @@ def analytic_moments(config, source_mean):
     return mean, var
 
 
+def _check_bin_count(bins, bin_width):
+    """Refuse more than MAX_HISTOGRAM_BINS bins; `not <=` also refuses inf and NaN."""
+    if not bins <= MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width: {bin_width!r} splits the charge range into more "
+                         f"than MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS} bins")
+
+
 def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
     """Bin output charges with edges offset half a width off the origin."""
     charges = (records.output_charge if isinstance(records, PulseRecords)
@@ -261,10 +270,7 @@ def histogram(records, bin_width=DEFAULT_BIN_WIDTH_E):
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
     lo, hi = np.floor(np.array([charges.min(), charges.max()]) / bin_width + 0.5)
-    # hi - lo + 1 bins; `not <` also refuses an overflow to inf and a NaN width
-    if not hi - lo < MAX_HISTOGRAM_BINS:
-        raise ValueError(f"bin_width: {bin_width!r} splits the charge range into more "
-                         f"than MAX_HISTOGRAM_BINS = {MAX_HISTOGRAM_BINS} bins")
+    _check_bin_count(hi - lo + 1, bin_width)
     edges = (np.arange(hi - lo + 2) + (lo - 0.5)) * bin_width
     if not (np.diff(edges) > 0).all():  # charges too far out, or bins too fine, for doubles
         raise ValueError(f"bin_width: edges {bin_width!r} apart are not distinct doubles")
@@ -338,37 +344,83 @@ def peak_kernel_sigma(gain, bin_width, bins):
 
 
 def _poisson_pmf(lam):
-    """Poisson(lam) at 0 .. _FLOOR_COUNTS - 1: 0 where it underflows, NaN past 0 for lam = inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0 or inf
-        return np.exp(np.r_[0.0, np.cumsum(np.log(lam / np.arange(1, _FLOOR_COUNTS)))] - lam)
+    """(lo, p): Poisson(lam) at the _FLOOR_COUNTS counts from lo = max(0, round(lam) -
+    _FLOOR_COUNTS // 2); 0 where it underflows, and 0 throughout past _FLOOR_MAX_MEAN.
+    The log-pmf starts at lo ln(lam) - lam - lgamma(lo + 1), whose terms reach about
+    lam ln(lam), so p's relative error grows as about 3e-16 lam ln(lam): at most
+    3e-4 up to _FLOOR_MAX_MEAN (2e-5 at lam 3.9e10 against 40-digit arithmetic)."""
+    if not lam <= _FLOOR_MAX_MEAN:  # also inf
+        return 0, np.zeros(_FLOOR_COUNTS)
+    lo = max(0, round(lam) - _FLOOR_COUNTS // 2)
+    start = lo * math.log(lam) - lam - math.lgamma(lo + 1) if lo else -lam
+    with np.errstate(divide="ignore"):  # lam = 0
+        steps = np.log(lam / np.arange(lo + 1, lo + _FLOOR_COUNTS))
+    return lo, np.exp(np.r_[0.0, np.cumsum(steps)] + start)
+
+
+def _gain_margins(d):
+    """(lo, hi): a gain of mean 1 and fractional RMS d, Gamma(1/d^2, d^2), lies
+    at or below lo, and at or above hi, each with probability at most 1/20.  By
+    Chernoff, P(G <= t) for t < 1 and P(G >= t) for t > 1 are at most
+    exp(-(t - 1 - ln t) / d^2); each margin solves that for 1/20 by bisection,
+    kept on the outer side of the root.  Both are exactly 1 at d = 0."""
+    c = d * d * math.log(20.0)
+    if c == 0.0:
+        return 1.0, 1.0
+    margins = []
+    for outer in (0.0, 2.0 + 2.0 * c):  # t - 1 - ln t is at least c from there outward
+        inner = 1.0
+        for _ in range(64):
+            mid = 0.5 * (inner + outer)
+            if mid - 1.0 - math.log(mid) >= c:
+                outer = mid
+            else:
+                inner = mid
+        margins.append(outer)
+    return tuple(margins)
 
 
 def fewest_bins(config):
     """A floor on the charge histogram's bin count, read from a HistogramConfig
     before any pulse is drawn.  Of the counts that fewest_bins uses, take the
-    lowest k1 and the highest k2.  A draw lies more than z = sqrt(19) standard
-    deviations to one side of its mean with probability at most 1/20
-    (Cantelli), so, each except with probability below e^-18, some pulse of
-    count k2 has a charge of at least g (1 - z d) k2 - z s, and some pulse of
-    count k1 at most g (1 + z d) k1 + z s (gain g, gain dispersion d, readout
-    noise s).  The bins span their difference over bin_width: the floor exceeds
-    the drawn bins with probability below 1e-7.  It is capped at MAX_HISTOGRAM_BINS."""
+    lowest k1 and the highest k2.  Each pulse's gain is at least g lo and at most
+    g hi except with probability 1/20 each (_gain_margins; gain g, dispersion d),
+    and its readout noise within z = sqrt(19) standard deviations s to one side,
+    except with probability 1/20 (Cantelli).  So, each except with probability
+    below e^-18, some pulse of count k2 has a charge of at least g lo k2 - z s,
+    and some pulse of count k1 at most g hi k1 + z s.  The bins span their
+    difference over bin_width: the floor exceeds the drawn bins with probability
+    below 1e-7.  The arithmetic stays finite once the peak kernel's radius is
+    checked (gain below 1.1e6 bin widths), as check_before_drawing does first."""
     if config.source_pmf is None:
-        p = _poisson_pmf(config.eta * config.source_mean + config.dark_per_window)
+        lo, p = _poisson_pmf(config.eta * config.source_mean + config.dark_per_window)
     else:  # thin the photon pmf (photons below _FLOOR_COUNTS) by Horner's rule in eta
         photons = config.source_pmf[:_FLOOR_COUNTS]
         pe = np.zeros(len(photons))
         for q in reversed(photons):
             pe[1:] = (1.0 - config.eta) * pe[1:] + config.eta * pe[:-1]
             pe[0] = (1.0 - config.eta) * pe[0] + q
-        p = np.convolve(pe, _poisson_pmf(config.dark_per_window))
-    k = np.flatnonzero(config.n_pulses * p[:_FLOOR_COUNTS] >= _FLOOR_PULSES)
+        lo, dark = _poisson_pmf(config.dark_per_window)
+        p = np.convolve(pe, dark)
+    k = lo + np.flatnonzero(config.n_pulses * p[:_FLOOR_COUNTS] >= _FLOOR_PULSES)
     if k.size == 0:
         return 0
-    z, d = math.sqrt(19.0), config.gain_dispersion
-    spread = (config.gain * (max(1.0 - z * d, 0.0) * int(k[-1]) - (1.0 + z * d) * int(k[0]))
-              - 2.0 * z * config.readout_noise)
-    return int(min(max(spread / config.bin_width, 0.0), MAX_HISTOGRAM_BINS))
+    low, high = _gain_margins(config.gain_dispersion)
+    spread = (config.gain * (low * int(k[-1]) - high * int(k[0]))
+              - 2.0 * math.sqrt(19.0) * config.readout_noise)
+    return int(max(spread / config.bin_width, 0.0))
+
+
+def check_before_drawing(config):
+    """Refuse, before any pulse is drawn, a HistogramConfig whose draw the later
+    checks would refuse except with probability below 1e-7, with their messages
+    and in this order: a peak kernel of MAX_HISTOGRAM_BINS bins or more, a floor
+    on the bins (fewest_bins) past MAX_HISTOGRAM_BINS, then more smoothing than
+    MAX_SMOOTHING_WORK over that floor."""
+    peak_kernel_sigma(config.gain, config.bin_width, 0)
+    bins = fewest_bins(config)
+    _check_bin_count(bins, config.bin_width)
+    peak_kernel_sigma(config.gain, config.bin_width, bins)
 
 
 def detect_peaks(hist, gain):

@@ -102,9 +102,9 @@ def _run_cubic_phase(config, seed, out):
 
 
 def _run_cipd_histogram(config, seed, out):
-    # the peak kernel bounds gain well below any charge overflow, and its smoothing work
-    # is known from the bins' floor: refuse either before drawing
-    cipd.peak_kernel_sigma(config.gain, config.bin_width, cipd.fewest_bins(config))
+    # the peak kernel bounds gain well below any charge overflow, and the bins' floor
+    # is known from the config: refuse a run the checks after the draw would refuse
+    cipd.check_before_drawing(config)
     records = cipd.simulate_pulses(config, rng=seed)
     hist = cipd.histogram(records, bin_width=config.bin_width)
     peaks = cipd.detect_peaks(hist, config.gain)

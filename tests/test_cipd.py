@@ -190,18 +190,36 @@ def test_pulse_records_hold_for_any_histogram_config(source, seed, **detector):
 
 
 @PULSES
-@given(source=SOURCES, n_pulses=st.integers(20, 3000), eta=st.floats(0.0, 1.0),
-       gain=st.floats(1.0, 300.0), gain_dispersion=st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+# Poisson means past the 4096 counts tabulated from 0, and pulses enough that
+# counts near such a mean expect 20 pulses (from 1/sqrt(2 pi mean) / 20 pulses)
+@given(source=st.one_of(SOURCES, st.floats(4096.0, 3e5).map(lambda mu: {"source_mean": mu})),
+       n_pulses=st.one_of(st.integers(20, 3000), st.integers(30_000, 200_000)),
+       eta=st.floats(0.0, 1.0), gain=st.floats(1.0, 300.0),
+       gain_dispersion=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
        readout_noise=st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
        dark_rate=st.one_of(st.just(0.0), st.floats(0.0, 100.0)), bin_width=st.floats(0.05, 4.0),
        seed=st.integers(0, 2**32 - 1))
 # a floor of 46,999 bins under the 47,001 drawn
 @example(source={"source_pmf": [0.5, 0.0, 0.5]}, n_pulses=200, eta=1.0, gain=23500.0,
          gain_dispersion=0.0, readout_noise=0.1, dark_rate=0.0, bin_width=1.0, seed=5)
+# counts 4869 to 5131 qualify; and a gain dispersion past the 1/sqrt(19) that zeroed
+# the Cantelli margin
+@example(source={"source_mean": 5000.0}, n_pulses=20_000, eta=1.0, gain=3.0,
+         gain_dispersion=0.0, readout_noise=0.0, dark_rate=0.0, bin_width=1.0, seed=5)
+@example(source={"source_mean": 2.0}, n_pulses=3000, eta=0.6, gain=30.0,
+         gain_dispersion=0.3, readout_noise=1.0, dark_rate=0.0, bin_width=1.0, seed=5)
+# past the largest mean whose counts can expect 20 of cipd.MAX_PULSES pulses
+@example(source={"source_mean": 5e10}, n_pulses=3000, eta=1.0, gain=1.0,
+         gain_dispersion=0.0, readout_noise=0.0, dark_rate=0.0, bin_width=1.0, seed=5)
 def test_fewest_bins_is_a_floor_on_the_drawn_histogram(source, seed, **detector):
     config = cipd.HistogramConfig(**source, **detector)
-    hist = cipd.histogram(cipd.simulate_pulses(config, rng=seed), config.bin_width)
-    assert cipd.fewest_bins(config) <= len(hist.counts)
+    rec = cipd.simulate_pulses(config, rng=seed)
+    # histogram()'s bin count, which it refuses past MAX_HISTOGRAM_BINS
+    lo, hi = np.floor(np.array([rec.output_charge.min(), rec.output_charge.max()])
+                      / config.bin_width + 0.5)
+    if hi - lo < cipd.MAX_HISTOGRAM_BINS:
+        assert len(cipd.histogram(rec, config.bin_width).counts) == hi - lo + 1
+    assert cipd.fewest_bins(config) <= hi - lo + 1
 
 
 def test_noiseless_integer_gain_grid():
@@ -443,10 +461,10 @@ def test_writers_deterministic(tmp_path):
     assert sum(data["counts"]) == 50
 
 
-@pytest.mark.parametrize("gain", [10.0, 7.3, 3e4])
-def test_photoelectron_view_shares_the_charge_views_counts(tmp_path, gain):
+@pytest.mark.parametrize("gain, bin_width", [(10.0, 0.7), (7.3, 0.7), (3e4, 70.0)])
+def test_photoelectron_view_shares_the_charge_views_counts(tmp_path, gain, bin_width):
     hist = cipd.histogram(cipd.simulate_pulses(cipd.HistogramConfig(n_pulses=500, gain=gain),
-                                               rng=4), bin_width=0.7)
+                                               rng=4), bin_width=bin_width)
     cipd.write_histogram(hist, tmp_path, gain)
     charge, pe = ([row.split(",") for row in (tmp_path / f"histogram_{v}.csv").read_text()
                    .splitlines()] for v in ("charge", "pe"))

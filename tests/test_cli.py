@@ -461,6 +461,28 @@ def test_an_over_wide_peak_kernel_is_refused_before_any_pulse_is_drawn(
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("parameters, refusal", [
+    # Poisson mean 5000: counts from 4750 to 5253 each expect 20 pulses or more,
+    # a floor far past MAX_HISTOGRAM_BINS, which histogram() would refuse after the draw
+    ({"gain": 3e4, "bin_width": 1, "source_mean": 5000, "eta": 1},
+     "parameters.bin_width: 1.0 splits the charge range into more than MAX_HISTOGRAM_BINS"),
+    # the dark-electron case with gain dispersion 0.3, past the 1/sqrt(19) at which
+    # a Cantelli margin on the gain gives no floor
+    ({"gain": 3e4, "bin_width": 1, "source_mean": 40, "eta": 0, "readout_noise": 0.1,
+      "gain_dispersion": 0.3},
+     "parameters.gain, parameters.bin_width: a peak kernel of radius 27000 over 38996 bins "),
+])
+def test_a_high_mean_or_a_dispersed_gain_is_refused_before_any_pulse_is_drawn(
+        tmp_path, capsys, monkeypatch, parameters, refusal):
+    calls = []
+    monkeypatch.setattr(cli.cipd, "simulate_pulses", lambda *args, **kw: calls.append(args))
+    path = scenario_file(tmp_path, parameters={**parameters, "n_pulses": 2_000_000})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {refusal}")
+    assert calls == [] and not out.exists()
+
+
 def test_output_dir_that_appears_during_the_run_is_left_alone(tmp_path, capsys, monkeypatch):
     # another process creates output_dir while the pulses are written: the run
     # refuses to replace it and removes its own staging directory
