@@ -202,10 +202,10 @@ def test_pulse_records_hold_for_any_histogram_config(source, seed, **detector):
 # a floor of 46,999 bins under the 47,001 drawn
 @example(source={"source_pmf": [0.5, 0.0, 0.5]}, n_pulses=200, eta=1.0, gain=23500.0,
          gain_dispersion=0.0, readout_noise=0.1, dark_rate=0.0, bin_width=1.0, seed=5)
-# counts 4869 to 5131 qualify; and a gain dispersion past the 1/sqrt(19) that zeroed
-# the Cantelli margin
+# counts 4869 to 5131 qualify
 @example(source={"source_mean": 5000.0}, n_pulses=20_000, eta=1.0, gain=3.0,
          gain_dispersion=0.0, readout_noise=0.0, dark_rate=0.0, bin_width=1.0, seed=5)
+# a gain dispersion past the 1/sqrt(19) that zeroed a Cantelli margin on the gain
 @example(source={"source_mean": 2.0}, n_pulses=3000, eta=0.6, gain=30.0,
          gain_dispersion=0.3, readout_noise=1.0, dark_rate=0.0, bin_width=1.0, seed=5)
 # past the largest mean whose counts can expect 20 of cipd.MAX_PULSES pulses
