@@ -48,6 +48,10 @@ MAX_DISPLACEMENT = math.sqrt(fock.QND_WORKSPACE_LIMIT)
 MAX_COUPLING_G = 2.0 * math.sqrt(fock.QND_WORKSPACE_LIMIT)
 
 FIT_WINDOW = 2.0  # the phase fit samples |x| <= FIT_WINDOW at 801 points
+FIT_GRID = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
+FIT_GRID_CUBE = FIT_GRID**3
+FIT_GRID.setflags(write=False)
+FIT_GRID_CUBE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def readout_and_condition(joint, config, rng=None, fixed_x=None):
         u = np.random.default_rng(rng).uniform()
         fixed_x = fock._sample_grid_density(*homodyne_density(joint, config), u)
     x_m = float(fixed_x)
-    basis_at_x = fock.hermite_functions(config.dim, np.array([x_m]))[:, 0]
+    basis_at_x = fock.hermite_functions(config.dim, x_m)
     c = joint if config.homodyne_which == "ancilla" else joint.T
     cond = c @ basis_at_x
     n = np.linalg.norm(cond)
@@ -172,15 +176,15 @@ def fit_cubic_phase(target_in, target_out):
     as x = 0 for an odd state) are dropped.  Returns (gamma_fit, weighted rms
     residual).
     """
-    grid = np.linspace(-FIT_WINDOW, FIT_WINDOW, 801)
-    basis = fock._hermite_table(max(len(target_in), len(target_out)), grid)
+    basis = fock._hermite_table(max(len(target_in), len(target_out)), FIT_GRID)
     psi_in, psi_out = (fock._wavefunction(fock._normalized(s), basis)
                        for s in (target_in, target_out))
     w = np.abs(psi_in * psi_out)
     keep = w > 0.0
-    grid, psi_in, psi_out, w = grid[keep], psi_in[keep], psi_out[keep], w[keep] / w.max()
+    grid, cube = FIT_GRID[keep], FIT_GRID_CUBE[keep]
+    psi_in, psi_out, w = psi_in[keep], psi_out[keep], w[keep] / w.max()
     dphi = np.unwrap(np.angle(psi_out / psi_in))
-    a = np.stack([np.ones_like(grid), grid, grid**3], axis=1)
+    a = np.stack([np.ones_like(grid), grid, cube], axis=1)
     wa = a * w[:, None]
     coef, *_ = np.linalg.lstsq(wa, dphi * w, rcond=None)
     model = a @ coef
@@ -197,7 +201,7 @@ def cubic_reference_overlap(target_in, target_out, gamma):
     psi_in, psi_out = (fock._wavefunction(fock._normalized(s), basis)
                        for s in (target_in, target_out))
     ov, n_in, n_out = (fock._grid_integral(grid, f)[-1] for f in (
-        psi_out.conj() * np.exp(1j * gamma * grid**3) * psi_in,
+        psi_out.conj() * np.exp(1j * gamma * fock._grid_cube(grid)) * psi_in,
         np.abs(psi_in) ** 2, np.abs(psi_out) ** 2))
     return float(abs(ov) ** 2 / (n_in * n_out))
 

@@ -28,19 +28,23 @@ Truncation trouble is reported through TruncationWarning, never silently.
 
 What a gate run rebuilds unchanged from run to run is built once per process,
 in small LRU caches, and shared read-only: Hermite tables per (nmax, grid
-contents), x's eigendecomposition per workspace (D's cutoff, or dim + pad of
-the cubic phase and the QND coupling), and the squeeze operator per (s, dim).
-Hermite tables are real (float64), and complex amplitudes meet them through
-real products only.  A dim-32 gate run retains about 0.88 MB; the table
-cache's bound keeps it under about 67 MB at its worst case (four 16384-point
-tables at dim 128, which qnd_pad 0 allows).  Every warning check runs outside
-the caches, on each call.
+contents), a grid's cube per grid contents, x's eigendecomposition per
+workspace (D's cutoff, or dim + pad of the cubic phase and the QND coupling)
+and the squeeze operator per (s, dim), 4 entries each; and the QND coupling
+per (g, dim, workspace), 8 entries.  Hermite tables are real (float64), and
+complex amplitudes meet them through real products only.  A dim-32 gate run
+retains about 0.95 MB; the table cache's bound keeps it under about 67 MB at
+its worst case (four 16384-point tables at dim 128, which qnd_pad 0 allows),
+and the coupling cache's under 2.1 MB of phases (8 x 128^2 complex) plus up to
+4.2 MB of x's eigenvectors that their rows keep alive.  Every warning check
+runs outside the caches, on each call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 import warnings
 from dataclasses import dataclass, field
 
@@ -131,13 +135,19 @@ class QNDCoupling:
         V_d ((V_d^H C W_d^*) * e^{-i g xi pi^T}) W_d^T,
     V_d and W_d being the first `dim` rows of V and W.  One apply costs
     O(workspace^2 dim); the (dim^2) x (dim^2) matrix exists only when
-    `matrix` is read.
+    `matrix` is read.  It is shared from qnd_coupling_op's cache, so its arrays
+    are made read-only and its diagnostics a read-only mapping.
     """
 
     x_rows: np.ndarray  # V_d, (dim, workspace)
     p_rows: np.ndarray  # W_d, (dim, workspace)
     phase: np.ndarray   # e^{-i g xi_k pi_j}, (workspace, workspace)
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for a in (self.x_rows, self.p_rows, self.phase):
+            a.setflags(write=False)
+        object.__setattr__(self, "diagnostics", types.MappingProxyType(dict(self.diagnostics)))
 
     @property
     def dim(self):
@@ -367,15 +377,22 @@ def qnd_coupling_op(g, dim, pad=None):
     unitary V, so V_d V_d^H = I and the value is zero up to rounding whatever
     the truncation: 2.5e-14 at dim 16, pad 8, where the retained block U_b
     itself has ||U_b^H U_b - I||_F = 9.4.
+
+    Built once per process for each of the 8 most recently used
+    (g, dim, workspace) and shared between calls.
     """
     g = float(g)
     if dim < 2:
         raise ValueError("need dim >= 2")
-    w = _qnd_workspace(dim, pad)
+    return _cached_coupling(g, dim, _qnd_workspace(dim, pad))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_coupling(g, dim, workspace):
     if g == 0.0:
         eye = np.eye(dim)
         return QNDCoupling(eye, eye, np.ones((dim, dim)), {"interior_unitarity": 0.0})
-    xi, v, pi, wv = _quadrature_eigh(w)
+    xi, v, pi, wv = _quadrature_eigh(workspace)
     v, wv = v[:dim], wv[:dim]
     return QNDCoupling(v, wv, np.exp(-1j * g * np.outer(xi, pi)),
                        {"interior_unitarity": _product_gram_defect(v)})
@@ -417,14 +434,16 @@ def qnd_heisenberg_residual(g, dim, pad=None):
 
 
 def hermite_functions(nmax, x):
-    """Harmonic-oscillator eigenfunctions phi_0..phi_{nmax-1} on a grid.
+    """Harmonic-oscillator eigenfunctions phi_0..phi_{nmax-1} at x, shape
+    (nmax,) + x.shape: on a grid, or at one point (a scalar x runs the
+    recurrence on numpy scalars).
 
     Stable two-term recurrence:
         phi_0 = pi^{-1/4} exp(-x^2/2)
         phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1}
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax, x.size))
+    out = np.empty((nmax,) + x.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     if nmax > 1:
         out[1] = math.sqrt(2.0) * x * out[0]
@@ -446,6 +465,19 @@ def _cached_hermite_table(nmax, grid_bytes):
     table = hermite_functions(nmax, np.frombuffer(grid_bytes))
     table.setflags(write=False)
     return table
+
+
+def _grid_cube(grid):
+    """grid**3 as a read-only array, built once per process for each of the 4
+    most recently used grid contents (numpy's ** evaluates pow per point)."""
+    return _cached_grid_cube(np.asarray(grid, dtype=float).tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_grid_cube(grid_bytes):
+    cube = np.frombuffer(grid_bytes) ** 3
+    cube.setflags(write=False)
+    return cube
 
 
 def _wavefunction(amps, table):

@@ -675,17 +675,21 @@ def test_strict_escalates_every_run_in_a_process(tmp_path, capsys, params, needl
 
 
 def _clear_fock_caches():
-    for cached in (fock._cached_hermite_table, fock._quadrature_eigh, fock._squeeze_unitary):
+    for cached in (fock._cached_hermite_table, fock._quadrature_eigh, fock._squeeze_unitary,
+                   fock._cached_coupling, fock._cached_grid_cube):
         cached.cache_clear()
 
 
 def test_gate_runs_match_cold_caches(tmp_path):
     # each gate_run.json of a sequence run in one process is byte-identical to
-    # the same scenario run with every fock cache emptied first
+    # the same scenario run with every fock cache emptied first; g = 0.0 and
+    # -0.0 share one coupling cache key, and both take the identity branch
     sequence = [{"dim": 16}, {"dim": 32}, {"dim": 16}, {"dim": 16, "grid_points": 2048},
                 {"dim": 16, "grid_points": 1024}, {"dim": 16, "homodyne_which": "target"},
                 {"dim": 16, "qnd_pad": 0}, {"dim": 16, "correction_s": 0.0},
-                {"dim": 16, "correction_s": -0.0}]
+                {"dim": 16, "correction_s": -0.0}, {"dim": 16, "coupling_g": 0.5},
+                {"dim": 16, "coupling_g": 0.5}, {"dim": 16, "coupling_g": 1.25},
+                {"dim": 16, "coupling_g": 0.0}, {"dim": 16, "coupling_g": -0.0}]
 
     def gate_json(name, params):
         path = scenario_file(tmp_path, f"{name}.json", kind="cubic-phase-run", seed=9,

@@ -152,12 +152,20 @@ def test_second_gate_run_diagonalises_nothing(monkeypatch):
 
 
 def test_table_cache_stays_at_its_bound():
-    info = fock._cached_hermite_table.cache_info
+    """Each gate run at a new dim adds a Hermite table, a default-grid cube and
+    a coupling; each cache stops at its bound.  Worst cases: four 16384-point
+    tables at dim 128 hold 67 MB; the cube cache holds four 2048-point grids
+    (64 kB); the coupling cache's phases are 8 x 128^2 complex, 2.1 MB, and
+    their rows are views of x's eigenvectors, which keep at most another
+    4.2 MB alive once x's own cache has let them go."""
+    infos = [c.cache_info for c in (fock._cached_hermite_table, fock._cached_grid_cube,
+                                    fock._cached_coupling)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", fock.TruncationWarning)  # the small cutoffs
-        for dim in range(8, 9 + info().maxsize):
+        for dim in range(8, 9 + max(info().maxsize for info in infos)):
             cp.run_gate(cp.CubicGateConfig(dim=dim), seed=1)
-    assert info().currsize == info().maxsize
+    for info in infos:
+        assert info().currsize == info().maxsize
 
 
 def test_run_gate_deterministic():

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
@@ -256,6 +256,34 @@ def test_cached_arrays_refuse_writes():
               fock.squeeze_op(0.15, 16).matrix):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_coupling_is_shared_and_read_only():
+    # cached per (g, dim, workspace): a second call returns the same object,
+    # so nothing may change it through the object a caller holds
+    u = fock.qnd_coupling_op(0.75, 16, pad=4)
+    assert fock.qnd_coupling_op(0.75, 16, pad=4) is u
+    assert fock.qnd_coupling_op(0.0, 8) is fock.qnd_coupling_op(-0.0, 8)
+    cube = fock._grid_cube(fock.default_grid(16))
+    assert np.array_equal(cube, fock.default_grid(16) ** 3)
+    for a in (u.phase, u.x_rows, u.p_rows, cube, fock.qnd_coupling_op(0.0, 8).phase):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        u.diagnostics["interior_unitarity"] = 1.0
+    assert u.diagnostics["interior_unitarity"] <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(nmax=st.integers(1, 128), x=st.floats(-60.0, 60.0))
+@example(nmax=1, x=0.5)
+@example(nmax=2, x=-60.0)
+def test_hermite_functions_at_a_scalar(nmax, x):
+    # the readout evaluates the outcome x_m on a scalar: the same recurrence
+    # on numpy scalars, bit for bit what a one-point grid gives
+    at_x = fock.hermite_functions(nmax, x)
+    assert at_x.shape == (nmax,)
+    assert np.array_equal(at_x, fock.hermite_functions(nmax, np.array([x]))[:, 0])
 
 
 def test_unitaries_preserve_norm():
